@@ -7,8 +7,8 @@ Subcommands:
 * ``sweep``      repeat analysis + simulation over a list of sampling periods
 * ``max-period`` bisect for the largest sampling period passing a criterion
 
-Exit codes: 0 success, 1 analysis or simulation verdict failed, 2 bad usage
-or unreadable configuration.
+Exit codes: 0 success, 1 analysis or simulation verdict failed, 2 bad usage,
+unreadable configuration, or a configuration the certificates cannot judge.
 """
 
 from __future__ import annotations
@@ -240,7 +240,9 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, OSError, ValueError) as exc:
+    except (ParseError, ValidationError, OSError, ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a loadable scenario the certificates cannot judge
+        # (SingularDenominator, PoleHit, KernelSingular)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

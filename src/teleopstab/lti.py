@@ -21,6 +21,7 @@ __all__ = [
     "DegenerateZ",
     "BadGrid",
     "eval_tf",
+    "eval_tf_grid",
     "zoh_factor",
     "backward_diff_gain",
     "tustin_gain",
@@ -107,7 +108,11 @@ class ComplexResponse:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing evaluation frequencies on (0, nyquist]."""
+    """Strictly increasing evaluation frequencies on (0, nyquist].
+
+    ``points`` may be given as any sequence or 1-D array; it is validated as
+    an array and stored as a tuple of floats.
+    """
 
     points: tuple[float, ...]
     nyquist: float  # rad/s, = pi/T
@@ -115,13 +120,12 @@ class FrequencyGrid:
     def __post_init__(self) -> None:
         if len(self.points) < 2:
             raise BadGrid("grid needs at least two points")
-        prev = 0.0
-        for p in self.points:
-            if not (p > prev):
-                raise BadGrid("grid points must be strictly increasing and positive")
-            prev = p
-        if prev > self.nyquist:
+        pts = np.asarray(self.points, dtype=float)
+        if not (pts[0] > 0.0 and np.all(pts[1:] > pts[:-1])):
+            raise BadGrid("grid points must be strictly increasing and positive")
+        if pts[-1] > self.nyquist:
             raise BadGrid("grid exceeds the Nyquist frequency")
+        object.__setattr__(self, "points", tuple(pts.tolist()))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -153,6 +157,66 @@ def eval_tf(tf: RationalTF, s: complex) -> complex:
     if abs(den) <= _POLE_RTOL * scale:
         raise PoleHit(f"denominator ~ 0 at s = {s!r}")
     return _horner(tf.num, s) / den
+
+
+# Array arithmetic that rounds as Python's complex type does.  NumPy's complex
+# product may fuse multiply-adds and its quotient multiplies by a reciprocal;
+# near a cancellation (Horner at a multiple root, a nearly singular loop
+# denominator) either changes results by more than the scalar path allows.
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex product, rounded as Python's complex ``a * b``."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def cdiv(a, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex quotient by the scaled division Python's ``a / b`` uses.
+
+    Python divides through by the larger-magnitude part of ``b``; both of its
+    branches are the one below with the parts of ``a`` and ``b`` swapped and
+    the imaginary part negated.  A zero or NaN divisor gives NaN where Python
+    would raise.
+    """
+    a = np.asarray(a, dtype=complex)
+    by_re = np.abs(b.real) >= np.abs(b.imag)
+    big = np.where(by_re, b.real, b.imag)
+    small = np.where(by_re, b.imag, b.real)
+    x = np.where(by_re, a.real, a.imag)
+    y = np.where(by_re, a.imag, a.real)
+    with np.errstate(all="ignore"):
+        ratio = small / big
+        denom = big + small * ratio
+        im = (y - x * ratio) / denom
+        return _complex((x + y * ratio) / denom, np.where(by_re, im, -im))
+
+
+def _horner_grid(coeffs: tuple[float, ...], s: np.ndarray) -> np.ndarray:
+    acc = np.full(s.shape, complex(coeffs[-1]))
+    for c in reversed(coeffs[:-1]):
+        acc = cmul(acc, s) + c
+    return acc
+
+
+def eval_tf_grid(tf: RationalTF, s: np.ndarray) -> np.ndarray:
+    """Evaluate ``tf`` at every point of the complex array ``s``.
+
+    Array form of eval_tf: the same Horner recurrence, rounding and pole
+    test, applied elementwise.  Raises PoleHit, naming the first offending
+    point, when any point fails the test.
+    """
+    den = _horner_grid(tf.den, s)
+    hit = np.abs(den) <= _POLE_RTOL * _horner_mag(tf.den, np.abs(s))
+    if np.any(hit):
+        raise PoleHit(f"denominator ~ 0 at s = {complex(s[np.argmax(hit)])!r}")
+    return cdiv(_horner_grid(tf.num, s), den)
 
 
 def freq_response(tf: RationalTF, grid: FrequencyGrid) -> list[ComplexResponse]:
@@ -208,10 +272,10 @@ def make_grid(T: float, n_points: int = 512, spacing: str = "log") -> FrequencyG
         raise BadGrid(f"n_points = {n_points}, need at least 2")
     nyq = math.pi / T
     if spacing == "linear":
-        pts = (np.arange(1, n_points + 1) * (nyq / n_points)).tolist()
+        pts = np.arange(1, n_points + 1) * (nyq / n_points)
     elif spacing == "log":
-        pts = np.geomspace(nyq / _LOG_GRID_DECADES, nyq, n_points).tolist()
+        pts = np.geomspace(nyq / _LOG_GRID_DECADES, nyq, n_points)
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
     pts[-1] = nyq
-    return FrequencyGrid(points=tuple(pts), nyquist=nyq)
+    return FrequencyGrid(points=pts, nyquist=nyq)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from scipy.linalg import expm
 
 from .lti import RationalTF, eval_tf
 
@@ -35,8 +35,8 @@ __all__ = [
 
 _SINGULAR_RTOL = 64.0 * np.finfo(float).eps
 
-# relative floor below which ss2tf round-off residue at the top of the
-# numerator is trimmed (the exact leading coefficient of a strictly proper
+# relative floor below which round-off residue at the top of the numerator
+# is trimmed (the exact leading coefficient of a strictly proper
 # discretization is zero)
 _COEFF_TRIM_RTOL = 1e-13
 
@@ -140,9 +140,11 @@ def plant_position_tf(p: RobotParams, terminator: ImpedanceModel) -> RationalTF:
 def sampled_plant_tf(plant: RationalTF, T: float) -> RationalTF:
     """Exact ZOH discretization of a strictly proper plant, returned in z.
 
-    Runs through state space: the (A, B) pair is discretized with the
-    block-matrix exponential [[A, B], [0, 0]]*T, which is exact for the
-    hold-input system, then converted back to a transfer function.
+    Van Loan's block-matrix exponential (IEEE TAC 1978): with (A, B, C) the
+    controllable companion realization of the plant, the top rows of
+    expm([[A*T, B*T], [0, 0]]) hold the held-input pair (Phi, Gamma) exactly.
+    The z-domain denominator is det(zI - Phi) and the numerator
+    det(zI - Phi + Gamma*C) - det(zI - Phi), both from np.poly.
     """
     if not T > 0.0:
         raise ValueError("sampling period must be positive")
@@ -150,11 +152,20 @@ def sampled_plant_tf(plant: RationalTF, T: float) -> RationalTF:
         raise ImproperPlant(
             f"numerator degree {plant.num_degree} >= denominator degree {plant.den_degree}"
         )
-    num_desc = list(reversed(plant.num))
-    den_desc = list(reversed(plant.den))
-    numd, dend, _ = signal.cont2discrete((num_desc, den_desc), T, method="zoh")
-    num_asc = list(np.atleast_2d(numd)[0][::-1])
-    den_asc = list(np.ravel(dend)[::-1])
+    n = plant.den_degree
+    lead = plant.den[-1]
+    c_row = np.zeros(n)
+    c_row[: len(plant.num)] = np.asarray(plant.num) / lead
+    block = np.zeros((n + 1, n + 1))
+    block[: n - 1, 1:n] = T * np.eye(n - 1)
+    block[n - 1, :n] = (-T / lead) * np.asarray(plant.den[:-1])
+    block[n - 1, n] = T
+    van_loan = expm(block)
+    phi, gamma = van_loan[:n, :n], van_loan[:n, n]
+    den = np.poly(phi)
+    num = np.poly(phi - np.outer(gamma, c_row)) - den
+    num_asc = num[::-1].tolist()
+    den_asc = den[::-1].tolist()
     scale = max(max(abs(c) for c in num_asc), max(abs(c) for c in den_asc))
     floor = _COEFF_TRIM_RTOL * scale
     while len(num_asc) > 1 and abs(num_asc[-1]) <= floor:

@@ -550,9 +550,10 @@ def sweep_period(
 ) -> list[SweepRow]:
     """Run the scenario at each period and pair verdicts with analysis reports.
 
-    Rows come back sorted by period; a failing row records its error and the
-    sweep continues.  Delays stay the same integer multiples of each new T;
-    eps_min is lowered to min(eps_min, T) where needed.
+    Rows come back sorted by period; a row that fails with a domain error
+    (ArithmeticError or ValueError) records it and the sweep continues, while
+    any other exception propagates.  Delays stay the same integer multiples
+    of each new T; eps_min is lowered to min(eps_min, T) where needed.
     """
     rows: list[SweepRow] = []
     system = TeleopSystem(
@@ -568,7 +569,7 @@ def sweep_period(
             vd = verdict(tr, position_bound, settle_window, settle_tol)
             report = small_gain_value(system, ch, make_grid(T, grid_points))
             rows.append(SweepRow(period=T, verdict=vd, stability=report, error=None))
-        except Exception as exc:  # per-row isolation
+        except (ArithmeticError, ValueError) as exc:  # per-row isolation
             rows.append(SweepRow(period=T, verdict=None, stability=None, error=str(exc)))
     return rows
 

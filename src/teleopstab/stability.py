@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import ControllerGains, controller_z_tf
-from .lti import FrequencyGrid, RationalTF, eval_tf, make_grid
+from .lti import FrequencyGrid, RationalTF, cdiv, cmul, eval_tf, eval_tf_grid, make_grid
 from .plants import FREE, ImpedanceModel, RobotParams, plant_position_tf, sampled_plant_tf
 
 __all__ = [
@@ -239,11 +239,15 @@ def _context(system: TeleopSystem, ch: ChannelConfig) -> _LoopContext:
     )
 
 
-def _mn_from_context(ctx: _LoopContext, omega: float):
+def _controller_terms(ctx: _LoopContext, omega: float):
+    """r(jw), z = e^(jwT), C_m(z) and C_s(z) at one frequency."""
     r = r_kernel(omega, ctx.T)
     z = cmath.exp(1j * omega * ctx.T)
-    cm = eval_tf(ctx.cm_tf, z)
-    cs = eval_tf(ctx.cs_tf, z)
+    return r, z, eval_tf(ctx.cm_tf, z), eval_tf(ctx.cs_tf, z)
+
+
+def _mn_from_context(ctx: _LoopContext, omega: float):
+    r, z, cm, cs = _controller_terms(ctx, omega)
     gm = eval_tf(ctx.gm_tf, z)
     gs = eval_tf(ctx.gs_tf, z)
     t_alpha = ctx.alpha * ctx.b_s * cm * r
@@ -273,6 +277,42 @@ def mn_terms(system: TeleopSystem, ch: ChannelConfig, omega: float):
 def _small_gain_at(ctx: _LoopContext, omega: float) -> float:
     m_m, m_s, n_m, n_s = _mn_from_context(ctx, omega)
     return abs(m_m * n_m + m_s * n_s)
+
+
+def _small_gain_curve(ctx: _LoopContext, omegas: np.ndarray):
+    """Array form of _small_gain_at over the frequencies ``omegas``.
+
+    Returns (values, excluded).  ``excluded`` marks the points where the
+    scalar path raises KernelSingular or SingularDenominator, and ``values``
+    is NaN there.  PoleHit propagates from any point the kernel test did not
+    exclude, as it does from the scalar path.
+    """
+    T = ctx.T
+    half = 0.5 * omegas * T
+    sin_half = np.sin(half)
+    excluded = 2.0 * sin_half * sin_half < _KERNEL_FLOOR
+    kept = ~excluded
+    half, sin_half = half[kept], sin_half[kept]
+    r = -0.5 * T + 1j * (-0.5 * T * (np.cos(half) / sin_half))
+    z = np.exp(1j * omegas[kept] * T)
+    cm = eval_tf_grid(ctx.cm_tf, z)
+    cs = eval_tf_grid(ctx.cs_tf, z)
+    gm = eval_tf_grid(ctx.gm_tf, z)
+    gs = eval_tf_grid(ctx.gs_tf, z)
+    # the same operations as _mn_from_context, with Python's complex rounding
+    t_alpha = cmul(ctx.alpha * ctx.b_s * cm, r)
+    t_slave = cmul(ctx.b_m * cs, r)
+    den = 2.0 * ctx.b_m * ctx.b_s + t_alpha + t_slave
+    scale = 2.0 * ctx.b_m * ctx.b_s + np.abs(t_alpha) + np.abs(t_slave)
+    singular = np.abs(den) <= _SINGULAR_RTOL * scale
+    n_m = cdiv(t_alpha, den)
+    n_s = cdiv(t_slave, den)
+    m_m = -1.0 + cmul(cdiv(2.0 * ctx.b_m, r), gm)
+    m_s = -1.0 + cmul(cdiv(2.0 * ctx.b_s, r), gs)
+    values = np.full(omegas.shape, np.nan)
+    values[kept] = np.where(singular, np.nan, np.abs(cmul(m_m, n_m) + cmul(m_s, n_s)))
+    excluded[kept] = singular
+    return values, excluded
 
 
 def _golden_refine(ctx: _LoopContext, lo: float, hi: float) -> tuple[float, float]:
@@ -312,33 +352,26 @@ def small_gain_value(
 ) -> StabilityReport:
     """Estimate sup_w |M_m N_m + M_s N_s| over the grid and judge the loop.
 
-    The grid argmax is refined by a golden-section pass over its bracketing
-    interval.  Frequencies where the shared denominator is numerically
-    singular are excluded and counted; a passing verdict requires the value
-    below one *and* zero exclusions.
+    The loop context (controllers and ZOH plants) is built once per call and
+    the test value is evaluated over the whole grid as numpy arrays.  The
+    first grid maximum is refined by a scalar golden-section pass over its
+    bracketing interval.  Frequencies where the hold kernel or the shared
+    denominator is numerically singular are excluded and counted; a passing
+    verdict requires the value below one *and* zero exclusions.  PoleHit
+    propagates from a point that is not excluded, and SingularDenominator is
+    raised when no grid point yields a value.
 
     The value tends to 1 from below as w -> 0 for position-coordinating
     loops, so the reported sup depends on the grid floor; comparisons across
     grid sizes are meaningful because every grid shares the same floor.
     """
     ctx = _context(system, ch)
-    best_v = -math.inf
-    best_i = -1
-    excluded = 0
-    values = []
-    for i, w in enumerate(grid.points):
-        try:
-            v = _small_gain_at(ctx, w)
-        except (SingularDenominator, KernelSingular):
-            excluded += 1
-            values.append(None)
-            continue
-        values.append(v)
-        if v > best_v:
-            best_v = v
-            best_i = i
-    if best_i < 0:
+    values, excluded = _small_gain_curve(ctx, np.asarray(grid.points))
+    if np.isnan(values).all():
         raise SingularDenominator("every grid point was singular")
+    best_i = int(np.nanargmax(values))  # first maximum; NaN never wins
+    best_v = float(values[best_i])
+    n_excluded = int(np.count_nonzero(excluded))
     lo = grid.points[best_i - 1] if best_i > 0 else grid.points[0]
     hi = grid.points[best_i + 1] if best_i + 1 < len(grid.points) else grid.points[-1]
     best_w = grid.points[best_i]
@@ -350,10 +383,10 @@ def small_gain_value(
     return StabilityReport(
         period=ch.T,
         small_gain_value=best_v,
-        small_gain_pass=(best_v < 1.0 and excluded == 0),
+        small_gain_pass=(best_v < 1.0 and n_excluded == 0),
         argmax_frequency=best_w,
         grid_size=len(grid.points),
-        excluded_points=excluded,
+        excluded_points=n_excluded,
         damping_bound=bound,
         damping_pass_master=system.master.damping > bound,
         damping_pass_slave=system.slave.damping > bound,
@@ -370,10 +403,7 @@ def alpha_zero_condition(system: TeleopSystem, ch: ChannelConfig, omega: float) 
     with period 2*pi; reduces to the undelayed test at T1 = T2 = 0.
     """
     ctx = _context(system, ch)
-    r = r_kernel(omega, ctx.T)
-    z = cmath.exp(1j * omega * ctx.T)
-    cm = eval_tf(ctx.cm_tf, z)
-    cs = eval_tf(ctx.cs_tf, z)
+    r, _, cm, cs = _controller_terms(ctx, omega)
     d_term = r * r * (1.0 - cmath.exp(-(ctx.t1 + ctx.t2) * 1j * omega)) / 2.0
     num = abs(d_term + ctx.b_s * cm * r) + abs(d_term + ctx.b_m * cs * r) + abs(d_term)
     t0 = 2.0 * ctx.b_m * ctx.b_s * cm * cs

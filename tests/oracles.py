@@ -4,9 +4,9 @@ Everything in this module is deliberately written from the underlying
 formulas, not by calling back into the package: polynomial evaluation is
 term-by-term instead of Horner, the hold kernel is the raw printed quotient
 evaluated in high precision, the discretized double-integrator plant is a
-hand-derived partial-fraction closed form, and the small-gain test value is
-assembled term by term on a dense grid.  Test files compare package output
-against these.
+hand-derived partial-fraction closed form, the general ZOH discretization
+is scipy.signal's, and the small-gain test value is assembled term by term on
+a dense grid.  Test files compare package output against these.
 """
 
 import cmath
@@ -14,6 +14,7 @@ import math
 
 import mpmath
 import numpy as np
+from scipy import signal
 
 
 def poly_brute(coeffs, s):
@@ -52,6 +53,16 @@ def zoh_plant_response(m, b, T, z):
     a = b / m
     e = math.exp(-a * T)
     return (T / b) / (z - 1.0) - 1.0 / (a * b) + (z - 1.0) / ((a * b) * (z - e))
+
+
+def zoh_cont2discrete(num, den, T):
+    """ZOH discretization by scipy.signal.cont2discrete, ascending powers.
+
+    Returns (num, den) coefficient arrays in z, lowest power first, with the
+    numerator padded to the denominator's length.
+    """
+    numd, dend, _ = signal.cont2discrete((num[::-1], den[::-1]), T, method="zoh")
+    return np.atleast_2d(numd)[0][::-1], np.ravel(dend)[::-1]
 
 
 def controller_response(kp, kv, kd, p_eps, T, z):

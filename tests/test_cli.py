@@ -1,6 +1,9 @@
 """Command line front end: exit codes, outputs, and error paths."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -266,3 +269,51 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: master:")
+
+
+def _no_master_damping_cfg(tmp_path):
+    # loads and validates, but with alpha = 0 the loop denominator vanishes
+    # at every frequency, so no certificate can be computed
+    p = tmp_path / "undamped.cfg"
+    p.write_text(
+        _TEMPLATE.format(kp=1, kv=10, kd=2, period=0.006, alpha=0.0, duration=2.0)
+        .replace("damping = 1.0", "damping = 0.0", 1)
+    )
+    return str(p)
+
+
+def test_analyze_singular_loop_exit_code(tmp_path, capsys):
+    code = cli_dispatch(["analyze", "--config", _no_master_damping_cfg(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "singular" in captured.err
+    assert captured.out == ""
+
+
+def test_max_period_singular_loop_exit_code(tmp_path, capsys):
+    code = cli_dispatch(
+        [
+            "max-period",
+            "--config", _no_master_damping_cfg(tmp_path),
+            "--criterion", "small_gain",
+            "--range", "0.001:0.01",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "singular" in captured.err
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs over a second of start-up; the CLI must not need it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = "import sys, teleopstab.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -20,6 +20,7 @@ from teleopstab import (
     tustin_gain,
     zoh_factor,
 )
+from teleopstab.lti import cdiv, cmul, eval_tf_grid
 
 from oracles import rational_brute, zoh_mp
 
@@ -196,6 +197,51 @@ def test_frequency_grid_invariants():
         FrequencyGrid((2.0, 1.0), nyquist=3.0)  # not increasing
     with pytest.raises(BadGrid):
         FrequencyGrid((1.0, 4.0), nyquist=3.0)  # beyond nyquist
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ((1.0,), "at least two points"),
+        ((0.0, 1.0), "strictly increasing and positive"),
+        ((-1.0, 1.0), "strictly increasing and positive"),
+        ((1.0, 1.0, 2.0), "strictly increasing and positive"),
+        ((1.0, math.nan), "strictly increasing and positive"),
+        ((1.0, 2.0, 3.5), "exceeds the Nyquist frequency"),
+    ],
+)
+def test_frequency_grid_rejection_messages(points, message):
+    with pytest.raises(BadGrid, match=message):
+        FrequencyGrid(points, nyquist=3.0)
+
+
+def test_complex_array_arithmetic_rounds_as_python():
+    rng = np.random.default_rng(11)
+    n = 2000
+    a = rng.normal(size=n) * 10.0 ** rng.uniform(-30, 30, n) + 1j * rng.normal(size=n)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n) * 10.0 ** rng.uniform(-30, 30, n)
+    b[:4] = (5e-324, 1e-320 + 3e-321j, math.nan, 2.0 + math.nan * 1j)
+    products, quotients, reals = cmul(a, b), cdiv(a, b), cdiv(2.5, b)
+    for ak, bk, p, q, r in zip(a.tolist(), b.tolist(), products, quotients, reals):
+        assert p == ak * bk or (math.isnan(abs(p)) and math.isnan(abs(ak * bk)))
+        assert q == ak / bk or (math.isnan(abs(q)) and math.isnan(abs(ak / bk)))
+        assert r == 2.5 / bk or (math.isnan(abs(r)) and math.isnan(abs(2.5 / bk)))
+    assert np.isnan(cdiv(a[:1], np.zeros(1, dtype=complex))).all()
+
+
+def test_eval_tf_grid_matches_pointwise_eval():
+    rng = np.random.default_rng(7)
+    z = np.exp(1j * rng.uniform(1e-6, math.pi, 200))
+    for tf in (
+        RationalTF((2.0,), (2.0, 1.0)),
+        RationalTF((3.5e-5, 3.6e-5), (0.988, -1.988, 1.0)),
+        RationalTF((-12.0, 12.006), (0.0, 0.006)),
+    ):
+        got = eval_tf_grid(tf, z)
+        for zk, gk in zip(z, got):
+            assert gk == eval_tf(tf, complex(zk))
+    with pytest.raises(PoleHit):
+        eval_tf_grid(RationalTF((1.0,), (1.0, 0.0, 1.0)), np.array([1.0 + 0j, 1j]))
 
 
 def test_freq_response_matches_pointwise_eval():

@@ -25,7 +25,7 @@ from teleopstab import (
     wall_force,
 )
 
-from oracles import rk4_step_response, tf_step_sequence
+from oracles import rk4_step_response, tf_step_sequence, zoh_cont2discrete
 
 
 def test_robot_impedance_examples():
@@ -130,6 +130,32 @@ def test_sampled_plant_tf_converges_to_continuous():
         discrete = eval_tf(sampled_plant_tf(plant, T), z)
         continuous = eval_tf(plant, 1j * w)
         assert abs(discrete - continuous) < 0.01 * abs(continuous)
+
+
+@pytest.mark.parametrize("T", [1e-4, 0.006, 0.1, 1.0])
+@pytest.mark.parametrize(
+    "plant",
+    [
+        RationalTF((1.0,), (0.0, 1.0)),
+        RationalTF((3.0,), (1.0, 2.0)),
+        RationalTF((1.0, 0.5), (2.0, 3.0, 1.0)),
+        plant_position_tf(RobotParams(mass=0.5, damping=1.0), FREE),
+        plant_position_tf(RobotParams(mass=0.5, damping=0.0), FREE),
+        plant_position_tf(RobotParams(mass=23.54, damping=0.0517), FREE),
+        plant_position_tf(RobotParams(mass=0.5, damping=1.0), ImpedanceModel(0.0, 1.0, 10.0)),
+        plant_position_tf(RobotParams(mass=0.8, damping=1.3), ImpedanceModel(0.2, 0.0, 1000.0)),
+    ],
+)
+def test_sampled_plant_tf_matches_cont2discrete(plant, T):
+    # degree 1 and 2, free and terminated: coefficients agree with scipy's
+    # tf -> ss -> c2d -> tf route to 1e-12 of the largest coefficient
+    num, den = zoh_cont2discrete(plant.num, plant.den, T)
+    tf = sampled_plant_tf(plant, T)
+    scale = max(np.max(np.abs(num)), np.max(np.abs(den)))
+    got_num = np.zeros(len(num))
+    got_num[: len(tf.num)] = tf.num
+    np.testing.assert_allclose(got_num, num, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(tf.den, den, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_sampled_plant_tf_rejects_improper():

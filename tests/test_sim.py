@@ -486,6 +486,18 @@ def test_sweep_isolates_row_errors(reference_scenario):
     assert rows[1].error is None
 
 
+def test_sweep_propagates_programming_errors(reference_scenario, monkeypatch):
+    # only domain errors become error rows; a bug in the certificate core
+    # must surface
+    def broken(*args, **kwargs):
+        raise TypeError("broken certificate core")
+
+    monkeypatch.setattr("teleopstab.sim.small_gain_value", broken)
+    sc = _short(reference_scenario, duration=2.0)
+    with pytest.raises(TypeError, match="broken certificate core"):
+        sweep_period(sc, [sc.channel.T])
+
+
 def test_sweep_empty():
     sc = load_scenario(SCENARIO_FILE)
     assert sweep_period(sc, []) == []

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleopstab import (
     AssumptionViolated,
@@ -14,7 +16,10 @@ from teleopstab import (
     DelayModel,
     KernelSingular,
     NoBracket,
+    PoleHit,
+    RationalTF,
     RobotParams,
+    SingularDenominator,
     TeleopSystem,
     alpha_zero_condition,
     controller_z_tf,
@@ -27,6 +32,7 @@ from teleopstab import (
     r_kernel,
     small_gain_value,
 )
+from teleopstab.stability import _context, _small_gain_at, _small_gain_curve
 
 from oracles import r_kernel_mp, small_gain_dense
 
@@ -350,3 +356,79 @@ def test_channel_config_invariants():
     ch = ChannelConfig(T=0.006, d1=2, d2=3, eps_min=0.006, alpha=1.0)
     assert ch.t1 == 2 * 0.006
     assert ch.t2 == 3 * 0.006
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+_gain = st.one_of(st.just(0.0), _log_uniform(-3, 2))
+_mass = _log_uniform(-2, 1.5)
+# light damping puts a near-double pole at z = 1, where Horner cancels most
+_damping = st.one_of(st.just(0.0), _log_uniform(-3, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gains=st.builds(ControllerGains, _gain, _gain, _gain, _gain),
+    master=st.builds(RobotParams, _mass, _damping),
+    slave=st.builds(RobotParams, _mass, _damping),
+    alpha=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    d1=st.integers(0, 4),
+    d2=st.integers(0, 4),
+    T=_log_uniform(-4, 0),
+)
+def test_small_gain_curve_matches_scalar_path(gains, master, slave, alpha, d1, d2, T):
+    # the whole-grid scan against the per-frequency path, point by point;
+    # the two extra points are full-sample multiples the kernel excludes
+    ch = ChannelConfig(T=T, d1=d1, d2=d2, eps_min=T, alpha=alpha)
+    ctx = _context(TeleopSystem(master, slave, gains), ch)
+    omegas = np.array(make_grid(T, 64).points + (2.0 * math.pi / T, 4.0 * math.pi / T))
+    values, excluded = _small_gain_curve(ctx, omegas)
+    scalar_excluded = 0
+    for w, v, ex in zip(omegas, values, excluded):
+        try:
+            ref = _small_gain_at(ctx, float(w))
+        except (SingularDenominator, KernelSingular):
+            scalar_excluded += 1
+            assert ex and math.isnan(v)
+            continue
+        assert not ex
+        assert abs(v - ref) <= 1e-12 * abs(ref)
+    assert int(np.count_nonzero(excluded)) == scalar_excluded
+
+
+def test_small_gain_curve_pole_hit_propagates_unless_kernel_excluded():
+    T = REF_CHANNEL.T
+    ctx = _context(REF_SYSTEM, REF_CHANNEL)
+    # poles at z = +-j, i.e. w = pi/(2T), a point the kernel test keeps
+    on_circle = dataclasses.replace(ctx, gm_tf=RationalTF((1.0,), (1.0, 0.0, 1.0)))
+    omegas = np.array([math.pi / (4.0 * T), math.pi / (2.0 * T), math.pi / T])
+    with pytest.raises(PoleHit):
+        _small_gain_at(on_circle, math.pi / (2.0 * T))
+    with pytest.raises(PoleHit):
+        _small_gain_curve(on_circle, omegas)
+    # pole at z = 1, i.e. w = 2 pi/T, where the kernel test excludes first
+    at_one = dataclasses.replace(ctx, gm_tf=RationalTF((1.0,), (-1.0, 1.0)))
+    omegas = np.array([math.pi / (2.0 * T), 2.0 * math.pi / T])
+    values, excluded = _small_gain_curve(at_one, omegas)
+    assert excluded.tolist() == [False, True]
+    assert math.isfinite(values[0]) and math.isnan(values[1])
+
+
+def test_small_gain_every_point_excluded_raises():
+    # zero master damping with alpha = 0 zeroes the shared denominator
+    no_damping = TeleopSystem(RobotParams(mass=0.5, damping=0.0), ROBOT, REF_GAINS)
+    ctx = _context(no_damping, REF_CHANNEL)
+    _, excluded = _small_gain_curve(ctx, np.array(make_grid(REF_CHANNEL.T, 64).points))
+    assert excluded.all()
+    with pytest.raises(SingularDenominator):
+        small_gain_value(no_damping, REF_CHANNEL, make_grid(REF_CHANNEL.T))
+
+
+def test_small_gain_argmax_is_first_maximum():
+    # a zero controller gives the value 0 at every point: the first wins
+    zero = TeleopSystem(ROBOT, ROBOT, ControllerGains(0.0, 0.0, 0.0, 0.0))
+    grid = make_grid(0.006)
+    report = small_gain_value(zero, REF_CHANNEL, grid)
+    assert report.argmax_frequency == grid.points[0]
