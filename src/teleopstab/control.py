@@ -91,26 +91,17 @@ def control_sampled(g: ControllerGains, latch: LatchedState) -> float:
     )
 
 
-def controller_z_tf(g: ControllerGains, T: float, derivative: str = "backward") -> RationalTF:
+def controller_z_tf(g: ControllerGains, T: float) -> RationalTF:
     """z-domain controller C(z), positive-gain convention.
 
-    backward (shipped form):  C(z) = (K_v + K_d + P_eps)*(z-1)/(Tz) + K_p
-    tustin  (alternate map):  C(z) = (K_v + K_d + P_eps)*(2/T)(z-1)/(z+1) + K_p
-
-    C(1) = K_p either way.
+    The derivative terms use the backward difference (z-1)/(Tz):
+    C(z) = (K_v + K_d + P_eps)*(z-1)/(Tz) + K_p, so C(1) = K_p.
     """
     if not T > 0.0:
         raise ValueError("sampling period must be positive")
     k_deriv = g.kv + g.kd + g.p_eps
-    if derivative == "backward":
-        # ((k_deriv + kp*T) z - k_deriv) / (T z)
-        return RationalTF(num=(-k_deriv, k_deriv + g.kp * T), den=(0.0, T))
-    if derivative == "tustin":
-        return RationalTF(
-            num=(g.kp * T - 2.0 * k_deriv, g.kp * T + 2.0 * k_deriv),
-            den=(T, T),
-        )
-    raise ValueError(f"unknown derivative kernel {derivative!r}")
+    # ((k_deriv + kp*T) z - k_deriv) / (T z)
+    return RationalTF(num=(-k_deriv, k_deriv + g.kp * T), den=(0.0, T))
 
 
 def passivity_gain_rule(kp: float, nu: float) -> float:

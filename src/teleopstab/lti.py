@@ -1,4 +1,4 @@
-"""Rational transfer functions and the frequency kernels of sampled-data loops.
+"""Rational transfer functions, their evaluation, and frequency grids.
 
 Coefficient convention: ascending powers, so ``num=[1, 0.5]`` over ``den=[0, 1]``
 is (1 + 0.5*s)/s.  The indeterminate is whatever the caller evaluates at -- the
@@ -7,7 +7,6 @@ Laplace variable for continuous models, z for discretized ones.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -15,35 +14,22 @@ import numpy as np
 
 __all__ = [
     "RationalTF",
-    "ComplexResponse",
     "FrequencyGrid",
     "PoleHit",
-    "DegenerateZ",
     "BadGrid",
     "eval_tf",
     "eval_tf_grid",
-    "zoh_factor",
-    "backward_diff_gain",
-    "tustin_gain",
     "make_grid",
-    "freq_response",
 ]
 
 # |den(s)| below this multiple of the rounding-noise floor counts as a pole hit
 _POLE_RTOL = 64.0 * np.finfo(float).eps
 
-# below |sT| = 1e-8 the closed-form hold factor loses digits; switch to series
-_ZOH_SERIES_CUT = 1e-8
-
-_LOG_GRID_DECADES = 1e6  # log-spaced grids start at pi/(T * 1e6)
+_LOG_GRID_DECADES = 1e6  # grids start at pi/(T * 1e6)
 
 
 class PoleHit(ArithmeticError):
     """Transfer-function evaluation requested at (or numerically on) a pole."""
-
-
-class DegenerateZ(ValueError):
-    """Discrete-derivative kernel evaluated where it is undefined."""
 
 
 class BadGrid(ValueError):
@@ -92,18 +78,6 @@ class RationalTF:
 
     def is_strictly_proper(self) -> bool:
         return self.num != (0.0,) and self.num_degree < self.den_degree
-
-
-@dataclass(frozen=True)
-class ComplexResponse:
-    """One frequency-response sample."""
-
-    frequency: float  # rad/s
-    value: complex
-
-    def __post_init__(self) -> None:
-        if not self.frequency > 0.0:
-            raise ValueError("frequency must be positive")
 
 
 @dataclass(frozen=True)
@@ -219,63 +193,16 @@ def eval_tf_grid(tf: RationalTF, s: np.ndarray) -> np.ndarray:
     return cdiv(_horner_grid(tf.num, s), den)
 
 
-def freq_response(tf: RationalTF, grid: FrequencyGrid) -> list[ComplexResponse]:
-    """Evaluate ``tf`` at s = j*omega over the grid."""
-    return [ComplexResponse(w, eval_tf(tf, 1j * w)) for w in grid.points]
+def make_grid(T: float, n_points: int = 512) -> FrequencyGrid:
+    """Build a log-spaced evaluation grid on [pi/(T*1e6), pi/T].
 
-
-def zoh_factor(s: complex, T: float) -> complex:
-    """Frequency response (1 - e^(-sT))/(sT) of the zero-order hold.
-
-    Below |sT| = 1e-8 the direct quotient is replaced by its series
-    1 - sT/2 + (sT)^2/6 so the removable singularity at s = 0 stays smooth.
-    """
-    if not T > 0.0:
-        raise ValueError("sampling period must be positive")
-    x = s * T
-    if abs(x) < _ZOH_SERIES_CUT:
-        return 1.0 - x / 2.0 + x * x / 6.0
-    return (1.0 - cmath.exp(-x)) / x
-
-
-def backward_diff_gain(z: complex, T: float) -> complex:
-    """Backward-difference derivative kernel (z - 1)/(T z)."""
-    if not T > 0.0:
-        raise ValueError("sampling period must be positive")
-    if z == 0:
-        raise DegenerateZ("backward difference undefined at z = 0")
-    return (z - 1.0) / (T * z)
-
-
-def tustin_gain(z: complex, T: float) -> complex:
-    """Trapezoidal (Tustin) derivative kernel (2/T)(z - 1)/(z + 1).
-
-    Alternate map for sensitivity studies; the shipped controller uses the
-    backward difference.
-    """
-    if not T > 0.0:
-        raise ValueError("sampling period must be positive")
-    if z == -1:
-        raise DegenerateZ("Tustin map undefined at z = -1")
-    return (2.0 / T) * (z - 1.0) / (z + 1.0)
-
-
-def make_grid(T: float, n_points: int = 512, spacing: str = "log") -> FrequencyGrid:
-    """Build an evaluation grid on (0, pi/T], last point exactly Nyquist.
-
-    Log spacing (default) starts at pi/(T*1e6); linear spacing places points
-    at k*pi/(T*n) for k = 1..n.
+    The last point is exactly the Nyquist frequency pi/T.
     """
     if not T > 0.0:
         raise ValueError("sampling period must be positive")
     if n_points < 2:
         raise BadGrid(f"n_points = {n_points}, need at least 2")
     nyq = math.pi / T
-    if spacing == "linear":
-        pts = np.arange(1, n_points + 1) * (nyq / n_points)
-    elif spacing == "log":
-        pts = np.geomspace(nyq / _LOG_GRID_DECADES, nyq, n_points)
-    else:
-        raise ValueError(f"unknown spacing {spacing!r}")
+    pts = np.geomspace(nyq / _LOG_GRID_DECADES, nyq, n_points)
     pts[-1] = nyq
     return FrequencyGrid(points=pts, nyquist=nyq)

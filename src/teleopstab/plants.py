@@ -219,9 +219,10 @@ def wall_force(x: float, v: float, wall: WallModel) -> float:
     """Reaction magnitude of the unilateral wall; zero when disengaged.
 
     Clamped at zero so the wall never pulls.  Continuous in x across the
-    engagement boundary when v = 0.
+    engagement boundary when v = 0.  A NaN reaction past the threshold is
+    returned as is, so a diverging state stays visible in the force.
     """
-    if x <= wall.position:
+    if not x > wall.position:
         return 0.0
     raw = wall.stiffness * (x - wall.position) + wall.damping * v
-    return raw if raw > 0.0 else 0.0
+    return 0.0 if raw < 0.0 else raw

@@ -19,7 +19,7 @@ import numpy as np
 
 from .control import ControllerGains, LatchedState, control_continuous, control_sampled
 from .lti import make_grid
-from .plants import ImpedanceModel, RobotParams, WallModel
+from .plants import ImpedanceModel, RobotParams, WallModel, wall_force
 from .stability import ChannelConfig, StabilityReport, TeleopSystem, small_gain_value
 
 __all__ = [
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 _CSV_HEADER = "t,x_m,v_m,x_s,v_s,F_m,F_s,F_h,F_e"
+
+# Largest trace run_scenario will allocate: nine float64 columns of one row
+# per substep.  A longer run is rejected before anything is allocated.
+TRACE_BUDGET_BYTES = 2 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -236,6 +240,9 @@ def run_scenario(
     every substep (reference loop for consistency checks).  A non-finite
     state aborts the run; the trace is truncated at the offending sample and
     carries its time as divergence_time.
+
+    Raises ValueError, before allocating, when the nine trace columns would
+    exceed TRACE_BUDGET_BYTES.
     """
     if controller_mode not in ("sampled", "continuous"):
         raise ValueError(f"unknown controller_mode {controller_mode!r}")
@@ -246,6 +253,12 @@ def run_scenario(
     h = T / nsub
     n_periods = math.ceil(sc.duration / T - 1e-9)
     n_total = n_periods * nsub
+    trace_bytes = 9 * 8 * (n_total + 1)
+    if trace_bytes > TRACE_BUDGET_BYTES:
+        raise ValueError(
+            f"trace of {n_total + 1} rows needs {trace_bytes} bytes, over the "
+            f"{TRACE_BUDGET_BYTES}-byte budget; shorten duration or raise the period"
+        )
 
     # hoisted dynamics constants
     inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
@@ -255,9 +268,7 @@ def run_scenario(
     b_h = sc.human.damping
     inv_ms = 1.0 / sc.slave.mass
     b_s = sc.slave.damping
-    xw = sc.wall.position
-    kw = sc.wall.stiffness
-    bw = sc.wall.damping
+    wall = sc.wall
     f_start = sc.operator_force.start
     f_stop = sc.operator_force.stop
     f_mag = sc.operator_force.magnitude
@@ -265,12 +276,7 @@ def run_scenario(
     def field(xm, vm, xs, vs, fstar, fm, fs):
         # torques fm, fs already carry the feedback sign (tau = -Kp e - ...)
         am = (fstar - k_h * xm - b_m_tot * vm + fm) * inv_mm
-        if xs > xw:
-            w = kw * (xs - xw) + bw * vs
-            if w < 0.0:
-                w = 0.0
-        else:
-            w = 0.0
+        w = wall_force(xs, vs, wall)
         return vm, am, vs, (-w - b_s * vs + fs) * inv_ms
 
     def rk4(xm, vm, xs, vs, dt, fstar, fm, fs):
@@ -295,9 +301,9 @@ def run_scenario(
 
     def wall_branch(xs, vs):
         # 0 free flight, 1 pushing contact, 2 clamped (spring+damper pulls)
-        if xs <= xw:
+        if xs <= wall.position:
             return 0
-        return 1 if kw * (xs - xw) + bw * vs > 0.0 else 2
+        return 1 if wall_force(xs, vs, wall) > 0.0 else 2
 
     def advance_smooth(t0, t1, xm, vm, xs, vs, fstar, fm, fs):
         # integrate a profile-constant piece, bisecting wall branch changes
@@ -346,17 +352,9 @@ def run_scenario(
     # sampling machinery
     sampled = controller_mode == "sampled"
     cfg = sc.nonidealities
-    if cfg is not None:
-        f_lim = cfg.actuator_limit / cfg.force_to_volts
-    else:
-        f_lim = math.inf
 
     def clamp(f: float) -> float:
-        if f > f_lim:
-            return f_lim
-        if f < -f_lim:
-            return -f_lim
-        return f
+        return f if cfg is None else clamp_force(f, cfg)
 
     pipe_m = pipe_s = None
     if sampled and cfg is not None:
@@ -408,13 +406,7 @@ def run_scenario(
 
     def record(i, t):
         fstar = profile(t)
-        a_m = (fstar - k_h * x_m - b_m_tot * v_m + f_m_held) * inv_mm
-        if x_s > xw:
-            w = kw * (x_s - xw) + bw * v_s
-            if w < 0.0:
-                w = 0.0
-        else:
-            w = 0.0
+        a_m = field(x_m, v_m, x_s, v_s, fstar, f_m_held, f_s_held)[1]
         t_arr[i] = t
         xm_arr[i] = x_m
         vm_arr[i] = v_m
@@ -423,7 +415,7 @@ def run_scenario(
         fm_arr[i] = f_m_held
         fs_arr[i] = f_s_held
         fh_arr[i] = fstar - m_h * a_m - b_h * v_m - k_h * x_m
-        fe_arr[i] = -w
+        fe_arr[i] = -wall_force(x_s, v_s, wall)
 
     si = a1 = a2 = 0
     n_inst = len(instants)

@@ -30,7 +30,6 @@ from .plants import FREE, ImpedanceModel, RobotParams, plant_position_tf, sample
 __all__ = [
     "ChannelConfig",
     "TeleopSystem",
-    "DelayModel",
     "StabilityReport",
     "MaxPeriodResult",
     "KernelSingular",
@@ -116,48 +115,6 @@ class TeleopSystem:
     env: ImpedanceModel = FREE
 
 
-class DelayModel:
-    """Sample instants, hold-update instants, and the induced delay mu(t).
-
-    Every hold update lags its source sample by the constant network delay:
-    t_k = t_hat_k + delay.  The induced delay of the held signal is
-    mu(t) = t - t_hat_k for t in [t_k, t_{k+1}), and its supremum is
-    gamma = sup(t_hat_{k+1} - t_hat_k) + delay.
-    """
-
-    def __init__(self, sample_instants, delay: float):
-        instants = tuple(float(t) for t in sample_instants)
-        if len(instants) < 2:
-            raise ValueError("need at least two sample instants")
-        if delay < 0.0:
-            raise ValueError("delay must be nonnegative")
-        if any(b <= a for a, b in zip(instants, instants[1:])):
-            raise ValueError("sample instants must be strictly increasing")
-        self.sample_instants = instants
-        self.delay = float(delay)
-        self.hold_update_instants = tuple(t + self.delay for t in instants)
-
-    def mu(self, t: float) -> float:
-        """Age of the held sample at time t (defined from the first update)."""
-        if t < self.hold_update_instants[0]:
-            raise ValueError("no sample has been delivered yet")
-        k = 0
-        for i, h in enumerate(self.hold_update_instants):
-            if h <= t:
-                k = i
-            else:
-                break
-        return t - self.sample_instants[k]
-
-    @property
-    def gamma(self) -> float:
-        """Supremum of the induced delay over the recorded instants."""
-        intervals = [
-            b - a for a, b in zip(self.sample_instants, self.sample_instants[1:])
-        ]
-        return max(intervals) + self.delay
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Joint outcome of the frequency-domain test and the damping bound."""
@@ -215,8 +172,7 @@ class _LoopContext:
     alpha: float
     b_m: float
     b_s: float
-    cm_tf: RationalTF  # z-domain controller, master side
-    cs_tf: RationalTF
+    c_tf: RationalTF  # z-domain controller, shared by both robots
     gm_tf: RationalTF  # ZOH-discretized plants, z-domain
     gs_tf: RationalTF
     t1: float
@@ -224,14 +180,12 @@ class _LoopContext:
 
 
 def _context(system: TeleopSystem, ch: ChannelConfig) -> _LoopContext:
-    c_tf = controller_z_tf(system.gains, ch.T)
     return _LoopContext(
         T=ch.T,
         alpha=ch.alpha,
         b_m=system.master.damping,
         b_s=system.slave.damping,
-        cm_tf=c_tf,
-        cs_tf=c_tf,
+        c_tf=controller_z_tf(system.gains, ch.T),
         gm_tf=sampled_plant_tf(plant_position_tf(system.master, system.human), ch.T),
         gs_tf=sampled_plant_tf(plant_position_tf(system.slave, system.env), ch.T),
         t1=ch.t1,
@@ -240,18 +194,18 @@ def _context(system: TeleopSystem, ch: ChannelConfig) -> _LoopContext:
 
 
 def _controller_terms(ctx: _LoopContext, omega: float):
-    """r(jw), z = e^(jwT), C_m(z) and C_s(z) at one frequency."""
+    """r(jw), z = e^(jwT) and C(z) = C_m(z) = C_s(z) at one frequency."""
     r = r_kernel(omega, ctx.T)
     z = cmath.exp(1j * omega * ctx.T)
-    return r, z, eval_tf(ctx.cm_tf, z), eval_tf(ctx.cs_tf, z)
+    return r, z, eval_tf(ctx.c_tf, z)
 
 
 def _mn_from_context(ctx: _LoopContext, omega: float):
-    r, z, cm, cs = _controller_terms(ctx, omega)
+    r, z, c = _controller_terms(ctx, omega)
     gm = eval_tf(ctx.gm_tf, z)
     gs = eval_tf(ctx.gs_tf, z)
-    t_alpha = ctx.alpha * ctx.b_s * cm * r
-    t_slave = ctx.b_m * cs * r
+    t_alpha = ctx.alpha * ctx.b_s * c * r
+    t_slave = ctx.b_m * c * r
     den = 2.0 * ctx.b_m * ctx.b_s + t_alpha + t_slave
     scale = 2.0 * ctx.b_m * ctx.b_s + abs(t_alpha) + abs(t_slave)
     if abs(den) <= _SINGULAR_RTOL * scale:
@@ -295,13 +249,12 @@ def _small_gain_curve(ctx: _LoopContext, omegas: np.ndarray):
     half, sin_half = half[kept], sin_half[kept]
     r = -0.5 * T + 1j * (-0.5 * T * (np.cos(half) / sin_half))
     z = np.exp(1j * omegas[kept] * T)
-    cm = eval_tf_grid(ctx.cm_tf, z)
-    cs = eval_tf_grid(ctx.cs_tf, z)
+    c = eval_tf_grid(ctx.c_tf, z)
     gm = eval_tf_grid(ctx.gm_tf, z)
     gs = eval_tf_grid(ctx.gs_tf, z)
     # the same operations as _mn_from_context, with Python's complex rounding
-    t_alpha = cmul(ctx.alpha * ctx.b_s * cm, r)
-    t_slave = cmul(ctx.b_m * cs, r)
+    t_alpha = cmul(ctx.alpha * ctx.b_s * c, r)
+    t_slave = cmul(ctx.b_m * c, r)
     den = 2.0 * ctx.b_m * ctx.b_s + t_alpha + t_slave
     scale = 2.0 * ctx.b_m * ctx.b_s + np.abs(t_alpha) + np.abs(t_slave)
     singular = np.abs(den) <= _SINGULAR_RTOL * scale
@@ -398,17 +351,18 @@ def alpha_zero_condition(system: TeleopSystem, ch: ChannelConfig, omega: float) 
 
     Returns (|D + b_s C_m r| + |D + b_m C_s r| + |D|) /
     |2 b_m b_s C_m C_s + b_s C_m^2 C_s r + b_m C_s^2 C_m r + D|
-    with D = r^2 (1 - e^(-(T1+T2) s))/2 at s = j*omega; the loop passes at
-    this frequency when the ratio is below one.  Periodic in (T1+T2)*omega
-    with period 2*pi; reduces to the undelayed test at T1 = T2 = 0.
+    with D = r^2 (1 - e^(-(T1+T2) s))/2 at s = j*omega, evaluated with the
+    shared controller C_m = C_s = C; the loop passes at this frequency when
+    the ratio is below one.  Periodic in (T1+T2)*omega with period 2*pi;
+    reduces to the undelayed test at T1 = T2 = 0.
     """
     ctx = _context(system, ch)
-    r, _, cm, cs = _controller_terms(ctx, omega)
+    r, _, c = _controller_terms(ctx, omega)
     d_term = r * r * (1.0 - cmath.exp(-(ctx.t1 + ctx.t2) * 1j * omega)) / 2.0
-    num = abs(d_term + ctx.b_s * cm * r) + abs(d_term + ctx.b_m * cs * r) + abs(d_term)
-    t0 = 2.0 * ctx.b_m * ctx.b_s * cm * cs
-    t1 = ctx.b_s * cm * cm * cs * r
-    t2 = ctx.b_m * cs * cs * cm * r
+    num = abs(d_term + ctx.b_s * c * r) + abs(d_term + ctx.b_m * c * r) + abs(d_term)
+    t0 = 2.0 * ctx.b_m * ctx.b_s * c * c
+    t1 = ctx.b_s * c * c * c * r
+    t2 = ctx.b_m * c * c * c * r
     den = t0 + t1 + t2 + d_term
     scale = abs(t0) + abs(t1) + abs(t2) + abs(d_term)
     if abs(den) <= _SINGULAR_RTOL * scale:

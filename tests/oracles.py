@@ -35,14 +35,6 @@ def r_kernel_mp(omega, T, dps=50):
         return complex(val)
 
 
-def zoh_mp(s, T, dps=50):
-    """(1 - e^{-sT})/(sT) evaluated in mpmath, no series branch."""
-    with mpmath.workdps(dps):
-        sm = mpmath.mpc(repr(float(s.real)), repr(float(s.imag)))
-        Tm = mpmath.mpf(repr(float(T)))
-        return complex((1 - mpmath.e ** (-sm * Tm)) / (sm * Tm))
-
-
 def zoh_plant_response(m, b, T, z):
     """ZOH discretization of 1/(s(ms + b)) at the point z, closed form.
 

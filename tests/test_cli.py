@@ -132,6 +132,15 @@ def test_simulate_divergent_exit_code(tmp_path, capsys):
     assert read_report(out / "report.json")["simulation"]["bounded"] is False
 
 
+def test_simulate_over_trace_budget_exit_code(tmp_path, capsys):
+    # 1e9 s at T = 6 ms is ~6.7e11 rows; rejected before anything is allocated
+    cfg = _cfg(tmp_path, "long.cfg", duration=1e9)
+    code = cli_dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "long")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "budget" in err
+
+
 def test_sweep_outputs(tmp_path, capsys):
     cfg = _cfg(tmp_path)
     out = tmp_path / "sw"

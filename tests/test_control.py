@@ -95,19 +95,6 @@ def test_controller_z_tf_approaches_continuous_response():
     assert abs(got - expected) < 0.01 * abs(expected)
 
 
-def test_controller_z_tf_tustin_variant():
-    T = 0.01
-    c = controller_z_tf(REF, T, derivative="tustin")
-    np.testing.assert_allclose(eval_tf(c, 1 + 0j), REF.kp, rtol=1e-11)
-    # tustin kernel maps z=e^{jwT} to (2/T) j tan(wT/2)
-    w = 2.0
-    z = cmath.exp(1j * w * T)
-    expected = (REF.kv + REF.kd + REF.p_eps) * (2.0 / T) * 1j * math.tan(
-        w * T / 2.0
-    ) + REF.kp
-    np.testing.assert_allclose(eval_tf(c, z), expected, rtol=1e-12)
-
-
 def test_sampled_tracks_continuous_with_first_order_slope():
     # max deviation over one second of a sinusoidal trajectory is O(T)
     def own(t):

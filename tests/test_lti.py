@@ -1,6 +1,5 @@
-"""Rational transfer functions, hold factor, difference kernels, grids."""
+"""Rational transfer functions, their array evaluation, and grids."""
 
-import cmath
 import math
 
 import numpy as np
@@ -8,21 +7,15 @@ import pytest
 
 from teleopstab import (
     BadGrid,
-    ComplexResponse,
-    DegenerateZ,
     FrequencyGrid,
     PoleHit,
     RationalTF,
-    backward_diff_gain,
     eval_tf,
-    freq_response,
     make_grid,
-    tustin_gain,
-    zoh_factor,
 )
 from teleopstab.lti import cdiv, cmul, eval_tf_grid
 
-from oracles import rational_brute, zoh_mp
+from oracles import rational_brute
 
 
 def test_eval_tf_constant_identity():
@@ -83,91 +76,9 @@ def test_rational_tf_rejects_zero_denominator():
         RationalTF((1.0,), (0.0, 0.0))
 
 
-def test_complex_response_requires_positive_frequency():
-    ComplexResponse(1.0, 1 + 0j)
-    with pytest.raises(ValueError):
-        ComplexResponse(0.0, 1 + 0j)
-
-
-def test_zoh_factor_dc_limit():
-    for T in (1e-6, 1e-3, 1.0, 10.0):
-        s = 1e-10j / T  # |sT| = 1e-10, inside the series branch
-        assert abs(zoh_factor(s, T) - 1.0) < 1e-9
-
-
-def test_zoh_factor_half_sample_frequency():
-    for T in (0.001, 0.006, 1.0):
-        s = 1j * math.pi / T
-        np.testing.assert_allclose(zoh_factor(s, T), -2j / math.pi, rtol=1e-14)
-
-
-def test_zoh_factor_matches_direct_exponential():
-    s = 100j
-    T = 0.006
-    direct = (1 - cmath.exp(-s * T)) / (s * T)
-    np.testing.assert_allclose(zoh_factor(s, T), direct, rtol=1e-12)
-
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        T = float(10 ** rng.uniform(-4, 1))
-        mag = float(10 ** rng.uniform(-4, 1)) / T  # keep |sT| above 1e-4
-        s = complex(*rng.standard_normal(2))
-        s *= mag / abs(s)
-        direct = (1 - cmath.exp(-s * T)) / (s * T)
-        assert abs(zoh_factor(s, T) - direct) <= 1e-12 * abs(direct)
-
-
-def test_zoh_factor_series_branch_matches_high_precision():
-    # inside the series cutoff the naive quotient is unusable; check against
-    # a 50-digit evaluation instead
-    for st in (1e-9, 1e-10):
-        for T in (0.001, 1.0):
-            s = 1j * st / T
-            np.testing.assert_allclose(
-                zoh_factor(s, T), zoh_mp(s, T), rtol=1e-12, atol=1e-15
-            )
-
-
-def test_zoh_factor_magnitude_bounded_by_one():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        T = float(10 ** rng.uniform(-4, 1))
-        w = float(rng.uniform(1e-6, 1.0)) * math.pi / T
-        assert abs(zoh_factor(1j * w, T)) <= 1.0 + 1e-12
-
-
-def test_backward_diff_examples():
-    assert backward_diff_gain(1 + 0j, 0.5) == 0
-    np.testing.assert_allclose(backward_diff_gain(-1 + 0j, 0.5), 4.0, rtol=1e-15)
-    np.testing.assert_allclose(backward_diff_gain(1j, 0.01), 100 + 100j, rtol=1e-14)
-
-
-def test_backward_diff_approaches_derivative_gain():
-    T = 1e-3
-    w = 1e-4 / T  # wT = 1e-4
-    got = backward_diff_gain(cmath.exp(1j * w * T), T)
-    assert abs(got - 1j * w) < 1e-3 * w
-
-
-def test_backward_diff_rejects_zero_z():
-    with pytest.raises(DegenerateZ):
-        backward_diff_gain(0j, 0.01)
-
-
-def test_tustin_examples():
-    assert tustin_gain(1 + 0j, 0.5) == 0
-    with pytest.raises(DegenerateZ):
-        tustin_gain(-1 + 0j, 0.5)
-    # frequency mapping: (2/T) j tan(wT/2), nearly jw for small wT
-    T = 1e-3
-    w = 1.0
-    got = tustin_gain(cmath.exp(1j * w * T), T)
-    assert abs(got - 1j * w) < 1e-6 * w
-
-
-def test_make_grid_two_point_linear():
-    grid = make_grid(1.0, 2, spacing="linear")
-    np.testing.assert_allclose(grid.points, [math.pi / 2, math.pi], rtol=1e-15)
+def test_make_grid_two_point():
+    grid = make_grid(1.0, 2)
+    np.testing.assert_allclose(grid.points, [math.pi * 1e-6, math.pi], rtol=1e-15)
     assert grid.points[-1] == math.pi
 
 
@@ -242,13 +153,3 @@ def test_eval_tf_grid_matches_pointwise_eval():
             assert gk == eval_tf(tf, complex(zk))
     with pytest.raises(PoleHit):
         eval_tf_grid(RationalTF((1.0,), (1.0, 0.0, 1.0)), np.array([1.0 + 0j, 1j]))
-
-
-def test_freq_response_matches_pointwise_eval():
-    tf = RationalTF((2.0,), (2.0, 1.0))
-    grid = make_grid(0.01, 16)
-    resp = freq_response(tf, grid)
-    assert len(resp) == 16
-    for point in resp:
-        assert point.value == eval_tf(tf, 1j * point.frequency)
-        assert point.frequency > 0

@@ -238,6 +238,9 @@ def test_wall_force_examples():
     assert wall_force(4.1, 0.0, wall) == pytest.approx(100.0, rel=1e-12)
     # pulling away faster than the spring pushes: clamped to zero
     assert wall_force(4.1, -200.0, wall) == 0
+    # a diverging state: a NaN reaction past the threshold passes through
+    assert math.isnan(wall_force(4.1, math.nan, wall))
+    assert wall_force(math.nan, 0.0, wall) == 0
 
 
 def test_wall_force_continuous_at_engagement():

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleopstab import (
     ChannelConfig,
@@ -14,6 +16,7 @@ from teleopstab import (
     ParseError,
     RobotParams,
     RunSettings,
+    SimScenario,
     SimVerdict,
     StabilityReport,
     ValidationError,
@@ -236,6 +239,82 @@ def test_serialize_round_trip_full_featured(tmp_path):
     save_scenario(sc, p, run)
     assert load_scenario(p) == sc
     assert load_run_settings(p) == run
+
+
+def _finite(lo=None, hi=None, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+_positive = _finite(0.0, 1e6, exclude_min=True)
+_nonnegative = _finite(0.0, 1e6)
+
+
+@st.composite
+def _scenarios_and_runs(draw):
+    T = draw(_finite(1e-6, 1.0))
+    substeps = draw(st.integers(4, 64))
+    eps_min = draw(_finite(0.0, T, exclude_min=True))
+    duration = draw(_finite(1e-3, 1e4))
+    start = draw(_finite(0.0, duration))
+    nu = draw(st.none() | _positive)
+    noni = draw(
+        st.none()
+        | st.builds(
+            NonidealityConfig,
+            encoder_step=_positive,
+            actuator_limit=_positive,
+            force_to_volts=_positive,
+            velocity_filter_cutoff=_positive,
+            noise_std=_nonnegative,
+        )
+    )
+    sc = SimScenario(
+        master=RobotParams(draw(_positive), draw(_nonnegative)),
+        slave=RobotParams(draw(_positive), draw(_nonnegative)),
+        human=ImpedanceModel(draw(_nonnegative), draw(_nonnegative), draw(_nonnegative)),
+        wall=WallModel(draw(_finite(-1e6, 1e6)), draw(_positive), draw(_nonnegative)),
+        gains=ControllerGains(
+            draw(_nonnegative), draw(_nonnegative), draw(_nonnegative),
+            draw(_nonnegative), nu,
+        ),
+        channel=ChannelConfig(
+            T=T,
+            d1=draw(st.integers(0, 50)),
+            d2=draw(st.integers(0, 50)),
+            eps_min=eps_min,
+            alpha=draw(_nonnegative),
+        ),
+        operator_force=OperatorForce(
+            start, draw(_finite(start, duration)), draw(_finite(-1e6, 1e6))
+        ),
+        duration=duration,
+        integrator_substeps=substeps,
+        nonidealities=noni,
+        jitter_sampling=draw(st.booleans()) and eps_min * substeps >= T,
+        extra_loop_latency=draw(st.integers(0, 5)) * T,
+    )
+    run = RunSettings(
+        seed=draw(st.integers(-(2**63), 2**63)),
+        grid_points=draw(st.integers(2, 1 << 20)),
+        position_bound=draw(_positive),
+        settle_window=draw(_positive),
+        settle_tol=draw(_positive),
+    )
+    return sc, run
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenarios_and_runs())
+def test_serialize_round_trip_property(tmp_path_factory, pair):
+    sc, run = pair
+    text = serialize_scenario(sc, run)
+    p = tmp_path_factory.mktemp("rt") / "s.cfg"
+    p.write_text(text)
+    loaded, loaded_run = load_scenario(p), load_run_settings(p)
+    assert loaded == sc
+    assert loaded_run == run
+    assert serialize_scenario(loaded, loaded_run) == text
+    assert scenario_hash(loaded) == scenario_hash(sc)
 
 
 def test_scenario_hash_properties():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from teleopstab import sim
 from teleopstab import (
     ControllerGains,
     NonidealityConfig,
@@ -24,6 +25,7 @@ from teleopstab import (
     write_events_csv,
     write_trace_csv,
     TeleopSystem,
+    wall_force,
 )
 
 from oracles import second_order_step
@@ -300,6 +302,32 @@ def test_actuator_clamp_active_in_loop(reference_scenario):
     assert np.max(np.abs(tr.f_s)) <= limit + 1e-12
     # the hard push saturates the master actuator at some point
     assert np.max(np.abs(tr.f_m)) == pytest.approx(limit, rel=1e-12)
+
+
+def test_trace_wall_force_is_the_plants_wall_law(reference_scenario):
+    sc = _short(reference_scenario, operator_force=OperatorForce(0.2, 1.0, 100.0))
+    tr = run_scenario(sc, seed=0)
+    expected = np.array(
+        [-wall_force(x, v, sc.wall) for x, v in zip(tr.x_s, tr.v_s)]
+    )
+    assert np.any(expected < 0.0)  # the run reaches the wall
+    assert np.array_equal(tr.f_e, expected)
+
+
+def test_trace_budget_checked_before_allocation(reference_scenario, monkeypatch):
+    # 0.06 s at T = 6 ms, 10 substeps: 101 rows of nine float64 columns
+    sc = _short(
+        reference_scenario, duration=0.06, operator_force=OperatorForce(0.0, 0.0)
+    )
+    monkeypatch.setattr(sim, "TRACE_BUDGET_BYTES", 9 * 8 * 101)
+    assert len(run_scenario(sc).t) == 101
+    monkeypatch.setattr(sim, "TRACE_BUDGET_BYTES", 9 * 8 * 101 - 1)
+    with pytest.raises(ValueError, match="budget"):
+        run_scenario(sc)
+    monkeypatch.undo()
+    # ~1.7e12 rows: rejected up front, recorded as the row's error
+    rows = sweep_period(dataclasses.replace(sc, duration=1e9), [0.006])
+    assert rows[0].verdict is None and "budget" in rows[0].error
 
 
 def test_jitter_mode_keeps_assumptions(reference_scenario):

@@ -13,7 +13,6 @@ from teleopstab import (
     AssumptionViolated,
     ChannelConfig,
     ControllerGains,
-    DelayModel,
     KernelSingular,
     NoBracket,
     PoleHit,
@@ -331,17 +330,6 @@ def test_induced_delay_gamma_rejects_short_intervals():
         induced_delay_gamma(ch, [0.006, 0.0])
     with pytest.raises(AssumptionViolated):
         induced_delay_gamma(ch, [0.006, 0.004])
-
-
-def test_delay_model_bookkeeping():
-    samples = np.array([0.0, 0.006, 0.013, 0.019])
-    dm = DelayModel(samples, delay=0.012)
-    np.testing.assert_allclose(dm.hold_update_instants, samples + 0.012, rtol=1e-15)
-    # worst induced delay: longest interval plus the network delay
-    np.testing.assert_allclose(dm.gamma, 0.007 + 0.012, rtol=1e-15)
-    # mu(t) measures age of the sample driving the hold at time t
-    np.testing.assert_allclose(dm.mu(0.0125), 0.0125 - 0.0, rtol=1e-12)
-    np.testing.assert_allclose(dm.mu(0.0185), 0.0185 - 0.006, rtol=1e-12)
 
 
 def test_channel_config_invariants():
