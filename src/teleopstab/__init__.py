@@ -14,157 +14,20 @@ sampled, delayed signals through zero-order holds) is covered end to end:
 
 __version__ = "0.1.0"
 
-from .control import (
-    ControllerGains,
-    LatchedState,
-    NotYetInitialized,
-    control_continuous,
-    control_sampled,
-    controller_z_tf,
-    passivity_gain_rule,
-)
-from .lti import (
-    BadGrid,
-    FrequencyGrid,
-    PoleHit,
-    RationalTF,
-    eval_tf,
-    make_grid,
-)
-from .plants import (
-    FREE,
-    DegenerateModel,
-    HybridMatrix,
-    ImpedanceModel,
-    ImproperPlant,
-    RobotParams,
-    SingularSlaveLoop,
-    WallModel,
-    hybrid_at,
-    plant_position_tf,
-    robot_impedance,
-    sampled_plant_tf,
-    transparency_error,
-    wall_force,
-)
-from .scenario import (
-    ParseError,
-    RunSettings,
-    ValidationError,
-    build_report,
-    load_run_settings,
-    load_scenario,
-    read_report,
-    save_scenario,
-    scenario_hash,
-    serialize_scenario,
-    write_report,
-)
-from .sim import (
-    NonidealityConfig,
-    OperatorForce,
-    SimScenario,
-    SimTrace,
-    SimVerdict,
-    SweepRow,
-    apply_nonidealities,
-    clamp_force,
-    run_scenario,
-    sweep_period,
-    verdict,
-    write_events_csv,
-    write_trace_csv,
-)
-from .stability import (
-    AssumptionViolated,
-    ChannelConfig,
-    KernelSingular,
-    MaxPeriodResult,
-    NoBracket,
-    SingularDenominator,
-    StabilityReport,
-    TeleopSystem,
-    alpha_zero_condition,
-    damping_bound,
-    induced_delay_gamma,
-    max_stable_period,
-    mn_terms,
-    r_kernel,
-    small_gain_value,
-)
+from . import control, lti, plants, scenario, sim, stability
+from .control import *  # noqa: F403
+from .lti import *  # noqa: F403
+from .plants import *  # noqa: F403
+from .scenario import *  # noqa: F403
+from .sim import *  # noqa: F403
+from .stability import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    # lti
-    "RationalTF",
-    "FrequencyGrid",
-    "BadGrid",
-    "PoleHit",
-    "eval_tf",
-    "make_grid",
-    # plants
-    "RobotParams",
-    "ImpedanceModel",
-    "FREE",
-    "WallModel",
-    "HybridMatrix",
-    "DegenerateModel",
-    "ImproperPlant",
-    "SingularSlaveLoop",
-    "robot_impedance",
-    "plant_position_tf",
-    "sampled_plant_tf",
-    "hybrid_at",
-    "transparency_error",
-    "wall_force",
-    # control
-    "ControllerGains",
-    "LatchedState",
-    "NotYetInitialized",
-    "control_continuous",
-    "control_sampled",
-    "controller_z_tf",
-    "passivity_gain_rule",
-    # stability
-    "ChannelConfig",
-    "TeleopSystem",
-    "StabilityReport",
-    "MaxPeriodResult",
-    "KernelSingular",
-    "SingularDenominator",
-    "NoBracket",
-    "AssumptionViolated",
-    "r_kernel",
-    "mn_terms",
-    "small_gain_value",
-    "alpha_zero_condition",
-    "damping_bound",
-    "max_stable_period",
-    "induced_delay_gamma",
-    # sim
-    "NonidealityConfig",
-    "OperatorForce",
-    "SimScenario",
-    "SimTrace",
-    "SimVerdict",
-    "SweepRow",
-    "run_scenario",
-    "verdict",
-    "sweep_period",
-    "apply_nonidealities",
-    "clamp_force",
-    "write_trace_csv",
-    "write_events_csv",
-    # scenario io
-    "ParseError",
-    "ValidationError",
-    "RunSettings",
-    "load_scenario",
-    "load_run_settings",
-    "save_scenario",
-    "serialize_scenario",
-    "scenario_hash",
-    "build_report",
-    "write_report",
-    "read_report",
+    *lti.__all__,
+    *plants.__all__,
+    *control.__all__,
+    *stability.__all__,
+    *sim.__all__,
+    *scenario.__all__,
 ]

@@ -63,7 +63,6 @@ def _cmd_simulate(args) -> int:
     sc = load_scenario(args.config)
     run = load_run_settings(args.config)
     seed = run.seed if args.seed is None else args.seed
-    os.makedirs(args.out, exist_ok=True)
     trace = run_scenario(sc, seed=seed)
     v = verdict(
         trace,
@@ -74,6 +73,7 @@ def _cmd_simulate(args) -> int:
     stability = _stability_report(sc, run.grid_points)
     report = build_report(sc, run, stability=stability, sim_verdict=v)
     report["provenance"]["seed"] = seed
+    os.makedirs(args.out, exist_ok=True)
     write_trace_csv(trace, os.path.join(args.out, "trace.csv"))
     write_events_csv(trace, os.path.join(args.out, "events.csv"))
     write_report(report, os.path.join(args.out, "report.json"))

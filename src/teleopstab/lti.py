@@ -18,7 +18,6 @@ __all__ = [
     "PoleHit",
     "BadGrid",
     "eval_tf",
-    "eval_tf_grid",
     "make_grid",
 ]
 

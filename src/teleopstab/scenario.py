@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .control import ControllerGains
@@ -91,62 +91,84 @@ def _parse_bool(section: str, key: str, raw: str) -> bool:
         ) from None
 
 
-# key -> (parser kind, default); default None with no marker means required
+# The whole file format: section -> key -> (parser kind, default, field).
+# ``field`` names the attribute the value fills: on the section's object, and
+# for [run] on SimScenario or, when RunSettings has it, on RunSettings.
+# ``_REQUIRED`` marks a key that must be given; a default of None leaves an
+# absent key unset and unwritten.  ``enabled`` fills no field: it switches
+# [nonidealities] off.  Sections and keys are written in this order.
 _REQUIRED = object()
 
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "master": {"mass": ("float", _REQUIRED), "damping": ("float", _REQUIRED)},
-    "slave": {"mass": ("float", _REQUIRED), "damping": ("float", _REQUIRED)},
+_ROBOT = {
+    "mass": ("float", _REQUIRED, "mass"),
+    "damping": ("float", _REQUIRED, "damping"),
+}
+
+_SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
+    "master": _ROBOT,
+    "slave": _ROBOT,
     "human": {
-        "mass": ("float", _REQUIRED),
-        "damping": ("float", _REQUIRED),
-        "stiffness": ("float", _REQUIRED),
+        "mass": ("float", _REQUIRED, "mass"),
+        "damping": ("float", _REQUIRED, "damping"),
+        "stiffness": ("float", _REQUIRED, "stiffness"),
     },
     "wall": {
-        "position": ("float", _REQUIRED),
-        "stiffness": ("float", 1000.0),
-        "damping": ("float", 1.0),
+        "position": ("float", _REQUIRED, "position"),
+        "stiffness": ("float", 1000.0, "stiffness"),
+        "damping": ("float", 1.0, "damping"),
     },
     "gains": {
-        "kp": ("float", _REQUIRED),
-        "kv": ("float", _REQUIRED),
-        "kd": ("float", _REQUIRED),
-        "p_eps": ("float", _REQUIRED),
-        "nu": ("float", None),
+        "kp": ("float", _REQUIRED, "kp"),
+        "kv": ("float", _REQUIRED, "kv"),
+        "kd": ("float", _REQUIRED, "kd"),
+        "p_eps": ("float", _REQUIRED, "p_eps"),
+        "nu": ("float", None, "nu"),
     },
     "channel": {
-        "period": ("float", _REQUIRED),
-        "d1": ("int", _REQUIRED),
-        "d2": ("int", _REQUIRED),
-        "eps_min": ("float", _REQUIRED),
-        "alpha": ("float", _REQUIRED),
+        "period": ("float", _REQUIRED, "T"),
+        "d1": ("int", _REQUIRED, "d1"),
+        "d2": ("int", _REQUIRED, "d2"),
+        "eps_min": ("float", _REQUIRED, "eps_min"),
+        "alpha": ("float", _REQUIRED, "alpha"),
     },
     "operator_force": {
-        "start": ("float", _REQUIRED),
-        "stop": ("float", _REQUIRED),
-        "magnitude": ("float", 1.0),
+        "start": ("float", _REQUIRED, "start"),
+        "stop": ("float", _REQUIRED, "stop"),
+        "magnitude": ("float", 1.0, "magnitude"),
     },
     "nonidealities": {
-        "enabled": ("bool", True),
-        "encoder_step": ("float", 2.0 * math.pi / 4096.0),
-        "actuator_limit": ("float", 5.0),
-        "force_to_volts": ("float", 4.054),
-        "velocity_filter_cutoff": ("float", 50.0),
-        "noise_std": ("float", 0.0),
+        "enabled": ("bool", True, None),
+        "encoder_step": ("float", 2.0 * math.pi / 4096.0, "encoder_step"),
+        "actuator_limit": ("float", 5.0, "actuator_limit"),
+        "force_to_volts": ("float", 4.054, "force_to_volts"),
+        "velocity_filter_cutoff": ("float", 50.0, "velocity_filter_cutoff"),
+        "noise_std": ("float", 0.0, "noise_std"),
     },
     "run": {
-        "duration": ("float", _REQUIRED),
-        "substeps": ("int", _REQUIRED),
-        "seed": ("int", 0),
-        "grid_points": ("int", 512),
-        "position_bound": ("float", 10.0),
-        "settle_window": ("float", 5.0),
-        "settle_tol": ("float", 0.01),
-        "jitter": ("bool", False),
-        "extra_loop_latency": ("float", 0.0),
+        "duration": ("float", _REQUIRED, "duration"),
+        "substeps": ("int", _REQUIRED, "integrator_substeps"),
+        "seed": ("int", 0, "seed"),
+        "grid_points": ("int", 512, "grid_points"),
+        "position_bound": ("float", 10.0, "position_bound"),
+        "settle_window": ("float", 5.0, "settle_window"),
+        "settle_tol": ("float", 0.01, "settle_tol"),
+        "jitter": ("bool", False, "jitter_sampling"),
+        "extra_loop_latency": ("float", 0.0, "extra_loop_latency"),
     },
 }
 
+# every section but [run] fills the SimScenario field of its own name
+_CTORS = {
+    "master": RobotParams,
+    "slave": RobotParams,
+    "human": ImpedanceModel,
+    "wall": WallModel,
+    "gains": ControllerGains,
+    "channel": ChannelConfig,
+    "operator_force": OperatorForce,
+    "nonidealities": NonidealityConfig,
+}
+_RUN_SETTINGS = tuple(f.name for f in fields(RunSettings))
 _OPTIONAL_SECTIONS = {"nonidealities"}
 _PARSERS = {"float": _parse_float, "int": _parse_int, "bool": _parse_bool}
 
@@ -170,15 +192,14 @@ def _read_sections(text: str, origin: str) -> dict[str, dict[str, object]]:
         for key, raw in cp.items(section):
             if key not in spec:
                 raise ValidationError(f"{section}: unknown key {key!r}")
-            kind, _ = spec[key]
-            values[key] = _PARSERS[kind](section, key, raw)
+            values[key] = _PARSERS[spec[key][0]](section, key, raw)
         out[section] = values
     for section, spec in _SCHEMA.items():
         if section not in out:
             if section in _OPTIONAL_SECTIONS:
                 continue
             raise ValidationError(f"{section}: required")
-        for key, (_, default) in spec.items():
+        for key, (_, default, _) in spec.items():
             if key not in out[section]:
                 if default is _REQUIRED:
                     raise ValidationError(f"{section}.{key}: required")
@@ -193,53 +214,22 @@ def _build(section: str, ctor, **kwargs):
         raise ValidationError(f"{section}: {exc}") from None
 
 
+def _keywords(section: str, values: dict[str, object]) -> dict[str, object]:
+    spec = _SCHEMA[section]
+    return {spec[key][2]: v for key, v in values.items() if spec[key][2] is not None}
+
+
 def _assemble(sections: dict[str, dict[str, object]]) -> tuple[SimScenario, RunSettings]:
-    master = _build("master", RobotParams, **sections["master"])
-    slave = _build("slave", RobotParams, **sections["slave"])
-    human = _build("human", ImpedanceModel, **sections["human"])
-    wall = _build("wall", WallModel, **sections["wall"])
-    gains = _build("gains", ControllerGains, **sections["gains"])
-    c = sections["channel"]
-    channel = _build(
-        "channel",
-        ChannelConfig,
-        T=c["period"],
-        d1=c["d1"],
-        d2=c["d2"],
-        eps_min=c["eps_min"],
-        alpha=c["alpha"],
-    )
-    force = _build("operator_force", OperatorForce, **sections["operator_force"])
-    noni = None
-    if "nonidealities" in sections:
-        vals = dict(sections["nonidealities"])
-        enabled = vals.pop("enabled")
-        if enabled:
-            noni = _build("nonidealities", NonidealityConfig, **vals)
-    r = sections["run"]
-    scenario = _build(
-        "run",
-        SimScenario,
-        master=master,
-        slave=slave,
-        human=human,
-        wall=wall,
-        gains=gains,
-        channel=channel,
-        operator_force=force,
-        duration=r["duration"],
-        integrator_substeps=r["substeps"],
-        nonidealities=noni,
-        jitter_sampling=r["jitter"],
-        extra_loop_latency=r["extra_loop_latency"],
-    )
-    run = RunSettings(
-        seed=r["seed"],
-        grid_points=r["grid_points"],
-        position_bound=r["position_bound"],
-        settle_window=r["settle_window"],
-        settle_tol=r["settle_tol"],
-    )
+    parts = {}
+    for section, ctor in _CTORS.items():
+        values = sections.get(section)
+        if values is None or not values.get("enabled", True):
+            parts[section] = None  # [nonidealities] absent or off: the ideal loop
+        else:
+            parts[section] = _build(section, ctor, **_keywords(section, values))
+    r = _keywords("run", sections["run"])
+    run = RunSettings(**{name: r.pop(name) for name in _RUN_SETTINGS})
+    scenario = _build("run", SimScenario, **parts, **r)
     if run.grid_points < 2:
         raise ValidationError("run.grid_points: must be at least 2")
     if run.position_bound <= 0 or run.settle_window <= 0 or run.settle_tol <= 0:
@@ -268,87 +258,23 @@ def serialize_scenario(sc: SimScenario, run: RunSettings | None = None) -> str:
     if run is None:
         run = RunSettings()
     buf = io.StringIO()
-
-    def section(name: str, pairs) -> None:
-        buf.write(f"[{name}]\n")
-        for k, v in pairs:
+    for section, spec in _SCHEMA.items():
+        obj = sc if section == "run" else getattr(sc, section)
+        if obj is None:  # no [nonidealities]
+            continue
+        buf.write(f"[{section}]\n")
+        for key, (_, _, field) in spec.items():
+            if field is None:
+                v = True  # enabled
+            else:
+                owner = run if section == "run" and field in _RUN_SETTINGS else obj
+                v = getattr(owner, field)
+            if v is None:  # gains.nu unset
+                continue
             if isinstance(v, bool):
                 v = "true" if v else "false"
-            buf.write(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n")
+            buf.write(f"{key} = {v!r}\n" if isinstance(v, float) else f"{key} = {v}\n")
         buf.write("\n")
-
-    section("master", [("mass", sc.master.mass), ("damping", sc.master.damping)])
-    section("slave", [("mass", sc.slave.mass), ("damping", sc.slave.damping)])
-    section(
-        "human",
-        [
-            ("mass", sc.human.mass),
-            ("damping", sc.human.damping),
-            ("stiffness", sc.human.stiffness),
-        ],
-    )
-    section(
-        "wall",
-        [
-            ("position", sc.wall.position),
-            ("stiffness", sc.wall.stiffness),
-            ("damping", sc.wall.damping),
-        ],
-    )
-    gains = [
-        ("kp", sc.gains.kp),
-        ("kv", sc.gains.kv),
-        ("kd", sc.gains.kd),
-        ("p_eps", sc.gains.p_eps),
-    ]
-    if sc.gains.nu is not None:
-        gains.append(("nu", sc.gains.nu))
-    section("gains", gains)
-    section(
-        "channel",
-        [
-            ("period", sc.channel.T),
-            ("d1", sc.channel.d1),
-            ("d2", sc.channel.d2),
-            ("eps_min", sc.channel.eps_min),
-            ("alpha", sc.channel.alpha),
-        ],
-    )
-    section(
-        "operator_force",
-        [
-            ("start", sc.operator_force.start),
-            ("stop", sc.operator_force.stop),
-            ("magnitude", sc.operator_force.magnitude),
-        ],
-    )
-    if sc.nonidealities is not None:
-        n = sc.nonidealities
-        section(
-            "nonidealities",
-            [
-                ("enabled", True),
-                ("encoder_step", n.encoder_step),
-                ("actuator_limit", n.actuator_limit),
-                ("force_to_volts", n.force_to_volts),
-                ("velocity_filter_cutoff", n.velocity_filter_cutoff),
-                ("noise_std", n.noise_std),
-            ],
-        )
-    section(
-        "run",
-        [
-            ("duration", sc.duration),
-            ("substeps", sc.integrator_substeps),
-            ("seed", run.seed),
-            ("grid_points", run.grid_points),
-            ("position_bound", run.position_bound),
-            ("settle_window", run.settle_window),
-            ("settle_tol", run.settle_tol),
-            ("jitter", sc.jitter_sampling),
-            ("extra_loop_latency", sc.extra_loop_latency),
-        ],
-    )
     return buf.getvalue()
 
 

@@ -12,7 +12,10 @@ Identical scenario + seed reproduces bit-identical traces.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -361,18 +364,21 @@ def run_scenario(
         pipe_m = _SensorPipeline(cfg, T, np.random.default_rng([seed, 0]))
         pipe_s = _SensorPipeline(cfg, T, np.random.default_rng([seed, 1]))
 
-    # sample instants in substep units
+    # (substep, time) of each sample; jittered intervals are drawn as needed
     if sampled and sc.jitter_sampling:
         rng_jit = np.random.default_rng([seed, 2])
         min_sub = max(1, math.ceil(ch.eps_min / h - 1e-9))
-        instants = [0]
-        while instants[-1] < n_total:
-            u = float(rng_jit.uniform(ch.eps_min, T))
-            k = min(nsub, max(min_sub, int(round(u / h))))
-            instants.append(instants[-1] + k)
+
+        def jittered():
+            j = 0
+            while True:
+                yield j, j * h
+                u = float(rng_jit.uniform(ch.eps_min, T))
+                j += min(nsub, max(min_sub, int(round(u / h))))
+
+        instants = jittered()
     else:
-        instants = list(range(0, n_total, nsub))
-    uniform = not (sampled and sc.jitter_sampling)
+        instants = ((k * nsub, k * T) for k in itertools.count())
 
     extra = sc.extra_latency_periods
     d1p = ch.d1 + extra
@@ -387,11 +393,12 @@ def run_scenario(
     f_m_held = clamp(control_sampled(g, latch_m))
     f_s_held = clamp(control_sampled(g, latch_s))
 
-    meas_m: list[tuple[float, float]] = []
-    meas_s: list[tuple[float, float]] = []
-    sample_times: list[float] = []
-    hold_m_times: list[float] = []
-    hold_s_times: list[float] = []
+    # packets in flight, oldest first: (arrival substep, sample time, measurement)
+    to_s: deque[tuple[int, float, tuple[float, float]]] = deque()
+    to_m: deque[tuple[int, float, tuple[float, float]]] = deque()
+    sample_times = array("d")
+    hold_m_times = array("d")
+    hold_s_times = array("d")
 
     n_rows = n_total + 1
     t_arr = np.empty(n_rows)
@@ -417,36 +424,34 @@ def run_scenario(
         fh_arr[i] = fstar - m_h * a_m - b_h * v_m - k_h * x_m
         fe_arr[i] = -wall_force(x_s, v_s, wall)
 
-    si = a1 = a2 = 0
-    n_inst = len(instants)
+    next_sample, t_sample = next(instants)
     divergence_time: float | None = None
     rows = n_rows
     for j in range(n_total):
         t_j = j * h
         if sampled:
-            if si < n_inst and instants[si] == j:
+            if j == next_sample:
                 if pipe_m is not None:
-                    meas_m.append(pipe_m.sample(x_m, v_m))
-                    meas_s.append(pipe_s.sample(x_s, v_s))
+                    own_m = pipe_m.sample(x_m, v_m)
+                    own_s = pipe_s.sample(x_s, v_s)
                 else:
-                    meas_m.append((x_m, v_m))
-                    meas_s.append((x_s, v_s))
-                sample_times.append((j // nsub) * T if uniform else j * h)
-                si += 1
-            if a1 < si and instants[a1] + d1_sub == j:
-                own = meas_s[si - 1]
-                remote = meas_m[a1]
-                latch_s = LatchedState(own[0], own[1], remote[0], remote[1], sample_times[si - 1])
+                    own_m = (x_m, v_m)
+                    own_s = (x_s, v_s)
+                t_own = t_sample
+                sample_times.append(t_own)
+                to_s.append((j + d1_sub, t_own, own_m))
+                to_m.append((j + d2_sub, t_own, own_s))
+                next_sample, t_sample = next(instants)
+            if to_s and to_s[0][0] == j:
+                _, t_sent, remote = to_s.popleft()
+                latch_s = LatchedState(own_s[0], own_s[1], remote[0], remote[1], t_own)
                 f_s_held = clamp(control_sampled(g, latch_s))
-                hold_s_times.append(sample_times[a1] + d1p * T)
-                a1 += 1
-            if a2 < si and instants[a2] + d2_sub == j:
-                own = meas_m[si - 1]
-                remote = meas_s[a2]
-                latch_m = LatchedState(own[0], own[1], remote[0], remote[1], sample_times[si - 1])
+                hold_s_times.append(t_sent + d1p * T)
+            if to_m and to_m[0][0] == j:
+                _, t_sent, remote = to_m.popleft()
+                latch_m = LatchedState(own_m[0], own_m[1], remote[0], remote[1], t_own)
                 f_m_held = clamp(control_sampled(g, latch_m))
-                hold_m_times.append(sample_times[a2] + d2p * T)
-                a2 += 1
+                hold_m_times.append(t_sent + d2p * T)
         else:
             f_m_held = clamp(control_continuous(g, (x_m, v_m), (x_s, v_s)))
             f_s_held = clamp(control_continuous(g, (x_s, v_s), (x_m, v_m)))

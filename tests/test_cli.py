@@ -139,6 +139,7 @@ def test_simulate_over_trace_budget_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "budget" in err
+    assert not (tmp_path / "long").exists()  # no output directory for a failed run
 
 
 def test_sweep_outputs(tmp_path, capsys):

@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teleopstab import scenario
 from teleopstab import (
     ChannelConfig,
     ControllerGains,
@@ -33,6 +35,7 @@ from teleopstab import (
 )
 
 SCENARIO_FILE = "scenarios/wall_contact.cfg"
+FORMAT_DOC = "docs/scenario-format.md"
 
 MINIMAL = """\
 [master]
@@ -315,6 +318,24 @@ def test_serialize_round_trip_property(tmp_path_factory, pair):
     assert loaded_run == run
     assert serialize_scenario(loaded, loaded_run) == text
     assert scenario_hash(loaded) == scenario_hash(sc)
+
+
+def _documented_keys() -> set[tuple[str, str]]:
+    # the first cell of each table row under a "### `[section]`" heading
+    keys = set()
+    sections: list[str] = []
+    with open(FORMAT_DOC, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("#"):
+                sections = re.findall(r"`\[(\w+)\]`", line)
+            elif m := re.match(r"\|\s*`(\w+)`\s*\|", line):
+                keys.update((section, m.group(1)) for section in sections)
+    return keys
+
+
+def test_format_doc_tables_match_schema():
+    schema = {(section, key) for section, spec in scenario._SCHEMA.items() for key in spec}
+    assert _documented_keys() == schema
 
 
 def test_scenario_hash_properties():
