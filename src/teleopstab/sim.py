@@ -3,9 +3,10 @@
 Continuous robot dynamics are integrated with fixed-step classical RK4 at
 T/substeps; samplers fire on the integration grid, network delays are integer
 multiples of T, and the controller outputs are zero-order held between packet
-arrivals.  Operator-force switches and wall contact transitions are localized
-inside substeps by deterministic bisection so the integrator only ever sees
-smooth pieces; sampling and hold instants stay exactly grid-aligned.
+arrivals.  A substep holding an operator-force switch is cut exactly at the
+switch time, and a wall contact transition inside a substep is localized by
+deterministic bisection, so the integrator only ever sees smooth pieces;
+sampling and hold instants stay exactly grid-aligned.
 
 Identical scenario + seed reproduces bit-identical traces.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import ControllerGains, LatchedState, control_continuous, control_sampled
+from .control import ControllerGains, control_continuous
 from .lti import make_grid
 from .plants import ImpedanceModel, RobotParams, WallModel, wall_force
 from .stability import ChannelConfig, StabilityReport, TeleopSystem, small_gain_value
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _CSV_HEADER = "t,x_m,v_m,x_s,v_s,F_m,F_s,F_h,F_e"
+_CSV_CHUNK_ROWS = 4096  # rows formatted per write
 
 # Largest trace run_scenario will allocate: nine float64 columns of one row
 # per substep.  A longer run is rejected before anything is allocated.
@@ -175,6 +177,16 @@ class SweepRow:
     error: str | None = None
 
 
+def _draws(draw, *args):
+    """Python floats one at a time from the numpy draw ``draw(*args, size)``.
+
+    Draws 256 at a time: numpy's generators give the same stream in blocks
+    as one value per call, so only the number of calls changes.
+    """
+    while True:
+        yield from draw(*args, 256).tolist()
+
+
 class _SensorPipeline:
     """Per-robot measurement path: additive noise, encoder floor, velocity lag.
 
@@ -186,14 +198,13 @@ class _SensorPipeline:
         self.step = cfg.encoder_step
         self.noise_std = cfg.noise_std
         self.pole = math.exp(-2.0 * math.pi * cfg.velocity_filter_cutoff * T)
-        self.rng = rng
+        self.normals = _draws(rng.standard_normal)
         self.filter_state = 0.0
 
     def sample(self, x: float, v: float) -> tuple[float, float]:
         if self.noise_std > 0.0:
-            n = self.rng.standard_normal(2)
-            x = x + self.noise_std * float(n[0])
-            v = v + self.noise_std * float(n[1])
+            x = x + self.noise_std * next(self.normals)
+            v = v + self.noise_std * next(self.normals)
         xq = math.floor(x / self.step) * self.step
         self.filter_state = self.pole * self.filter_state + (1.0 - self.pole) * v
         return xq, self.filter_state
@@ -272,39 +283,55 @@ def run_scenario(
     inv_ms = 1.0 / sc.slave.mass
     b_s = sc.slave.damping
     wall = sc.wall
+    x_wall = wall.position
     f_start = sc.operator_force.start
     f_stop = sc.operator_force.stop
     f_mag = sc.operator_force.magnitude
-
-    def field(xm, vm, xs, vs, fstar, fm, fs):
-        # torques fm, fs already carry the feedback sign (tau = -Kp e - ...)
-        am = (fstar - k_h * xm - b_m_tot * vm + fm) * inv_mm
-        w = wall_force(xs, vs, wall)
-        return vm, am, vs, (-w - b_s * vs + fs) * inv_ms
+    isfinite = math.isfinite
 
     def rk4(xm, vm, xs, vs, dt, fstar, fm, fs):
-        k1x, k1v, k1y, k1u = field(xm, vm, xs, vs, fstar, fm, fs)
+        # Classical RK4 of the robot/wall field; each stage evaluates
+        #   a_m = (fstar - k_h*xm - b_m_tot*vm + fm) / m_m
+        #   a_s = (-wall_force(xs, vs) - b_s*vs + fs) / m_s
+        # with the torques fm, fs already carrying the feedback sign.  Short
+        # of the wall the reaction is the 0.0 wall_force itself returns there.
+        # Traces are pinned bit for bit, so the operation order is fixed.
         h2 = 0.5 * dt
-        k2x, k2v, k2y, k2u = field(
-            xm + h2 * k1x, vm + h2 * k1v, xs + h2 * k1y, vs + h2 * k1u, fstar, fm, fs
-        )
-        k3x, k3v, k3y, k3u = field(
-            xm + h2 * k2x, vm + h2 * k2v, xs + h2 * k2y, vs + h2 * k2u, fstar, fm, fs
-        )
-        k4x, k4v, k4y, k4u = field(
-            xm + dt * k3x, vm + dt * k3v, xs + dt * k3y, vs + dt * k3u, fstar, fm, fs
-        )
+        k1v = (fstar - k_h * xm - b_m_tot * vm + fm) * inv_mm
+        w = wall_force(xs, vs, wall) if xs > x_wall else 0.0
+        k1u = (-w - b_s * vs + fs) * inv_ms
+        x2m = xm + h2 * vm
+        v2m = vm + h2 * k1v
+        x2s = xs + h2 * vs
+        v2s = vs + h2 * k1u
+        k2v = (fstar - k_h * x2m - b_m_tot * v2m + fm) * inv_mm
+        w = wall_force(x2s, v2s, wall) if x2s > x_wall else 0.0
+        k2u = (-w - b_s * v2s + fs) * inv_ms
+        x3m = xm + h2 * v2m
+        v3m = vm + h2 * k2v
+        x3s = xs + h2 * v2s
+        v3s = vs + h2 * k2u
+        k3v = (fstar - k_h * x3m - b_m_tot * v3m + fm) * inv_mm
+        w = wall_force(x3s, v3s, wall) if x3s > x_wall else 0.0
+        k3u = (-w - b_s * v3s + fs) * inv_ms
+        x4m = xm + dt * v3m
+        v4m = vm + dt * k3v
+        x4s = xs + dt * v3s
+        v4s = vs + dt * k3u
+        k4v = (fstar - k_h * x4m - b_m_tot * v4m + fm) * inv_mm
+        w = wall_force(x4s, v4s, wall) if x4s > x_wall else 0.0
+        k4u = (-w - b_s * v4s + fs) * inv_ms
         s6 = dt / 6.0
         return (
-            xm + s6 * (k1x + 2.0 * (k2x + k3x) + k4x),
+            xm + s6 * (vm + 2.0 * (v2m + v3m) + v4m),
             vm + s6 * (k1v + 2.0 * (k2v + k3v) + k4v),
-            xs + s6 * (k1y + 2.0 * (k2y + k3y) + k4y),
+            xs + s6 * (vs + 2.0 * (v2s + v3s) + v4s),
             vs + s6 * (k1u + 2.0 * (k2u + k3u) + k4u),
         )
 
     def wall_branch(xs, vs):
         # 0 free flight, 1 pushing contact, 2 clamped (spring+damper pulls)
-        if xs <= wall.position:
+        if xs <= x_wall:
             return 0
         return 1 if wall_force(xs, vs, wall) > 0.0 else 2
 
@@ -316,9 +343,7 @@ def run_scenario(
                 return xm, vm, xs, vs
             b0 = wall_branch(xs, vs)
             y = rk4(xm, vm, xs, vs, dt, fstar, fm, fs)
-            if wall_branch(y[2], y[3]) == b0 or not (
-                math.isfinite(y[2]) and math.isfinite(y[3])
-            ):
+            if wall_branch(y[2], y[3]) == b0 or not (isfinite(y[2]) and isfinite(y[3])):
                 return y
             lo, hi = 0.0, dt
             y_hi = y
@@ -336,11 +361,8 @@ def run_scenario(
             t0 = t0 + hi
         return rk4(xm, vm, xs, vs, t1 - t0, fstar, fm, fs)
 
-    def profile(t: float) -> float:
-        return f_mag if f_start <= t < f_stop else 0.0
-
-    def advance_substep(t0, xm, vm, xs, vs, fm, fs):
-        t1 = t0 + h
+    def advance_cut(t0, t1, xm, vm, xs, vs, fm, fs):
+        # a substep holding an operator-force edge: one smooth piece per side
         cuts = [t0]
         if t0 < f_start < t1:
             cuts.append(f_start)
@@ -348,7 +370,8 @@ def run_scenario(
             cuts.append(f_stop)
         cuts.append(t1)
         for a, b in zip(cuts, cuts[1:]):
-            fstar = profile(0.5 * (a + b))
+            mid = 0.5 * (a + b)
+            fstar = f_mag if f_start <= mid < f_stop else 0.0
             xm, vm, xs, vs = advance_smooth(a, b, xm, vm, xs, vs, fstar, fm, fs)
         return xm, vm, xs, vs
 
@@ -366,14 +389,14 @@ def run_scenario(
 
     # (substep, time) of each sample; jittered intervals are drawn as needed
     if sampled and sc.jitter_sampling:
-        rng_jit = np.random.default_rng([seed, 2])
+        intervals = _draws(np.random.default_rng([seed, 2]).uniform, ch.eps_min, T)
         min_sub = max(1, math.ceil(ch.eps_min / h - 1e-9))
 
         def jittered():
             j = 0
             while True:
                 yield j, j * h
-                u = float(rng_jit.uniform(ch.eps_min, T))
+                u = next(intervals)
                 j += min(nsub, max(min_sub, int(round(u / h))))
 
         instants = jittered()
@@ -386,12 +409,11 @@ def run_scenario(
     d1_sub = d1p * nsub
     d2_sub = d2p * nsub
 
-    # state and latches
+    # state; the startup latches hold the local initial condition on both
+    # sides, so the first held torques see zero coordination error
     x_m = v_m = x_s = v_s = 0.0
-    latch_m = LatchedState(x_m, v_m, x_m, v_m, 0.0)
-    latch_s = LatchedState(x_s, v_s, x_s, v_s, 0.0)
-    f_m_held = clamp(control_sampled(g, latch_m))
-    f_s_held = clamp(control_sampled(g, latch_s))
+    f_m_held = clamp(control_continuous(g, (x_m, v_m), (x_m, v_m)))
+    f_s_held = clamp(control_continuous(g, (x_s, v_s), (x_s, v_s)))
 
     # packets in flight, oldest first: (arrival substep, sample time, measurement)
     to_s: deque[tuple[int, float, tuple[float, float]]] = deque()
@@ -411,64 +433,83 @@ def run_scenario(
     fh_arr = np.empty(n_rows)
     fe_arr = np.empty(n_rows)
 
-    def record(i, t):
-        fstar = profile(t)
-        a_m = field(x_m, v_m, x_s, v_s, fstar, f_m_held, f_s_held)[1]
-        t_arr[i] = t
-        xm_arr[i] = x_m
-        vm_arr[i] = v_m
-        xs_arr[i] = x_s
-        vs_arr[i] = v_s
-        fm_arr[i] = f_m_held
-        fs_arr[i] = f_s_held
-        fh_arr[i] = fstar - m_h * a_m - b_h * v_m - k_h * x_m
-        fe_arr[i] = -wall_force(x_s, v_s, wall)
-
     next_sample, t_sample = next(instants)
+    never = n_rows  # no event is due at or after the last row
+    next_event = 0
+    last = n_total  # row the run ends on; moves up when the state diverges
     divergence_time: float | None = None
-    rows = n_rows
-    for j in range(n_total):
-        t_j = j * h
-        if sampled:
-            if j == next_sample:
-                if pipe_m is not None:
-                    own_m = pipe_m.sample(x_m, v_m)
-                    own_s = pipe_s.sample(x_s, v_s)
-                else:
-                    own_m = (x_m, v_m)
-                    own_s = (x_s, v_s)
-                t_own = t_sample
-                sample_times.append(t_own)
-                to_s.append((j + d1_sub, t_own, own_m))
-                to_m.append((j + d2_sub, t_own, own_s))
-                next_sample, t_sample = next(instants)
-            if to_s and to_s[0][0] == j:
-                _, t_sent, remote = to_s.popleft()
-                latch_s = LatchedState(own_s[0], own_s[1], remote[0], remote[1], t_own)
-                f_s_held = clamp(control_sampled(g, latch_s))
-                hold_s_times.append(t_sent + d1p * T)
-            if to_m and to_m[0][0] == j:
-                _, t_sent, remote = to_m.popleft()
-                latch_m = LatchedState(own_m[0], own_m[1], remote[0], remote[1], t_own)
-                f_m_held = clamp(control_sampled(g, latch_m))
-                hold_m_times.append(t_sent + d2p * T)
-        else:
-            f_m_held = clamp(control_continuous(g, (x_m, v_m), (x_s, v_s)))
-            f_s_held = clamp(control_continuous(g, (x_s, v_s), (x_m, v_m)))
-        record(j, t_j)
-        x_m, v_m, x_s, v_s = advance_substep(t_j, x_m, v_m, x_s, v_s, f_m_held, f_s_held)
-        if not (
-            math.isfinite(x_m)
-            and math.isfinite(v_m)
-            and math.isfinite(x_s)
-            and math.isfinite(v_s)
-        ):
-            record(j + 1, (j + 1) * h)
-            divergence_time = (j + 1) * h
-            rows = j + 2
+    for j in range(n_rows):
+        t0 = j * h
+        # events at substep j set the torques held over it; the last row
+        # records the state the final substep reached and starts nothing
+        if j == next_event and j < last:
+            if sampled:
+                if j == next_sample:
+                    if pipe_m is not None:
+                        own_m = pipe_m.sample(x_m, v_m)
+                        own_s = pipe_s.sample(x_s, v_s)
+                    else:
+                        own_m = (x_m, v_m)
+                        own_s = (x_s, v_s)
+                    sample_times.append(t_sample)
+                    to_s.append((j + d1_sub, t_sample, own_m))
+                    to_m.append((j + d2_sub, t_sample, own_s))
+                    next_sample, t_sample = next(instants)
+                if to_s and to_s[0][0] == j:
+                    _, t_sent, remote = to_s.popleft()
+                    f_s_held = clamp(control_continuous(g, own_s, remote))
+                    hold_s_times.append(t_sent + d1p * T)
+                if to_m and to_m[0][0] == j:
+                    _, t_sent, remote = to_m.popleft()
+                    f_m_held = clamp(control_continuous(g, own_m, remote))
+                    hold_m_times.append(t_sent + d2p * T)
+                next_event = min(
+                    next_sample,
+                    to_s[0][0] if to_s else never,
+                    to_m[0][0] if to_m else never,
+                )
+            else:
+                f_m_held = clamp(control_continuous(g, (x_m, v_m), (x_s, v_s)))
+                f_s_held = clamp(control_continuous(g, (x_s, v_s), (x_m, v_m)))
+                next_event = j + 1
+
+        # row j: the state, the held torques and the terminations' forces
+        fstar = f_mag if f_start <= t0 < f_stop else 0.0
+        a_m = (fstar - k_h * x_m - b_m_tot * v_m + f_m_held) * inv_mm
+        t_arr[j] = t0
+        xm_arr[j] = x_m
+        vm_arr[j] = v_m
+        xs_arr[j] = x_s
+        vs_arr[j] = v_s
+        fm_arr[j] = f_m_held
+        fs_arr[j] = f_s_held
+        fh_arr[j] = fstar - m_h * a_m - b_h * v_m - k_h * x_m
+        fe_arr[j] = -(wall_force(x_s, v_s, wall) if x_s > x_wall else 0.0)
+        if j == last:
             break
-    else:
-        record(n_total, n_total * h)
+
+        # substep j; its width stays t1 - t0, which need not round to h
+        t1 = t0 + h
+        if t0 < f_start < t1 or t0 < f_stop < t1:
+            y = advance_cut(t0, t1, x_m, v_m, x_s, v_s, f_m_held, f_s_held)
+        else:
+            mid = 0.5 * (t0 + t1)
+            fstar = f_mag if f_start <= mid < f_stop else 0.0
+            y = rk4(x_m, v_m, x_s, v_s, t1 - t0, fstar, f_m_held, f_s_held)
+            # the step advance_smooth would try first; it redoes it and
+            # bisects only when a finite end state changed wall branch
+            if (
+                (x_s > x_wall or y[2] > x_wall)
+                and wall_branch(y[2], y[3]) != wall_branch(x_s, v_s)
+                and isfinite(y[2])
+                and isfinite(y[3])
+            ):
+                y = advance_smooth(t0, t1, x_m, v_m, x_s, v_s, fstar, f_m_held, f_s_held)
+        x_m, v_m, x_s, v_s = y
+        if not (isfinite(x_m) and isfinite(v_m) and isfinite(x_s) and isfinite(v_s)):
+            last = j + 1
+            divergence_time = last * h
+    rows = last + 1
 
     return SimTrace(
         t=t_arr[:rows],
@@ -572,25 +613,40 @@ def sweep_period(
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
-    """Write the signal record, one row per substep, full double precision."""
-    data = np.column_stack(
-        (
-            trace.t, trace.x_m, trace.v_m, trace.x_s, trace.v_s,
-            trace.f_m, trace.f_s, trace.f_h, trace.f_e,
-        )
+    """Write the signal record, one row per substep, full double precision.
+
+    Rows are formatted ``%.17g`` a chunk at a time, one ``%`` per chunk, so
+    no whole-trace copy or per-row call is made.
+    """
+    columns = (
+        trace.t, trace.x_m, trace.v_m, trace.x_s, trace.v_s,
+        trace.f_m, trace.f_s, trace.f_h, trace.f_e,
     )
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=_CSV_HEADER, comments="")
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_CSV_HEADER + "\n")
+        for a in range(0, len(trace.t), _CSV_CHUNK_ROWS):
+            block = np.column_stack([c[a : a + _CSV_CHUNK_ROWS] for c in columns])
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_events_csv(trace: SimTrace, path) -> None:
-    """Write sampler/hold events as kind,t rows ordered by time."""
-    events = (
-        [(t, 0, "sample") for t in trace.sample_events]
-        + [(t, 1, "hold_m") for t in trace.hold_events_m]
-        + [(t, 2, "hold_s") for t in trace.hold_events_s]
-    )
-    events.sort(key=lambda e: (e[0], e[1]))
+    """Write sampler/hold events as kind,t rows ordered by time.
+
+    Equal times keep the order sample, hold_m, hold_s.
+    """
+    names = ("sample", "hold_m", "hold_s")
+    arrays = (trace.sample_events, trace.hold_events_m, trace.hold_events_s)
+    t = np.concatenate(arrays)
+    kind = np.repeat(np.arange(len(names)), [len(a) for a in arrays])
+    order = np.lexsort((kind, t))
+    t_sorted = t[order].tolist()
+    kind_sorted = [names[k] for k in kind[order].tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("kind,t\n")
-        for t, _, kind in events:
-            fh.write(f"{kind},{t:.17g}\n")
+        for a in range(0, len(order), _CSV_CHUNK_ROWS):
+            rows = kind_sorted[a : a + _CSV_CHUNK_ROWS]
+            fields = [None] * (2 * len(rows))
+            fields[0::2] = rows
+            fields[1::2] = t_sorted[a : a + _CSV_CHUNK_ROWS]
+            fh.write(("%s,%.17g\n" * len(rows)) % tuple(fields))

@@ -157,3 +157,27 @@ def second_order_step(m, b, k, force, t):
     env = np.exp(-sigma * tau)
     resp = 1.0 - env * (np.cos(wd * tau) + (sigma / wd) * np.sin(wd * tau))
     return (force / k) * np.where(t > 0, resp, 0.0)
+
+
+_TRACE_COLUMNS = ("t", "x_m", "v_m", "x_s", "v_s", "f_m", "f_s", "f_h", "f_e")
+
+
+def savetxt_trace(trace, path):
+    """Trace CSV as np.savetxt writes it: header line, %.17g, comma-separated."""
+    data = np.column_stack([getattr(trace, name) for name in _TRACE_COLUMNS])
+    header = "t,x_m,v_m,x_s,v_s,F_m,F_s,F_h,F_e"
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def events_csv(trace, path):
+    """Event CSV from a sorted list of (t, kind index, kind) tuples."""
+    events = (
+        [(t, 0, "sample") for t in trace.sample_events]
+        + [(t, 1, "hold_m") for t in trace.hold_events_m]
+        + [(t, 2, "hold_s") for t in trace.hold_events_s]
+    )
+    events.sort(key=lambda e: (e[0], e[1]))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("kind,t\n")
+        for t, _, kind in events:
+            fh.write(f"{kind},{t:.17g}\n")

@@ -1,6 +1,7 @@
 """Hybrid time-domain simulator: traces, verdicts, nonidealities, sweeps."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -28,10 +29,11 @@ from teleopstab import (
     write_events_csv,
     write_trace_csv,
     TeleopSystem,
+    WallModel,
     wall_force,
 )
 
-from oracles import second_order_step
+from oracles import events_csv, savetxt_trace, second_order_step
 
 SCENARIO_FILE = "scenarios/wall_contact.cfg"
 ZERO_GAINS = ControllerGains(kp=0.0, kv=0.0, kd=0.0, p_eps=0.0)
@@ -109,6 +111,100 @@ def test_determinism_bit_identical(reference_scenario):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert np.array_equal(a.sample_events, b.sample_events)
     assert np.array_equal(a.hold_events_m, b.hold_events_m)
+
+
+# sha256 of every trace column, the three event arrays and divergence_time for
+# short runs covering each path of the substep loop (pulse edges, wall branch
+# changes, noise, clamp, jitter, delays, divergence); any change of rounding,
+# branch handling or random-draw order in run_scenario moves a digest
+_PINNED_DIGESTS = {
+    "reference": "ec87a37e9d83438a5ced8d6fc16cbdd2bdd451f4d1fd77a64be4d9e945d21864",
+    "continuous": "b2168ddd06a00a10d4c25717c49d683416e200510dc43579fac931561b6a1cad",
+    "noise_clamp": "0dbfe2ff096e1ffb8b0fb3df5672720acd80967440d179e1dba18d579a95635a",
+    "jitter_delays_latency": "e193506c715cc5eab7bbe9b6c6899b07411a7b97219115a29c70b0a23888b6cb",
+    "fine_period_nonideal": "a6d3c35b5c1afd9e676bba48266344e0eecf63855ee9972fd9d351fe7ecb312e",
+    "pulse_edge_inside_substep": "a8eeaa40e1266be64417a37c8922989624a82b0a8933afbdce113a271c3363fc",
+    "wall_entry_exit": "20da28dc8b8e14adc6f3fe40380f60036f4d1e29ecbb58559e582463c164fabc",
+    "wall_entry_exit_continuous": "d3d18c23dee2ee39db064ad13726a636af169a6648a4b9ce4a993cc59de58b75",
+    "diverging": "d89412286716446cd73aef822e2f443f6f8f4f58ceff4ff0225f0624e2eaad7a",
+}
+
+
+def _pinned_cases(ref):
+    ch = ref.channel
+    fine = dataclasses.replace(ch, T=2e-4, eps_min=2e-4, d1=1, d2=2)
+    wall_near = WallModel(position=0.2)
+    return {
+        "reference": (_short(ref), 0, "sampled"),
+        "continuous": (_short(ref), 0, "continuous"),
+        "noise_clamp": (
+            _short(
+                ref,
+                nonidealities=NonidealityConfig(noise_std=0.005),
+                operator_force=OperatorForce(0.2, 2.0, 50.0),
+            ),
+            3,
+            "sampled",
+        ),
+        "jitter_delays_latency": (
+            _short(
+                ref,
+                channel=dataclasses.replace(ch, d1=1, d2=2, eps_min=0.003),
+                jitter_sampling=True,
+                extra_loop_latency=2 * ch.T,
+                nonidealities=NonidealityConfig(noise_std=0.002),
+            ),
+            7,
+            "sampled",
+        ),
+        "fine_period_nonideal": (
+            _short(
+                ref,
+                channel=fine,
+                duration=0.6,
+                operator_force=OperatorForce(0.1, 0.4, 20.0),
+                nonidealities=NonidealityConfig(noise_std=0.005),
+            ),
+            5,
+            "sampled",
+        ),
+        "pulse_edge_inside_substep": (
+            _short(ref, operator_force=OperatorForce(0.50031, 1.20017, 5.0)),
+            0,
+            "sampled",
+        ),
+        "wall_entry_exit": (_short(ref, wall=wall_near), 0, "sampled"),
+        "wall_entry_exit_continuous": (_short(ref, wall=wall_near), 0, "continuous"),
+        "diverging": (
+            _short(
+                ref,
+                channel=dataclasses.replace(ch, T=0.2, eps_min=0.2),
+                duration=20.0,
+                gains=ControllerGains(kp=1e6, kv=0.1, kd=0.2, p_eps=0.002),
+            ),
+            0,
+            "sampled",
+        ),
+    }
+
+
+def _trace_digest(tr):
+    h = hashlib.sha256()
+    for name in _COLUMNS + ("sample_events", "hold_events_m", "hold_events_s"):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(getattr(tr, name), dtype="<f8").tobytes())
+    h.update(repr(tr.divergence_time).encode())
+    return h.hexdigest()
+
+
+def test_trace_bits_match_pinned_digests(reference_scenario):
+    cases = _pinned_cases(reference_scenario)
+    assert cases.keys() == _PINNED_DIGESTS.keys()
+    digests = {
+        name: _trace_digest(run_scenario(sc, seed=seed, controller_mode=mode))
+        for name, (sc, seed, mode) in cases.items()
+    }
+    assert digests == _PINNED_DIGESTS
 
 
 def test_controller_outputs_constant_between_holds(reference_scenario):
@@ -623,3 +719,36 @@ def test_events_csv(tmp_path, reference_scenario):
     assert kinds == {"sample", "hold_m", "hold_s"}
     times = [float(line.split(",")[1]) for line in lines[1:]]
     assert times == sorted(times)
+
+
+_EDGE_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, 0.1)
+
+
+def _synthetic_trace(n_rows, rng, events=(0, 0, 0)):
+    cols = []
+    for k in range(len(_COLUMNS)):
+        c = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+        edges = np.resize(np.array(_EDGE_VALUES), n_rows)
+        cols.append(np.where(np.arange(n_rows) % 3 == k % 3, edges, c))
+    ev = [np.sort(rng.integers(0, 50, n) * 0.001) for n in events]
+    return SimTrace(*cols, *ev, period=0.006, substep=0.0006)
+
+
+@pytest.mark.parametrize("extra", [-sim._CSV_CHUNK_ROWS, 1 - sim._CSV_CHUNK_ROWS, 0, 1])
+def test_trace_csv_bytes_match_savetxt(tmp_path, extra):
+    # 0 rows, 1 row, one chunk, one chunk + 1, each with every edge value
+    n_rows = sim._CSV_CHUNK_ROWS + extra
+    tr = _synthetic_trace(n_rows, np.random.default_rng(n_rows))
+    write_trace_csv(tr, tmp_path / "fast.csv")
+    savetxt_trace(tr, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("events", [(0, 0, 0), (3, 1, 2), (2000, 1500, 1200)])
+def test_events_csv_bytes_match_tuple_sort(tmp_path, events):
+    # times on a 50-point lattice, so all three kinds tie many times over;
+    # the largest case spans two chunks
+    tr = _synthetic_trace(1, np.random.default_rng(sum(events)), events)
+    write_events_csv(tr, tmp_path / "fast.csv")
+    events_csv(tr, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
