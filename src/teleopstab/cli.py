@@ -28,24 +28,29 @@ from .scenario import (
     write_report,
 )
 from .sim import run_scenario, sweep_period, verdict, write_events_csv, write_trace_csv
-from .stability import NoBracket, TeleopSystem, max_stable_period, small_gain_value
+from .stability import CRITERIA, NoBracket, max_stable_period, small_gain_value
 
 __all__ = ["main", "cli_dispatch"]
 
-
-def _system_from(sc) -> TeleopSystem:
-    # analysis quantifies over passive terminations; use the bare robots
-    return TeleopSystem(master=sc.master, slave=sc.slave, gains=sc.gains)
+# sweep.csv and sweep.json columns: (source, attribute) of a SweepRow, where
+# source None is the row itself; an error row has only period and error
+_SWEEP_COLUMNS = (
+    (None, "period"),
+    ("verdict", "bounded"),
+    ("verdict", "max_abs_position"),
+    ("verdict", "settling_ok"),
+    ("stability", "small_gain_value"),
+    ("stability", "small_gain_pass"),
+    ("stability", "damping_bound"),
+)
 
 
 def _stability_report(sc, grid_points: int):
     grid = make_grid(sc.channel.T, grid_points)
-    return small_gain_value(_system_from(sc), sc.channel, grid)
+    return small_gain_value(sc.analysis_system(), sc.channel, grid)
 
 
-def _cmd_analyze(args) -> int:
-    sc = load_scenario(args.config)
-    run = load_run_settings(args.config)
+def _cmd_analyze(args, sc, run) -> int:
     grid = args.grid if args.grid is not None else run.grid_points
     if grid < 2:
         print("error: --grid must be at least 2", file=sys.stderr)
@@ -59,9 +64,7 @@ def _cmd_analyze(args) -> int:
     return 0 if stability.small_gain_pass else 1
 
 
-def _cmd_simulate(args) -> int:
-    sc = load_scenario(args.config)
-    run = load_run_settings(args.config)
+def _cmd_simulate(args, sc, run) -> int:
     seed = run.seed if args.seed is None else args.seed
     trace = run_scenario(sc, seed=seed)
     v = verdict(
@@ -94,9 +97,7 @@ def _parse_periods(raw: str) -> list[float]:
     return periods
 
 
-def _cmd_sweep(args) -> int:
-    sc = load_scenario(args.config)
-    run = load_run_settings(args.config)
+def _cmd_sweep(args, sc, run) -> int:
     periods = _parse_periods(args.periods)
     os.makedirs(args.out, exist_ok=True)
     rows = sweep_period(
@@ -108,33 +109,19 @@ def _cmd_sweep(args) -> int:
         settle_window=run.settle_window,
         settle_tol=run.settle_tol,
     )
-    header = (
-        "period,bounded,max_abs_position,settling_ok,small_gain_value,"
-        "small_gain_pass,damping_bound,error"
-    )
-    lines = [header]
+    lines = [",".join(attr for _, attr in _SWEEP_COLUMNS) + ",error"]
     payload = []
     for row in rows:
         if row.error is not None:
-            lines.append(f"{row.period!r},,,,,,,{row.error}")
+            lines.append(repr(row.period) + "," * len(_SWEEP_COLUMNS) + row.error)
             payload.append({"period": row.period, "error": row.error})
             continue
-        v, st = row.verdict, row.stability
-        lines.append(
-            f"{row.period!r},{v.bounded},{v.max_abs_position!r},{v.settling_ok},"
-            f"{st.small_gain_value!r},{st.small_gain_pass},{st.damping_bound!r},"
-        )
-        payload.append(
-            {
-                "period": row.period,
-                "bounded": v.bounded,
-                "max_abs_position": v.max_abs_position,
-                "settling_ok": v.settling_ok,
-                "small_gain_value": st.small_gain_value,
-                "small_gain_pass": st.small_gain_pass,
-                "damping_bound": st.damping_bound,
-            }
-        )
+        values = {
+            attr: getattr(row if source is None else getattr(row, source), attr)
+            for source, attr in _SWEEP_COLUMNS
+        }
+        lines.append(",".join(repr(v) for v in values.values()) + ",")
+        payload.append(values)
     with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     report = build_report(sc, run)
@@ -157,14 +144,11 @@ def _parse_range(raw: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _cmd_max_period(args) -> int:
-    sc = load_scenario(args.config)
-    run = load_run_settings(args.config)
+def _cmd_max_period(args, sc, run) -> int:
     t_lo, t_hi = _parse_range(args.range)
-    sys_ = _system_from(sc)
     try:
         result = max_stable_period(
-            sys_,
+            sc.analysis_system(),
             sc.channel,
             args.criterion,
             (t_lo, t_hi),
@@ -221,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument(
         "--criterion",
         required=True,
-        choices=("small_gain", "damping_bound"),
+        choices=tuple(CRITERIA),
         help="stability criterion to bisect on",
     )
     pm.add_argument("--range", required=True, help="search bracket LO:HI in s")
@@ -239,7 +223,9 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        sc = load_scenario(args.config)
+        run = load_run_settings(args.config)
+        return args.func(args, sc, run)
     except (ParseError, ValidationError, OSError, ValueError, ArithmeticError) as exc:
         # ArithmeticError: a loadable scenario the certificates cannot judge
         # (SingularDenominator, PoleHit, KernelSingular)

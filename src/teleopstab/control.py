@@ -1,10 +1,10 @@
-"""Position-force coordinating controller: continuous, latched, and z-domain forms.
+"""Position-force coordinating controller: continuous and z-domain forms.
 
 The law on either side is
 
     tau = -K_v*(dq_own - dq_remote) - (K_d + P_eps)*dq_own - K_p*(q_own - q_remote)
 
-with the remote signals taken from the delayed sample latch.  Both robots run
+with the remote signals taken from the delayed samples.  Both robots run
 identical gains.
 """
 
@@ -17,17 +17,10 @@ from .lti import RationalTF
 
 __all__ = [
     "ControllerGains",
-    "LatchedState",
-    "NotYetInitialized",
     "control_continuous",
-    "control_sampled",
     "controller_z_tf",
     "passivity_gain_rule",
 ]
-
-
-class NotYetInitialized(RuntimeError):
-    """Sampled control requested before the latch holds a remote sample."""
 
 
 @dataclass(frozen=True)
@@ -54,17 +47,6 @@ class ControllerGains:
             raise ValueError("nu must be positive when given")
 
 
-@dataclass(frozen=True)
-class LatchedState:
-    """Most recent own and (delayed) remote samples held by one side."""
-
-    own_pos: float | None = None
-    own_vel: float | None = None
-    remote_pos: float | None = None
-    remote_vel: float | None = None
-    sample_time: float | None = None
-
-
 def control_continuous(
     g: ControllerGains,
     own: tuple[float, float],
@@ -74,21 +56,6 @@ def control_continuous(
     q, dq = own
     qr, dqr = remote_delayed
     return -g.kv * (dq - dqr) - (g.kd + g.p_eps) * dq - g.kp * (q - qr)
-
-
-def control_sampled(g: ControllerGains, latch: LatchedState) -> float:
-    """Controller torque from latched samples; identical arithmetic to the
-    continuous law on the latched values."""
-    if (
-        latch.own_pos is None
-        or latch.own_vel is None
-        or latch.remote_pos is None
-        or latch.remote_vel is None
-    ):
-        raise NotYetInitialized("latch holds no complete sample pair yet")
-    return control_continuous(
-        g, (latch.own_pos, latch.own_vel), (latch.remote_pos, latch.remote_vel)
-    )
 
 
 def controller_z_tf(g: ControllerGains, T: float) -> RationalTF:

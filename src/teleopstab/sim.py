@@ -130,6 +130,11 @@ class SimScenario:
     def extra_latency_periods(self) -> int:
         return round(self.extra_loop_latency / self.channel.T)
 
+    def analysis_system(self) -> TeleopSystem:
+        """The bare robots and gains: the certificates quantify over every
+        passive termination, so the human and the wall are left out."""
+        return TeleopSystem(master=self.master, slave=self.slave, gains=self.gains)
+
 
 @dataclass(frozen=True)
 class SimTrace:
@@ -590,18 +595,14 @@ def sweep_period(
 
     Rows come back sorted by period; a row that fails with a domain error
     (ArithmeticError or ValueError) records it and the sweep continues, while
-    any other exception propagates.  Delays stay the same integer multiples
-    of each new T; eps_min is lowered to min(eps_min, T) where needed.
+    any other exception propagates.  Each row's channel is
+    ``ChannelConfig.at_period(T)`` of the template's.
     """
     rows: list[SweepRow] = []
-    system = TeleopSystem(
-        master=sc_template.master, slave=sc_template.slave, gains=sc_template.gains
-    )
+    system = sc_template.analysis_system()
     for T in sorted(float(p) for p in periods):
         try:
-            ch = replace(
-                sc_template.channel, T=T, eps_min=min(sc_template.channel.eps_min, T)
-            )
+            ch = sc_template.channel.at_period(T)
             sc = replace(sc_template, channel=ch)
             tr = run_scenario(sc, seed=seed)
             vd = verdict(tr, position_bound, settle_window, settle_tol)

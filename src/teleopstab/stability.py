@@ -28,6 +28,7 @@ from .lti import FrequencyGrid, RationalTF, cdiv, cmul, eval_tf, eval_tf_grid, m
 from .plants import FREE, ImpedanceModel, RobotParams, plant_position_tf, sampled_plant_tf
 
 __all__ = [
+    "CRITERIA",
     "ChannelConfig",
     "TeleopSystem",
     "StabilityReport",
@@ -103,6 +104,14 @@ class ChannelConfig:
         """Backward delay in seconds."""
         return self.d2 * self.T
 
+    def at_period(self, T: float) -> ChannelConfig:
+        """The same channel sampled at period T.
+
+        The delays stay the same integer numbers of periods, so their times
+        scale with T; eps_min is lowered to min(eps_min, T).
+        """
+        return replace(self, T=T, eps_min=min(self.eps_min, T))
+
 
 @dataclass(frozen=True)
 class TeleopSystem:
@@ -132,7 +141,10 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class MaxPeriodResult:
-    """Largest certified period plus both endpoint evaluations.
+    """Largest period passing a criterion plus both endpoint evaluations.
+
+    Only the small_gain criterion is a stability certificate; see
+    max_stable_period.
 
     status is "bracketed" when the criterion flipped inside the range,
     "always_pass"/"always_fail" when it never did (period is then the
@@ -381,21 +393,27 @@ def damping_bound(g: ControllerGains, T: float) -> float:
     return g.kp * T + 2.0 * g.kd - 2.0 * g.p_eps - 2.0 * g.kv
 
 
-def _criterion_pass(
-    system: TeleopSystem,
-    ch_template: ChannelConfig,
-    criterion: str,
-    T: float,
-    grid_points: int,
+def _small_gain_passes(
+    system: TeleopSystem, ch_template: ChannelConfig, T: float, grid_points: int
 ) -> bool:
-    if criterion == "damping_bound":
-        bound = damping_bound(system.gains, T)
-        return min(system.master.damping, system.slave.damping) > bound
-    if criterion == "small_gain":
-        ch = replace(ch_template, T=T, eps_min=min(ch_template.eps_min, T))
-        report = small_gain_value(system, ch, make_grid(T, grid_points))
-        return report.small_gain_pass
-    raise ValueError(f"unknown criterion {criterion!r}")
+    ch = ch_template.at_period(T)
+    return small_gain_value(system, ch, make_grid(T, grid_points)).small_gain_pass
+
+
+def _damping_bound_passes(
+    system: TeleopSystem, ch_template: ChannelConfig, T: float, grid_points: int
+) -> bool:
+    bound = damping_bound(system.gains, T)
+    return min(system.master.damping, system.slave.damping) > bound
+
+
+# Criterion name -> pass predicate (system, channel template, T, grid points).
+# The predicates look small_gain_value, make_grid and damping_bound up in this
+# module at call time, so a wrapper bound over those names sees every call.
+CRITERIA = {
+    "small_gain": _small_gain_passes,
+    "damping_bound": _damping_bound_passes,
+}
 
 
 def max_stable_period(
@@ -405,18 +423,28 @@ def max_stable_period(
     t_range: tuple[float, float],
     grid_points: int = 512,
 ) -> MaxPeriodResult:
-    """Largest sampling period the chosen criterion certifies on [T_lo, T_hi].
+    """Largest sampling period on [T_lo, T_hi] that passes the chosen criterion.
 
-    Bisects to a relative bracket width of 1e-4 when the criterion passes at
-    T_lo and fails at T_hi.  If it never flips, the corresponding endpoint is
-    returned with an always_pass / always_fail status.  An inverted bracket
-    (fail at T_lo, pass at T_hi) has no first flip and raises NoBracket.
+    ``criterion`` names an entry of CRITERIA; an unknown name raises
+    ValueError before anything is evaluated.  Bisects to a relative bracket
+    width of 1e-4 when the criterion passes at T_lo and fails at T_hi.  If it
+    never flips, the corresponding endpoint is returned with an always_pass /
+    always_fail status.  An inverted bracket (fail at T_lo, pass at T_hi) has
+    no first flip and raises NoBracket.
+
+    Only small_gain is a stability certificate.  damping_bound is not: on
+    scenarios/wall_contact.cfg it passes on all of [1e-4, 0.1] s, yet the
+    simulated loop is bounded at T = 0.04 s and diverges at T = 0.05 s.
     """
     t_lo, t_hi = t_range
     if not (0.0 < t_lo < t_hi):
         raise ValueError("need 0 < T_lo < T_hi")
-    pass_lo = _criterion_pass(system, ch_template, criterion, t_lo, grid_points)
-    pass_hi = _criterion_pass(system, ch_template, criterion, t_hi, grid_points)
+    try:
+        passes = CRITERIA[criterion]
+    except KeyError:
+        raise ValueError(f"unknown criterion {criterion!r}") from None
+    pass_lo = passes(system, ch_template, t_lo, grid_points)
+    pass_hi = passes(system, ch_template, t_hi, grid_points)
     common = dict(
         criterion=criterion, t_lo=t_lo, t_hi=t_hi, pass_lo=pass_lo, pass_hi=pass_hi
     )
@@ -429,7 +457,7 @@ def max_stable_period(
     lo, hi = t_lo, t_hi
     while (hi - lo) > _BISECT_REL_WIDTH * hi:
         mid = 0.5 * (lo + hi)
-        if _criterion_pass(system, ch_template, criterion, mid, grid_points):
+        if passes(system, ch_template, mid, grid_points):
             lo = mid
         else:
             hi = mid

@@ -1,5 +1,6 @@
 """Command line front end: exit codes, outputs, and error paths."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,8 +8,8 @@ import sys
 
 import pytest
 
-from teleopstab import read_report
-from teleopstab.cli import cli_dispatch
+from teleopstab import read_report, stability
+from teleopstab.cli import _build_parser, cli_dispatch
 
 SCENARIO_FILE = "scenarios/wall_contact.cfg"
 
@@ -243,6 +244,14 @@ def test_max_period_no_bracket(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_criterion_choices_are_the_criteria_table():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    max_period = sub.choices["max-period"]
+    (criterion,) = [a for a in max_period._actions if a.dest == "criterion"]
+    assert criterion.choices == tuple(stability.CRITERIA)
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Coordination controller: continuous, sampled, z-domain, gain rule."""
+"""Coordination controller: continuous, held on samples, z-domain, gain rule."""
 
 import cmath
 import math
@@ -8,10 +8,7 @@ import pytest
 
 from teleopstab import (
     ControllerGains,
-    LatchedState,
-    NotYetInitialized,
     control_continuous,
-    control_sampled,
     controller_z_tf,
     eval_tf,
     passivity_gain_rule,
@@ -33,24 +30,6 @@ def test_control_continuous_hand_value():
     # -10(0.5) - 2.002(0.5) - 1(1) = -7.001
     got = control_continuous(REF, (1.0, 0.5), (0.0, 0.0))
     np.testing.assert_allclose(got, -7.001, rtol=1e-14)
-
-
-def test_control_sampled_is_continuous_on_latched_values():
-    latch = LatchedState(
-        own_pos=1.0, own_vel=0.5, remote_pos=0.0, remote_vel=0.0, sample_time=0.0
-    )
-    assert control_sampled(REF, latch) == control_continuous(
-        REF, (1.0, 0.5), (0.0, 0.0)
-    )
-    rest = LatchedState(0.7, 0.0, 0.7, 0.0, 0.0)
-    assert control_sampled(REF, rest) == 0
-
-
-def test_control_sampled_requires_initialized_latch():
-    with pytest.raises(NotYetInitialized):
-        control_sampled(REF, LatchedState())
-    with pytest.raises(NotYetInitialized):
-        control_sampled(REF, LatchedState(own_pos=1.0, own_vel=0.0))
 
 
 def test_controller_gains_invariants():
@@ -96,7 +75,9 @@ def test_controller_z_tf_approaches_continuous_response():
 
 
 def test_sampled_tracks_continuous_with_first_order_slope():
-    # max deviation over one second of a sinusoidal trajectory is O(T)
+    # the torque computed on the samples at tk and held over [tk, tk + T), as
+    # run_scenario holds it, deviates from the continuous law by O(T) over one
+    # second of a sinusoidal trajectory
     def own(t):
         return math.sin(2 * math.pi * t), 2 * math.pi * math.cos(2 * math.pi * t)
 
@@ -112,8 +93,7 @@ def test_sampled_tracks_continuous_with_first_order_slope():
         probes = 7
         for k in range(n):
             tk = k * T
-            latch = LatchedState(*own(tk), *remote(tk), tk)
-            held = control_sampled(REF, latch)
+            held = control_continuous(REF, own(tk), remote(tk))
             for j in range(probes):
                 t = tk + (j / probes) * T
                 worst = max(worst, abs(held - control_continuous(REF, own(t), remote(t))))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from teleopstab import (
     BadGrid,
@@ -52,6 +54,29 @@ def test_eval_tf_matches_term_by_term_oracle():
         got = eval_tf(tf, s)
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
         checked += 1
+
+
+_coeff = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+_coeffs = st.lists(_coeff, min_size=1, max_size=7)
+_part = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=_coeffs, den=_coeffs, re=_part, im=_part)
+def test_eval_tf_matches_term_by_term_oracle_property(num, den, re, im):
+    # away from the poles (|den(s)| at least 1e-3 of its term magnitudes),
+    # Horner and the term-by-term oracle agree to 16 eps of the first-order
+    # error bound sum|n_k||s|^k/|den| + |tf(s)| sum|d_k||s|^k/|den|
+    assume(any(den))
+    tf = RationalTF(num, den)
+    s = complex(re, im)
+    den_s = sum(c * s**k for k, c in enumerate(tf.den))
+    den_mag = sum(abs(c) * abs(s) ** k for k, c in enumerate(tf.den))
+    num_mag = sum(abs(c) * abs(s) ** k for k, c in enumerate(tf.num))
+    assume(den_s != 0 and abs(den_s) >= 1e-3 * den_mag)
+    expected = rational_brute(tf.num, tf.den, s)
+    bound = (num_mag + abs(expected) * den_mag) / abs(den_s)
+    assert abs(eval_tf(tf, s) - expected) <= 16 * np.finfo(float).eps * bound
 
 
 def test_eval_tf_pole_hit():

@@ -21,6 +21,7 @@ from teleopstab import (
     clamp_force,
     induced_delay_gamma,
     load_scenario,
+    max_stable_period,
     run_scenario,
     small_gain_value,
     make_grid,
@@ -688,6 +689,33 @@ def test_sweep_propagates_programming_errors(reference_scenario, monkeypatch):
     sc = _short(reference_scenario, duration=2.0)
     with pytest.raises(TypeError, match="broken certificate core"):
         sweep_period(sc, [sc.channel.T])
+
+
+def test_damping_bound_passes_where_the_loop_diverges(reference_scenario):
+    """Pins a known defect: damping_bound is not a stability certificate.
+
+    On the shipped scenario it passes on all of [1e-4, 0.1] s, yet the run at
+    T = 0.05 s diverges; small_gain, which is sound, fails there.  The fix
+    belongs to damping_bound (ROADMAP item 1: check the bound against the
+    paper, or document it as a necessary condition only).  Until then this
+    test states today's behaviour; it must not be weakened to pass.
+    """
+    sc = reference_scenario
+    res = max_stable_period(sc.analysis_system(), sc.channel, "damping_bound", (1e-4, 0.1))
+    assert res.status == "always_pass"
+    (row,) = sweep_period(reference_scenario, [0.05])
+    assert row.error is None
+    assert row.verdict.bounded is False
+    assert row.verdict.max_abs_position > 1e100
+    assert row.stability.small_gain_pass is False
+
+
+def test_analysis_system_is_the_bare_robots(reference_scenario):
+    # the certificates quantify over passive terminations: no human, no wall
+    system = reference_scenario.analysis_system()
+    assert system == TeleopSystem(
+        reference_scenario.master, reference_scenario.slave, reference_scenario.gains
+    )
 
 
 def test_sweep_empty():

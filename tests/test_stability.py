@@ -4,11 +4,13 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teleopstab import stability
 from teleopstab import (
     AssumptionViolated,
     ChannelConfig,
@@ -305,9 +307,48 @@ def test_max_stable_period_no_bracket_when_inverted():
         max_stable_period(LOW_SYSTEM, ch, "small_gain", (1.0, 2.0))
 
 
-def test_max_stable_period_rejects_unknown_criterion():
-    with pytest.raises(ValueError):
+def test_max_stable_period_rejects_unknown_criterion(monkeypatch):
+    # the name is looked up before any criterion is evaluated
+    def evaluated(*args, **kwargs):
+        pytest.fail("a criterion was evaluated for an unknown name")
+
+    monkeypatch.setattr(stability, "small_gain_value", evaluated)
+    monkeypatch.setattr(stability, "damping_bound", evaluated)
+    with pytest.raises(ValueError, match="unknown criterion 'spectral'"):
         max_stable_period(REF_SYSTEM, REF_CHANNEL, "spectral", (1e-4, 0.1))
+
+
+def test_criteria_look_up_module_functions_at_call_time(monkeypatch):
+    # a wrapper bound over stability.small_gain_value / make_grid /
+    # damping_bound must see every evaluation the period search makes
+    seen = []
+
+    def recorder(name):
+        real = getattr(stability, name)
+
+        def wrapped(*args):
+            seen.append(name)
+            return real(*args)
+
+        return wrapped
+
+    for name in ("small_gain_value", "make_grid", "damping_bound"):
+        monkeypatch.setattr(stability, name, recorder(name))
+    max_stable_period(REF_SYSTEM, REF_CHANNEL, "damping_bound", (1e-4, 0.1))
+    assert seen == ["damping_bound"] * 2
+    seen.clear()
+    max_stable_period(REF_SYSTEM, REF_CHANNEL, "small_gain", (1e-4, 0.1))
+    # small_gain_value calls damping_bound itself, so count only these two
+    assert seen.count("small_gain_value") == 2
+    assert seen.count("make_grid") == 2
+
+
+def test_channel_at_period_keeps_integer_delays():
+    ch = ChannelConfig(T=0.006, d1=2, d2=3, eps_min=0.004, alpha=0.5)
+    slow = ChannelConfig(T=0.05, d1=2, d2=3, eps_min=0.004, alpha=0.5)
+    fast = ChannelConfig(T=0.001, d1=2, d2=3, eps_min=0.001, alpha=0.5)
+    assert ch.at_period(0.05) == slow
+    assert ch.at_period(0.001) == fast
 
 
 def test_induced_delay_gamma_uniform():
@@ -354,6 +395,26 @@ _gain = st.one_of(st.just(0.0), _log_uniform(-3, 2))
 _mass = _log_uniform(-2, 1.5)
 # light damping puts a near-double pole at z = 1, where Horner cancels most
 _damping = st.one_of(st.just(0.0), _log_uniform(-3, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    T=_log_uniform(-5, 1),
+    wT=st.one_of(st.just(math.pi), _log_uniform(-8, math.log10(math.pi))),
+)
+def test_r_kernel_matches_high_precision_oracle_property(T, wT):
+    # over wT in (0, pi]: the kernel is excluded only below its floor on
+    # 1 - cos(wT), and elsewhere agrees with the raw quotient to 16 eps
+    w = wT / T
+    try:
+        got = r_kernel(w, T)
+    except KernelSingular:
+        with mpmath.workdps(50):
+            one_minus_cos = 1 - mpmath.cos(mpmath.mpf(w) * mpmath.mpf(T))
+        assert one_minus_cos < 1e-14 * (1 + 1e-9)
+        return
+    expected = r_kernel_mp(w, T)
+    assert abs(got - expected) <= 16 * np.finfo(float).eps * abs(expected)
 
 
 @settings(max_examples=200, deadline=None)
