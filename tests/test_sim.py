@@ -762,10 +762,13 @@ def _synthetic_trace(n_rows, rng, events=(0, 0, 0)):
     return SimTrace(*cols, *ev, period=0.006, substep=0.0006)
 
 
-@pytest.mark.parametrize("extra", [-sim._CSV_CHUNK_ROWS, 1 - sim._CSV_CHUNK_ROWS, 0, 1])
+_TRACE_CHUNK_ROWS = sim._CSV_CHUNK_FIELDS // len(_COLUMNS)
+
+
+@pytest.mark.parametrize("extra", [-_TRACE_CHUNK_ROWS, 1 - _TRACE_CHUNK_ROWS, 0, 1])
 def test_trace_csv_bytes_match_savetxt(tmp_path, extra):
     # 0 rows, 1 row, one chunk, one chunk + 1, each with every edge value
-    n_rows = sim._CSV_CHUNK_ROWS + extra
+    n_rows = _TRACE_CHUNK_ROWS + extra
     tr = _synthetic_trace(n_rows, np.random.default_rng(n_rows))
     write_trace_csv(tr, tmp_path / "fast.csv")
     savetxt_trace(tr, tmp_path / "ref.csv")
@@ -775,8 +778,114 @@ def test_trace_csv_bytes_match_savetxt(tmp_path, extra):
 @pytest.mark.parametrize("events", [(0, 0, 0), (3, 1, 2), (2000, 1500, 1200)])
 def test_events_csv_bytes_match_tuple_sort(tmp_path, events):
     # times on a 50-point lattice, so all three kinds tie many times over;
-    # the largest case spans two chunks
+    # the largest case spans more than one chunk
     tr = _synthetic_trace(1, np.random.default_rng(sum(events)), events)
     write_events_csv(tr, tmp_path / "fast.csv")
     events_csv(tr, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _g17_lines(values):
+    """``sim._g17_csv`` on a 1-D array, one field a line, a chunk at a time."""
+    step = sim._CSV_CHUNK_FIELDS
+    text = b"".join(sim._g17_csv(values[a : a + step, None]) for a in range(0, len(values), step))
+    return text.split(b"\n")[:-1]
+
+
+def _assert_g17_matches_percent(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = _g17_lines(values)
+    want = [b"%.17g" % x for x in values.tolist()]
+    assert len(got) == len(want)
+    wrong = [(x, g, w) for x, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not wrong, wrong[:5]
+
+
+def test_g17_matches_percent_on_random_bit_patterns():
+    # every exponent, subnormals and NaN payloads, in proportion to their bits
+    bits = np.random.default_rng(20261018).integers(0, 2**64, 10**6, dtype=np.uint64)
+    _assert_g17_matches_percent(bits.view(np.float64))
+
+
+def _powers_of_ten(k_max):
+    """10**k for |k| <= k_max and their neighbours one ulp either side."""
+    powers = np.array([float(f"1e{k}") for k in range(-k_max, k_max + 1)])
+    return np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+
+
+def test_g17_matches_percent_at_powers_of_ten():
+    # 13 of these powers round up to "1e+k" at 17 digits (the digits carry)
+    values = _powers_of_ten(300)
+    _assert_g17_matches_percent(np.concatenate([values, -values]))
+
+
+@pytest.mark.parametrize("shift", [-1e-9, 1e-9])
+def test_g17_survives_an_exponent_guess_off_by_one(monkeypatch, shift):
+    # near a power of ten floor(log10|x|) can come out one off; the integer
+    # part then has 16 or 18 digits and the value must go to "%"
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    _assert_g17_matches_percent(_powers_of_ten(280))
+
+
+def test_g17_matches_percent_at_notation_boundaries():
+    # 1e-5 / 1e-4 switch between "e" and "0.000ddd", 1e16 / 1e17 between
+    # plain digits and "e"; [2**54, 2**57) holds integers on both sides of
+    # 1e17, each a multiple of its ulp (none is a 17-digit tie: above 1e17
+    # they are multiples of 16)
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17, 2.0**54, 2.0**57])
+    near = (edges[:, None] + np.arange(-8, 9) * np.spacing(edges)[:, None]).ravel()
+    rng = np.random.default_rng(7)
+    ints = np.ldexp(rng.integers(2**52, 2**53, 20000).astype(np.float64), rng.integers(2, 5, 20000))
+    _assert_g17_matches_percent(np.concatenate([near, ints, -ints]))
+
+
+def test_g17_matches_percent_on_exact_ties():
+    # x = M / 2**(k+1) with M odd: x*10**k = M*5**k / 2 is a half-integer,
+    # and with M*5**k in [2e16, 2e17) its 18th significant digit is an exact
+    # 5, so "%" rounds the 17 digits half to even.  M < 2**53 leaves
+    # k = 1..24, and no other double is a tie at 17 digits.
+    rng = np.random.default_rng(11)
+    ties = []
+    for k in range(1, 25):
+        lo = -(-2 * 10**16 // 5**k)
+        hi = min(2 * 10**17 // 5**k, 2**53)
+        for m in {lo | 1, (hi - 1) | 1, *(int(v) | 1 for v in rng.integers(lo, hi, 200))}:
+            if m < hi:
+                ties.append(math.ldexp(m, -(k + 1)))
+    assert len(ties) > 4000
+    _assert_g17_matches_percent(np.concatenate([ties, np.negative(ties)]))
+
+
+def test_g17_matches_percent_at_special_values():
+    nan_payloads = np.array([0x7FF8000000000001, 0xFFF0000000000123], np.uint64).view(np.float64)
+    values = [
+        0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, *nan_payloads,
+        5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        1e308, -1e308, 1e-280, 1e280, 0.1, -0.5, 1.0, 123.0, 100.0,
+    ]
+    values += [np.nextafter(v, d) for v in (1e-280, 1e280) for d in (0.0, np.inf)]
+    _assert_g17_matches_percent(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_g17_matches_percent_property(values):
+    _assert_g17_matches_percent(values)
+
+
+def test_trace_csv_memory_is_bounded(tmp_path):
+    # formatting works a chunk at a time: no whole-trace copy, no per-value
+    # Python object kept
+    rng = np.random.default_rng(5)
+    n_rows = 100_000
+    columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 8, n_rows) for _ in _COLUMNS]
+    tr = SimTrace(*columns, np.empty(0), np.empty(0), np.empty(0), period=0.006, substep=0.0006)
+    sim._g17_tables()  # built once per process, not per write
+    tracemalloc.start()
+    try:
+        write_trace_csv(tr, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024**2
