@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lti import RationalTF, eval_tf
 
@@ -27,6 +26,7 @@ __all__ = [
     "SingularSlaveLoop",
     "robot_impedance",
     "plant_position_tf",
+    "zoh_pair",
     "sampled_plant_tf",
     "hybrid_at",
     "transparency_error",
@@ -39,6 +39,20 @@ _SINGULAR_RTOL = 64.0 * np.finfo(float).eps
 # is trimmed (the exact leading coefficient of a strictly proper
 # discretization is zero)
 _COEFF_TRIM_RTOL = 1e-13
+
+# The [13/13] Pade approximant of e^a is (V - U)^-1 (V + U), with
+#   U = a (a^6 (b13 a^6 + b11 a^4 + b9 a^2) + b7 a^6 + b5 a^4 + b3 a^2 + b1 I),
+#   V = a^6 (b12 a^6 + b10 a^4 + b8 a^2) + b6 a^6 + b4 a^4 + b2 a^2 + b0 I;
+# each row holds the b_k of one inner sum, on (I, a^2, a^4, a^6).  It is
+# accurate to double precision up to 1-norm theta_13 (Higham 2005).
+_PADE13_SUMS = np.array([
+    (0.0, 40840800.0, 16380.0, 1.0),
+    (32382376266240000.0, 1187353796428800.0, 10559470521600.0, 33522128640.0),
+    (0.0, 1323241920.0, 960960.0, 182.0),
+    (64764752532480000.0, 7771770303897600.0, 129060195264000.0, 670442572800.0),
+])
+_PADE13_SUMS.setflags(write=False)
+_THETA13 = 5.371920351148152
 
 
 class DegenerateModel(ValueError):
@@ -137,13 +151,89 @@ def plant_position_tf(p: RobotParams, terminator: ImpedanceModel) -> RationalTF:
     return RationalTF(num=(1.0,), den=den)
 
 
+def zoh_pair(A: np.ndarray, B: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Held-input pair (Phi, Gamma) of x' = A x + B u over one period T.
+
+    Phi = e^{AT} and Gamma = int_0^T e^{As} ds B are the top rows of Van
+    Loan's block exponential expm([[A*T, B*T], [0, 0]]) (IEEE TAC 1978),
+    computed in numpy by scaling and squaring with the [13/13] Pade
+    approximant and one ``np.linalg.solve`` (Higham, SIAM J. Matrix Anal.
+    Appl. 2005).  The number of halvings and the exact diagonals of a
+    triangular block follow Al-Mohy and Higham (SIAM J. Matrix Anal. Appl.
+    2009).  Raises ArithmeticError, with no floating-point warning, when A*T
+    or the exponential is not finite.
+    """
+    n = A.shape[0]
+    overflow = f"ZOH discretization overflows at sampling period T = {T!r}"
+    with np.errstate(all="ignore"):
+        block = np.zeros((n + 1, n + 1))
+        block[:n, :n] = A * T
+        block[:n, n] = B * T
+        norm = np.abs(block).sum(axis=0).max()  # inf or nan unless A*T is finite
+        if not math.isfinite(norm):
+            raise ArithmeticError(overflow)
+        # halve to 1-norm theta_13, so that no power overflows, then take back
+        # the halvings that eta = min(max(d6, d8), max(d8, d10)), with
+        # d_k = ||block^k||^(1/k) <= norm, shows are not needed: the companion
+        # block of a stiff wall is far from normal, and each needless halving
+        # doubles the rounding error that the squarings carry
+        s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
+        a = block * 2.0**-s
+        a2 = a @ a
+        a4 = a2 @ a2
+        powers = np.array((np.eye(n + 1), a2, a4, a2 @ a4))
+        if s > 0:
+            a6 = powers[3]
+            d = np.abs((a6, a4 @ a4, a4 @ a6)).sum(axis=1).max(axis=1) ** (1 / 6, 1 / 8, 1 / 10)
+            eta = min(max(d[0], d[1]), max(d[1], d[2]))
+            back = min(s, -math.ceil(math.log2(eta / _THETA13))) if eta > 0.0 else s
+            s -= back
+            k = 2.0**back
+            a = a * k
+            powers *= np.array((1.0, k**2, k**4, k**6))[:, None, None]
+        sums = (_PADE13_SUMS @ powers.reshape(4, -1)).reshape(powers.shape)
+        u = a @ (powers[3] @ sums[0] + sums[1])
+        v = powers[3] @ sums[2] + sums[3]
+        # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U: near the identity the
+        # small correction carries the rounding, not the sum V + U
+        van_loan = 2.0 * np.linalg.solve(v - u, u)
+        van_loan.flat[:: n + 2] += 1.0
+        # s squarings multiply an eigenvalue's error by up to 2^s; a
+        # triangular block (a free robot) gets its diagonal and superdiagonal
+        # set exactly before each squaring and after the last
+        triangular = s > 0 and not np.tril(block, -1).any()
+        for i in range(s):
+            if triangular:
+                _exact_diagonals(van_loan, block * 2.0 ** (i - s))
+            van_loan = van_loan @ van_loan
+        if triangular:
+            _exact_diagonals(van_loan, block)
+        if not np.isfinite(van_loan).all():
+            raise ArithmeticError(overflow)
+    return van_loan[:n, :n], van_loan[:n, n]
+
+
+def _exact_diagonals(x: np.ndarray, m: np.ndarray) -> None:
+    """Write the diagonal and superdiagonal of expm(m) into x, m upper triangular.
+
+    Entry (j, j+1) is m[j, j+1] (e^hi - e^lo)/(hi - lo) over the two diagonal
+    entries, taken as e^hi expm1(d)/d with d = lo - hi <= 0 so that it
+    neither cancels nor overflows.
+    """
+    lam = np.diag(m)
+    np.fill_diagonal(x, np.exp(lam))
+    for j in range(len(lam) - 1):
+        hi, lo = max(lam[j], lam[j + 1]), min(lam[j], lam[j + 1])
+        d = lo - hi
+        x[j, j + 1] = m[j, j + 1] * np.exp(hi) * (np.expm1(d) / d if d else 1.0)
+
+
 def sampled_plant_tf(plant: RationalTF, T: float) -> RationalTF:
     """Exact ZOH discretization of a strictly proper plant, returned in z.
 
-    Van Loan's block-matrix exponential (IEEE TAC 1978): with (A, B, C) the
-    controllable companion realization of the plant, the top rows of
-    expm([[A*T, B*T], [0, 0]]) hold the held-input pair (Phi, Gamma) exactly.
-    The z-domain denominator is det(zI - Phi) and the numerator
+    With (A, B, C) the controllable companion realization of the plant,
+    ``zoh_pair`` gives the held-input pair (Phi, Gamma).  The z-domain
+    denominator is det(zI - Phi) and the numerator
     det(zI - Phi + Gamma*C) - det(zI - Phi), both from np.poly.
     """
     if not T > 0.0:
@@ -156,12 +246,11 @@ def sampled_plant_tf(plant: RationalTF, T: float) -> RationalTF:
     lead = plant.den[-1]
     c_row = np.zeros(n)
     c_row[: len(plant.num)] = np.asarray(plant.num) / lead
-    block = np.zeros((n + 1, n + 1))
-    block[: n - 1, 1:n] = T * np.eye(n - 1)
-    block[n - 1, :n] = (-T / lead) * np.asarray(plant.den[:-1])
-    block[n - 1, n] = T
-    van_loan = expm(block)
-    phi, gamma = van_loan[:n, :n], van_loan[:n, n]
+    a = np.eye(n, k=1)
+    a[n - 1, :] = -np.asarray(plant.den[:-1]) / lead
+    b = np.zeros(n)
+    b[n - 1] = 1.0
+    phi, gamma = zoh_pair(a, b, T)
     den = np.poly(phi)
     num = np.poly(phi - np.outer(gamma, c_row)) - den
     num_asc = num[::-1].tolist()

@@ -5,8 +5,9 @@ formulas, not by calling back into the package: polynomial evaluation is
 term-by-term instead of Horner, the hold kernel is the raw printed quotient
 evaluated in high precision, the discretized double-integrator plant is a
 hand-derived partial-fraction closed form, the general ZOH discretization
-is scipy.signal's, and the small-gain test value is assembled term by term on
-a dense grid.  Test files compare package output against these.
+is scipy.signal's, the held-input pair is mpmath's matrix exponential of Van
+Loan's block at 50 digits, and the small-gain test value is assembled term
+by term on a dense grid.  Test files compare package output against these.
 """
 
 import cmath
@@ -55,6 +56,26 @@ def zoh_cont2discrete(num, den, T):
     """
     numd, dend, _ = signal.cont2discrete((num[::-1], den[::-1]), T, method="zoh")
     return np.atleast_2d(numd)[0][::-1], np.ravel(dend)[::-1]
+
+
+def zoh_pair_mp(A, B, T, dps=50):
+    """Held-input pair (Phi, Gamma) from mpmath.expm of [[A*T, B*T], [0, 0]].
+
+    The block is formed from the float inputs without rounding, exponentiated
+    at ``dps`` digits, and the top rows are rounded once to float arrays.
+    """
+    n = len(B)
+    with mpmath.workdps(dps):
+        Tm = mpmath.mpf(float(T))
+        block = mpmath.zeros(n + 1, n + 1)
+        for i in range(n):
+            for j in range(n):
+                block[i, j] = mpmath.mpf(float(A[i][j])) * Tm
+            block[i, n] = mpmath.mpf(float(B[i])) * Tm
+        e = mpmath.expm(block)
+        phi = np.array([[float(e[i, j]) for j in range(n)] for i in range(n)])
+        gamma = np.array([float(e[i, n]) for i in range(n)])
+    return phi, gamma
 
 
 def controller_response(kp, kv, kd, p_eps, T, z):

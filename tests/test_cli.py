@@ -325,14 +325,86 @@ def test_max_period_singular_loop_exit_code(tmp_path, capsys):
     assert "singular" in captured.err
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs over a second of start-up; the CLI must not need it
+def _src_env():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    probe = "import sys, teleopstab.cli; print('scipy.signal' in sys.modules)"
+    return env
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy costs about 0.3 s of start-up; neither the package nor the CLI
+    # may load any scipy module
+    probe = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import teleopstab\n"
+        "after_package = scipy_modules()\n"
+        "import teleopstab.cli\n"
+        "print(json.dumps([after_package, scipy_modules()]))\n"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", probe], env=_src_env(), capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == [[], []]
+
+
+# runs cli_dispatch on each argv of argv[2] (JSON) and prints [[code, stdout], ...];
+# with argv[1] == "block", every scipy import raises ModuleNotFoundError
+_DISPATCH_PROBE = """\
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
+from teleopstab.cli import cli_dispatch
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_dispatch(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a lazy scipy import on the certificate path would fail the blocked run;
+    # each run writes its sweep under its own working directory
+    scenario = os.path.abspath(SCENARIO_FILE)
+    calls = json.dumps([
+        ["analyze", "--config", scenario],
+        ["max-period", "--config", scenario, "--criterion", "small_gain",
+         "--range", "1e-3:0.1"],
+        ["sweep", "--config", scenario, "--periods", "0.001,0.006", "--out", "sweep"],
+    ])
+    procs = {}
+    for mode in ("block", "normal"):
+        (tmp_path / mode).mkdir()
+        procs[mode] = subprocess.Popen(
+            [sys.executable, "-c", _DISPATCH_PROBE, mode, calls], env=_src_env(),
+            cwd=tmp_path / mode, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+    results = {}
+    for mode, proc in procs.items():
+        stdout, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 0, stderr
+        results[mode] = json.loads(stdout)
+    assert [code for code, _ in results["normal"]] == [1, 0, 0]
+    assert results["block"] == results["normal"]
+    for name in ("sweep.csv", "sweep.json"):
+        blocked = (tmp_path / "block" / "sweep" / name).read_bytes()
+        assert blocked == (tmp_path / "normal" / "sweep" / name).read_bytes()
+
+
+def test_analyze_overflowing_period_exit_code(tmp_path, capsys):
+    # A*T overflows: one error line that names the period, and no numpy
+    # warning (pytest turns warnings into errors)
+    cfg = _cfg(tmp_path, period=1e308)
+    code = cli_dispatch(["analyze", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "1e+308" in lines[0]

@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleopstab import (
     FREE,
@@ -23,9 +26,10 @@ from teleopstab import (
     sampled_plant_tf,
     transparency_error,
     wall_force,
+    zoh_pair,
 )
 
-from oracles import rk4_step_response, tf_step_sequence, zoh_cont2discrete
+from oracles import rk4_step_response, tf_step_sequence, zoh_cont2discrete, zoh_pair_mp
 
 
 def test_robot_impedance_examples():
@@ -156,6 +160,72 @@ def test_sampled_plant_tf_matches_cont2discrete(plant, T):
     got_num[: len(tf.num)] = tf.num
     np.testing.assert_allclose(got_num, num, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(tf.den, den, rtol=1e-12, atol=1e-12 * scale)
+
+
+# a single state x' = -a x + u, or a robot m x'' + b x' + k x = u in companion
+# form, with its characteristic roots chosen by kind
+_ROOT_KINDS = ("integrator", "repeated", "real", "complex", "wall")
+
+
+@st.composite
+def _held_systems(draw):
+    if draw(st.booleans()):
+        a = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+        return np.array([[-a]]), np.array([1.0])
+    kind = draw(st.sampled_from(_ROOT_KINDS))
+    m = draw(st.floats(1e-2, 50.0))
+    b = draw(st.floats(0.0, 50.0))
+    critical = b * b / (4.0 * m)  # k at which the two roots coincide
+    k = {
+        "integrator": 0.0,
+        "repeated": critical,
+        "real": critical * draw(st.floats(0.01, 0.99)),
+        "complex": critical + draw(st.floats(0.1, 1e3)),
+        "wall": 1000.0,
+    }[kind]
+    return np.array([[0.0, 1.0], [-k / m, -b / m]]), np.array([0.0, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=_held_systems(), log_T=st.floats(-5.0, 1.0))
+def test_zoh_pair_matches_mpmath_oracle_property(system, log_T):
+    # every entry of (Phi, Gamma) within 4 eps of the block's 1-norm (at
+    # least 1) times the largest entry (at least 1) of the 50-digit result
+    A, B = system
+    T = 10.0**log_T
+    phi, gamma = zoh_pair(A, B, T)
+    phi_mp, gamma_mp = zoh_pair_mp(A, B, T)
+    block_norm = T * max(np.abs(A).sum(axis=0).max(), np.abs(B).sum())
+    largest = max(1.0, np.abs(phi_mp).max(), np.abs(gamma_mp).max())
+    bound = 4 * np.finfo(float).eps * max(1.0, block_norm) * largest
+    assert np.abs(phi - phi_mp).max() <= bound
+    assert np.abs(gamma - gamma_mp).max() <= bound
+
+
+@pytest.mark.parametrize(
+    "A, T",
+    [
+        ([[0.0, 1.0], [-20.0, -4.0]], 1e308),  # A*T overflows
+        ([[0.0, 1.0], [-20.0, -4.0]], math.inf),
+        ([[1.0]], 1e3),  # A*T is finite, e^{AT} is not
+    ],
+)
+def test_zoh_pair_overflow_names_the_period(A, T):
+    # ArithmeticError that names T, and no numpy warning (pytest turns
+    # warnings into errors)
+    A = np.array(A)
+    with pytest.raises(ArithmeticError, match=re.escape(f"T = {T!r}")):
+        zoh_pair(A, np.eye(len(A))[-1], T)
+
+
+def test_zoh_pair_free_robot_exact_at_long_periods():
+    # the free robot's integrator mode stays exact however many squarings:
+    # Phi = [[1, (1 - e^{-aT})/a], [0, e^{-aT}]], Gamma[1] = (1 - e^{-aT})/a
+    a = 2.0
+    for T in (1e3, 1e5, 1e10, 1e20):
+        phi, gamma = zoh_pair(np.array([[0.0, 1.0], [0.0, -a]]), np.array([0.0, 1.0]), T)
+        np.testing.assert_allclose(phi, [[1.0, 1.0 / a], [0.0, 0.0]], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(gamma, [T / a - 1.0 / a**2, 1.0 / a], rtol=1e-12)
 
 
 def test_sampled_plant_tf_rejects_improper():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teleopstab import stability
+from teleopstab import plants, stability
 from teleopstab import (
     AssumptionViolated,
     ChannelConfig,
@@ -35,7 +35,7 @@ from teleopstab import (
 )
 from teleopstab.stability import _context, _small_gain_at, _small_gain_curve
 
-from oracles import r_kernel_mp, small_gain_dense
+from oracles import r_kernel_mp, small_gain_dense, zoh_pair_mp
 
 ROBOT = RobotParams(mass=0.5, damping=1.0)
 REF_GAINS = ControllerGains(kp=1.0, kv=10.0, kd=2.0, p_eps=0.002)
@@ -141,6 +141,27 @@ def test_small_gain_reference_configuration():
     dense_sup, dense_w = small_gain_dense(REF_SYSTEM, 0.006, alpha=0.0)
     assert abs(report.small_gain_value - dense_sup) < 1e-3 * dense_sup
     assert dense_sup >= 1.0  # oracle agrees on the verdict
+
+
+@pytest.mark.parametrize("T", [1e-4, 2e-4, 1e-3, 6e-3])
+@pytest.mark.parametrize(
+    "system, ch",
+    [
+        (REF_SYSTEM, REF_CHANNEL),
+        (LOW_SYSTEM, ChannelConfig(T=0.006, d1=0, d2=2, eps_min=0.006, alpha=1.0)),
+    ],
+    ids=["reference", "low_gain_delayed"],
+)
+def test_small_gain_value_matches_50_digit_zoh_pair(system, ch, T, monkeypatch):
+    # the np.poly numerator of sampled_plant_tf cancels as T -> 0, so one
+    # ulp in (Phi, Gamma) moves the certificate by up to 1e-8 at T = 1e-4;
+    # the package's pair keeps it within 1e-10 of the 50-digit pair's value
+    ch = ch.at_period(T)
+    grid = make_grid(T, 8192)
+    got = small_gain_value(system, ch, grid).small_gain_value
+    monkeypatch.setattr(plants, "zoh_pair", zoh_pair_mp)
+    want = small_gain_value(system, ch, grid).small_gain_value
+    assert abs(got - want) <= 1e-10 * want
 
 
 def test_small_gain_grid_convergence():
