@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -50,11 +51,19 @@ def _stability_report(sc, grid_points: int):
     return small_gain_value(sc.analysis_system(), sc.channel, grid)
 
 
+def _grid_size(raw: str) -> int:
+    """argparse type of ``--grid``: an integer number of points, at least 2."""
+    try:
+        n = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
+
+
 def _cmd_analyze(args, sc, run) -> int:
     grid = args.grid if args.grid is not None else run.grid_points
-    if grid < 2:
-        print("error: --grid must be at least 2", file=sys.stderr)
-        return 2
     stability = _stability_report(sc, grid)
     report = build_report(sc, run, stability=stability)
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -92,8 +101,8 @@ def _parse_periods(raw: str) -> list[float]:
         periods = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"bad --periods list: {raw!r}") from None
-    if not periods or any(T <= 0 for T in periods):
-        raise ValueError("--periods needs positive values")
+    if not periods or not all(0 < T < math.inf for T in periods):
+        raise ValueError("--periods needs positive finite values")
     return periods
 
 
@@ -139,8 +148,8 @@ def _parse_range(raw: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ValueError(f"bad --range, expected LO:HI, got {raw!r}") from None
-    if not 0 < lo < hi:
-        raise ValueError("--range needs 0 < LO < HI")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError("--range needs 0 < LO < HI < inf")
     return lo, hi
 
 
@@ -184,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="absolute-stability analysis for one scenario")
     pa.add_argument("--config", required=True, help="scenario file")
-    pa.add_argument("--grid", type=int, default=None, help="frequency grid size")
+    pa.add_argument("--grid", type=_grid_size, default=None, help="frequency grid size")
     pa.add_argument("--out", default=None, help="also write the JSON report here")
     pa.set_defaults(func=_cmd_analyze)
 
@@ -209,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stability criterion to bisect on",
     )
     pm.add_argument("--range", required=True, help="search bracket LO:HI in s")
-    pm.add_argument("--grid", type=int, default=None, help="frequency grid size")
+    pm.add_argument("--grid", type=_grid_size, default=None, help="frequency grid size")
     pm.set_defaults(func=_cmd_max_period)
     return p
 

@@ -28,23 +28,19 @@ class ControllerGains:
     """Coordination gains shared by master and slave.
 
     kp may be zero (uncontrolled degenerations are legitimate test inputs);
-    the stability results assume kp > 0.  ``nu`` is the optional passivity
-    margin used by :func:`passivity_gain_rule`.
+    the stability results assume kp > 0.
     """
 
     kp: float  # N*m/rad
     kv: float  # N*m*s/rad, coordination damping
     kd: float  # N*m*s/rad, local dissipation
     p_eps: float  # N*m*s/rad, excess-passivity dissipation
-    nu: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("kp", "kv", "kd", "p_eps"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if self.nu is not None and not self.nu > 0.0:
-            raise ValueError("nu must be positive when given")
 
 
 def control_continuous(

@@ -56,6 +56,14 @@ class RunSettings:
     settle_window: float = 5.0  # s
     settle_tol: float = 0.01  # rad/s
 
+    def __post_init__(self) -> None:
+        n = self.grid_points
+        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+            raise ValueError("run.grid_points must be an integer >= 2")
+        for name in ("position_bound", "settle_window", "settle_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+
 
 _BOOLS = {
     "1": True, "yes": True, "true": True, "on": True,
@@ -94,9 +102,8 @@ def _parse_bool(section: str, key: str, raw: str) -> bool:
 # The whole file format: section -> key -> (parser kind, default, field).
 # ``field`` names the attribute the value fills: on the section's object, and
 # for [run] on SimScenario or, when RunSettings has it, on RunSettings.
-# ``_REQUIRED`` marks a key that must be given; a default of None leaves an
-# absent key unset and unwritten.  ``enabled`` fills no field: it switches
-# [nonidealities] off.  Sections and keys are written in this order.
+# ``_REQUIRED`` marks a key that must be given.  Sections and keys are written
+# in this order.
 _REQUIRED = object()
 
 _ROBOT = {
@@ -104,7 +111,7 @@ _ROBOT = {
     "damping": ("float", _REQUIRED, "damping"),
 }
 
-_SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
+_SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
     "master": _ROBOT,
     "slave": _ROBOT,
     "human": {
@@ -122,7 +129,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
         "kv": ("float", _REQUIRED, "kv"),
         "kd": ("float", _REQUIRED, "kd"),
         "p_eps": ("float", _REQUIRED, "p_eps"),
-        "nu": ("float", None, "nu"),
     },
     "channel": {
         "period": ("float", _REQUIRED, "T"),
@@ -137,7 +143,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
         "magnitude": ("float", 1.0, "magnitude"),
     },
     "nonidealities": {
-        "enabled": ("bool", True, None),
         "encoder_step": ("float", 2.0 * math.pi / 4096.0, "encoder_step"),
         "actuator_limit": ("float", 5.0, "actuator_limit"),
         "force_to_volts": ("float", 4.054, "force_to_volts"),
@@ -153,7 +158,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str | None]]] = {
         "settle_window": ("float", 5.0, "settle_window"),
         "settle_tol": ("float", 0.01, "settle_tol"),
         "jitter": ("bool", False, "jitter_sampling"),
-        "extra_loop_latency": ("float", 0.0, "extra_loop_latency"),
     },
 }
 
@@ -216,25 +220,20 @@ def _build(section: str, ctor, **kwargs):
 
 def _keywords(section: str, values: dict[str, object]) -> dict[str, object]:
     spec = _SCHEMA[section]
-    return {spec[key][2]: v for key, v in values.items() if spec[key][2] is not None}
+    return {spec[key][2]: v for key, v in values.items()}
 
 
 def _assemble(sections: dict[str, dict[str, object]]) -> tuple[SimScenario, RunSettings]:
-    parts = {}
-    for section, ctor in _CTORS.items():
-        values = sections.get(section)
-        if values is None or not values.get("enabled", True):
-            parts[section] = None  # [nonidealities] absent or off: the ideal loop
-        else:
-            parts[section] = _build(section, ctor, **_keywords(section, values))
+    parts = {
+        section: _build(section, ctor, **_keywords(section, sections[section]))
+        if section in sections
+        else None  # no [nonidealities]: the ideal loop
+        for section, ctor in _CTORS.items()
+    }
     r = _keywords("run", sections["run"])
-    run = RunSettings(**{name: r.pop(name) for name in _RUN_SETTINGS})
+    run = {name: r.pop(name) for name in _RUN_SETTINGS}
     scenario = _build("run", SimScenario, **parts, **r)
-    if run.grid_points < 2:
-        raise ValidationError("run.grid_points: must be at least 2")
-    if run.position_bound <= 0 or run.settle_window <= 0 or run.settle_tol <= 0:
-        raise ValidationError("run: bounds and settle parameters must be positive")
-    return scenario, run
+    return scenario, _build("run", RunSettings, **run)
 
 
 def _load_bundle(path) -> tuple[SimScenario, RunSettings]:
@@ -264,13 +263,8 @@ def serialize_scenario(sc: SimScenario, run: RunSettings | None = None) -> str:
             continue
         buf.write(f"[{section}]\n")
         for key, (_, _, field) in spec.items():
-            if field is None:
-                v = True  # enabled
-            else:
-                owner = run if section == "run" and field in _RUN_SETTINGS else obj
-                v = getattr(owner, field)
-            if v is None:  # gains.nu unset
-                continue
+            owner = run if section == "run" and field in _RUN_SETTINGS else obj
+            v = getattr(owner, field)
             if isinstance(v, bool):
                 v = "true" if v else "false"
             buf.write(f"{key} = {v!r}\n" if isinstance(v, float) else f"{key} = {v}\n")

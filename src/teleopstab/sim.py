@@ -112,7 +112,6 @@ class SimScenario:
     integrator_substeps: int = 10
     nonidealities: NonidealityConfig | None = None
     jitter_sampling: bool = False
-    extra_loop_latency: float = 0.0  # s, integer multiple of T
 
     def __post_init__(self) -> None:
         if not self.duration > 0.0:
@@ -122,17 +121,8 @@ class SimScenario:
             raise ValueError("integrator_substeps must be an integer >= 4")
         if self.operator_force.stop > self.duration:
             raise ValueError("operator force window must lie within [0, duration]")
-        if self.extra_loop_latency < 0.0:
-            raise ValueError("extra_loop_latency must be nonnegative")
-        k = round(self.extra_loop_latency / self.channel.T)
-        if abs(self.extra_loop_latency - k * self.channel.T) > 1e-9 * self.channel.T:
-            raise ValueError("extra_loop_latency must be an integer multiple of T")
         if self.jitter_sampling and self.channel.eps_min * n < self.channel.T * (1.0 - 1e-12):
             raise ValueError("jitter mode needs eps_min >= T/substeps")
-
-    @property
-    def extra_latency_periods(self) -> int:
-        return round(self.extra_loop_latency / self.channel.T)
 
     def analysis_system(self) -> TeleopSystem:
         """The bare robots and gains: the certificates quantify over every
@@ -412,11 +402,8 @@ def run_scenario(
     else:
         instants = ((k * nsub, k * T) for k in itertools.count())
 
-    extra = sc.extra_latency_periods
-    d1p = ch.d1 + extra
-    d2p = ch.d2 + extra
-    d1_sub = d1p * nsub
-    d2_sub = d2p * nsub
+    d1_sub = ch.d1 * nsub
+    d2_sub = ch.d2 * nsub
 
     # state; the startup latches hold the local initial condition on both
     # sides, so the first held torques see zero coordination error
@@ -467,11 +454,11 @@ def run_scenario(
                 if to_s and to_s[0][0] == j:
                     _, t_sent, remote = to_s.popleft()
                     f_s_held = clamp(control_continuous(g, own_s, remote))
-                    hold_s_times.append(t_sent + d1p * T)
+                    hold_s_times.append(t_sent + ch.d1 * T)
                 if to_m and to_m[0][0] == j:
                     _, t_sent, remote = to_m.popleft()
                     f_m_held = clamp(control_continuous(g, own_m, remote))
-                    hold_m_times.append(t_sent + d2p * T)
+                    hold_m_times.append(t_sent + ch.d2 * T)
                 next_event = min(
                     next_sample,
                     to_s[0][0] if to_s else never,

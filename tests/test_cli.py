@@ -96,6 +96,24 @@ def test_analyze_grid_override(capsys):
     assert "--grid" in err
 
 
+@pytest.mark.parametrize("criterion", sorted(stability.CRITERIA))
+def test_max_period_grid_below_two_is_a_usage_error(capsys, criterion):
+    # one --grid check for every subcommand and criterion, before any work
+    code = cli_dispatch(
+        [
+            "max-period",
+            "--config", SCENARIO_FILE,
+            "--criterion", criterion,
+            "--range", "1e-3:0.1",
+            "--grid", "1",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: argument --grid: must be at least 2" in captured.err
+
+
 def test_analyze_passing_configuration(tmp_path, capsys):
     code = cli_dispatch(["analyze", "--config", _low_gain_cfg(tmp_path)])
     rep = json.loads(capsys.readouterr().out)
@@ -182,6 +200,30 @@ def test_sweep_bad_periods(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize("periods", ["inf", "nan", "inf,nan,0.006", "0.006,-inf"])
+def test_sweep_non_finite_periods(tmp_path, capsys, periods):
+    out = tmp_path / "o"
+    code = cli_dispatch(
+        ["sweep", "--config", _cfg(tmp_path), "--periods", periods, "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --periods")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bracket", ["1e-3:inf", "nan:0.1", "1e-3:nan", "inf:inf"])
+def test_max_period_non_finite_range(tmp_path, capsys, bracket):
+    code = cli_dispatch(
+        ["max-period", "--config", _cfg(tmp_path), "--criterion", "small_gain",
+         "--range", bracket]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --range")
 
 
 def test_max_period_damping_always_pass(capsys):

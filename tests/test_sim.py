@@ -150,9 +150,9 @@ def _pinned_cases(ref):
         "jitter_delays_latency": (
             _short(
                 ref,
-                channel=dataclasses.replace(ch, d1=1, d2=2, eps_min=0.003),
+                # delays of 1 and 2 periods, each plus 2 periods of loop latency
+                channel=dataclasses.replace(ch, d1=3, d2=4, eps_min=0.003),
                 jitter_sampling=True,
-                extra_loop_latency=2 * ch.T,
                 nonidealities=NonidealityConfig(noise_std=0.002),
             ),
             7,
@@ -445,14 +445,6 @@ def test_jitter_mode_keeps_assumptions(reference_scenario):
     assert np.array_equal(a.hold_events_s, a.sample_events[:n] + ch.d1 * ch.T)
 
 
-def test_extra_loop_latency_shifts_holds(reference_scenario):
-    sc = _short(reference_scenario, extra_loop_latency=0.012, duration=4.0)
-    tr = run_scenario(sc, seed=0)
-    T = sc.channel.T
-    n = len(tr.hold_events_s)
-    assert np.array_equal(tr.hold_events_s, tr.sample_events[:n] + 2 * T)
-
-
 _COLUMNS = ("t", "x_m", "v_m", "x_s", "v_s", "f_m", "f_s", "f_h", "f_e")
 
 
@@ -461,12 +453,11 @@ _COLUMNS = ("t", "x_m", "v_m", "x_s", "v_s", "f_m", "f_s", "f_h", "f_e")
     seed=st.integers(0, 2**32),
     d1=st.integers(0, 3),
     d2=st.integers(0, 3),
-    extra=st.integers(0, 2),
     jitter=st.booleans(),
     noise=st.none() | st.floats(0.0, 0.05),
 )
 def test_run_determinism_and_hold_timing_property(
-    reference_scenario, seed, d1, d2, extra, jitter, noise
+    reference_scenario, seed, d1, d2, jitter, noise
 ):
     T = reference_scenario.channel.T
     ch = dataclasses.replace(reference_scenario.channel, d1=d1, d2=d2, eps_min=T / 2)
@@ -476,7 +467,6 @@ def test_run_determinism_and_hold_timing_property(
         duration=0.3,
         integrator_substeps=4,
         operator_force=OperatorForce(0.05, 0.2, 5.0),
-        extra_loop_latency=extra * T,
         jitter_sampling=jitter,
         nonidealities=None if noise is None else NonidealityConfig(noise_std=noise),
     )
@@ -489,7 +479,7 @@ def test_run_determinism_and_hold_timing_property(
     for holds, delay in ((a.hold_events_s, d1), (a.hold_events_m, d2)):
         n = len(holds)
         assert 0 < n <= len(a.sample_events)
-        assert np.array_equal(holds, a.sample_events[:n] + (delay + extra) * T)
+        assert np.array_equal(holds, a.sample_events[:n] + delay * T)
 
 
 def test_sample_bookkeeping_memory_is_bounded(reference_scenario):
@@ -526,8 +516,6 @@ def test_scenario_validation():
         dataclasses.replace(sc, integrator_substeps=3)
     with pytest.raises(ValueError):
         dataclasses.replace(sc, duration=15.0)  # force window ends at 20
-    with pytest.raises(ValueError):
-        dataclasses.replace(sc, extra_loop_latency=0.010)  # not a multiple of T
     with pytest.raises(ValueError):
         # jitter draws need room below T on the substep grid
         dataclasses.replace(
