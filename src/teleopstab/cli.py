@@ -14,6 +14,7 @@ unreadable configuration, or a configuration the certificates cannot judge.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -46,8 +47,8 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _stability_report(sc, grid_points: int):
-    grid = make_grid(sc.channel.T, grid_points)
+def _stability_report(sc, run):
+    grid = make_grid(sc.channel.T, run.grid_points)
     return small_gain_value(sc.analysis_system(), sc.channel, grid)
 
 
@@ -63,8 +64,7 @@ def _grid_size(raw: str) -> int:
 
 
 def _cmd_analyze(args, sc, run) -> int:
-    grid = args.grid if args.grid is not None else run.grid_points
-    stability = _stability_report(sc, grid)
+    stability = _stability_report(sc, run)
     report = build_report(sc, run, stability=stability)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -74,17 +74,10 @@ def _cmd_analyze(args, sc, run) -> int:
 
 
 def _cmd_simulate(args, sc, run) -> int:
-    seed = run.seed if args.seed is None else args.seed
-    trace = run_scenario(sc, seed=seed)
-    v = verdict(
-        trace,
-        position_bound=run.position_bound,
-        settle_window=run.settle_window,
-        settle_tol=run.settle_tol,
-    )
-    stability = _stability_report(sc, run.grid_points)
+    trace = run_scenario(sc, seed=run.seed)
+    v = verdict(trace, run)
+    stability = _stability_report(sc, run)
     report = build_report(sc, run, stability=stability, sim_verdict=v)
-    report["provenance"]["seed"] = seed
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(trace, os.path.join(args.out, "trace.csv"))
     write_events_csv(trace, os.path.join(args.out, "events.csv"))
@@ -109,15 +102,7 @@ def _parse_periods(raw: str) -> list[float]:
 def _cmd_sweep(args, sc, run) -> int:
     periods = _parse_periods(args.periods)
     os.makedirs(args.out, exist_ok=True)
-    rows = sweep_period(
-        sc,
-        periods,
-        seed=run.seed,
-        grid_points=run.grid_points,
-        position_bound=run.position_bound,
-        settle_window=run.settle_window,
-        settle_tol=run.settle_tol,
-    )
+    rows = sweep_period(sc, periods, run)
     lines = [",".join(attr for _, attr in _SWEEP_COLUMNS) + ",error"]
     payload = []
     for row in rows:
@@ -161,7 +146,7 @@ def _cmd_max_period(args, sc, run) -> int:
             sc.channel,
             args.criterion,
             (t_lo, t_hi),
-            grid_points=run.grid_points if args.grid is None else args.grid,
+            grid_points=run.grid_points,
         )
     except NoBracket as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -193,14 +178,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="absolute-stability analysis for one scenario")
     pa.add_argument("--config", required=True, help="scenario file")
-    pa.add_argument("--grid", type=_grid_size, default=None, help="frequency grid size")
+    pa.add_argument("--grid", dest="grid_points", type=_grid_size, help="frequency grid size")
     pa.add_argument("--out", default=None, help="also write the JSON report here")
     pa.set_defaults(func=_cmd_analyze)
 
     ps = sub.add_parser("simulate", help="run the hybrid simulation")
     ps.add_argument("--config", required=True, help="scenario file")
     ps.add_argument("--out", required=True, help="output directory")
-    ps.add_argument("--seed", type=int, default=None, help="override [run] seed")
+    ps.add_argument("--seed", type=int, help="override [run] seed")
     ps.set_defaults(func=_cmd_simulate)
 
     pw = sub.add_parser("sweep", help="analysis + simulation over several periods")
@@ -218,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stability criterion to bisect on",
     )
     pm.add_argument("--range", required=True, help="search bracket LO:HI in s")
-    pm.add_argument("--grid", type=_grid_size, default=None, help="frequency grid size")
+    pm.add_argument("--grid", dest="grid_points", type=_grid_size, help="frequency grid size")
     pm.set_defaults(func=_cmd_max_period)
     return p
 
@@ -234,6 +219,14 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     try:
         sc = load_scenario(args.config)
         run = load_run_settings(args.config)
+        # --grid and --seed override [run] for this call, so the report's
+        # provenance records the values actually used
+        overrides = {
+            name: getattr(args, name)
+            for name in ("grid_points", "seed")
+            if getattr(args, name, None) is not None
+        }
+        run = dataclasses.replace(run, **overrides)
         return args.func(args, sc, run)
     except (ParseError, ValidationError, OSError, ValueError, ArithmeticError) as exc:
         # ArithmeticError: a loadable scenario the certificates cannot judge

@@ -13,18 +13,17 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from . import __version__
 from .control import ControllerGains
 from .plants import ImpedanceModel, RobotParams, WallModel
-from .sim import NonidealityConfig, OperatorForce, SimScenario, SimVerdict
+from .sim import NonidealityConfig, OperatorForce, RunSettings, SimScenario, SimVerdict
 from .stability import ChannelConfig, StabilityReport
 
 __all__ = [
     "ParseError",
     "ValidationError",
-    "RunSettings",
     "load_scenario",
     "load_run_settings",
     "save_scenario",
@@ -44,25 +43,6 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Scenario file is well-formed but violates the model contract."""
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    """Per-run knobs from [run] that are not part of the scenario physics."""
-
-    seed: int = 0
-    grid_points: int = 512
-    position_bound: float = 10.0  # rad
-    settle_window: float = 5.0  # s
-    settle_tol: float = 0.01  # rad/s
-
-    def __post_init__(self) -> None:
-        n = self.grid_points
-        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-            raise ValueError("run.grid_points must be an integer >= 2")
-        for name in ("position_bound", "settle_window", "settle_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
 
 
 _BOOLS = {
@@ -99,19 +79,19 @@ def _parse_bool(section: str, key: str, raw: str) -> bool:
         ) from None
 
 
-# The whole file format: section -> key -> (parser kind, default, field).
+# The whole file format: section -> key -> (parser kind, required, field).
 # ``field`` names the attribute the value fills: on the section's object, and
-# for [run] on SimScenario or, when RunSettings has it, on RunSettings.
-# ``_REQUIRED`` marks a key that must be given.  Sections and keys are written
-# in this order.
-_REQUIRED = object()
+# for [run] on SimScenario or, when RunSettings has it, on RunSettings.  An
+# optional key left out of the file takes that field's dataclass default.
+# Sections and keys are written in this order.
+_REQUIRED, _OPTIONAL = True, False
 
 _ROBOT = {
     "mass": ("float", _REQUIRED, "mass"),
     "damping": ("float", _REQUIRED, "damping"),
 }
 
-_SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
+_SCHEMA: dict[str, dict[str, tuple[str, bool, str]]] = {
     "master": _ROBOT,
     "slave": _ROBOT,
     "human": {
@@ -121,8 +101,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
     },
     "wall": {
         "position": ("float", _REQUIRED, "position"),
-        "stiffness": ("float", 1000.0, "stiffness"),
-        "damping": ("float", 1.0, "damping"),
+        "stiffness": ("float", _OPTIONAL, "stiffness"),
+        "damping": ("float", _OPTIONAL, "damping"),
     },
     "gains": {
         "kp": ("float", _REQUIRED, "kp"),
@@ -140,24 +120,24 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, str]]] = {
     "operator_force": {
         "start": ("float", _REQUIRED, "start"),
         "stop": ("float", _REQUIRED, "stop"),
-        "magnitude": ("float", 1.0, "magnitude"),
+        "magnitude": ("float", _OPTIONAL, "magnitude"),
     },
     "nonidealities": {
-        "encoder_step": ("float", 2.0 * math.pi / 4096.0, "encoder_step"),
-        "actuator_limit": ("float", 5.0, "actuator_limit"),
-        "force_to_volts": ("float", 4.054, "force_to_volts"),
-        "velocity_filter_cutoff": ("float", 50.0, "velocity_filter_cutoff"),
-        "noise_std": ("float", 0.0, "noise_std"),
+        "encoder_step": ("float", _OPTIONAL, "encoder_step"),
+        "actuator_limit": ("float", _OPTIONAL, "actuator_limit"),
+        "force_to_volts": ("float", _OPTIONAL, "force_to_volts"),
+        "velocity_filter_cutoff": ("float", _OPTIONAL, "velocity_filter_cutoff"),
+        "noise_std": ("float", _OPTIONAL, "noise_std"),
     },
     "run": {
         "duration": ("float", _REQUIRED, "duration"),
         "substeps": ("int", _REQUIRED, "integrator_substeps"),
-        "seed": ("int", 0, "seed"),
-        "grid_points": ("int", 512, "grid_points"),
-        "position_bound": ("float", 10.0, "position_bound"),
-        "settle_window": ("float", 5.0, "settle_window"),
-        "settle_tol": ("float", 0.01, "settle_tol"),
-        "jitter": ("bool", False, "jitter_sampling"),
+        "seed": ("int", _OPTIONAL, "seed"),
+        "grid_points": ("int", _OPTIONAL, "grid_points"),
+        "position_bound": ("float", _OPTIONAL, "position_bound"),
+        "settle_window": ("float", _OPTIONAL, "settle_window"),
+        "settle_tol": ("float", _OPTIONAL, "settle_tol"),
+        "jitter": ("bool", _OPTIONAL, "jitter_sampling"),
     },
 }
 
@@ -203,11 +183,9 @@ def _read_sections(text: str, origin: str) -> dict[str, dict[str, object]]:
             if section in _OPTIONAL_SECTIONS:
                 continue
             raise ValidationError(f"{section}: required")
-        for key, (_, default, _) in spec.items():
-            if key not in out[section]:
-                if default is _REQUIRED:
-                    raise ValidationError(f"{section}.{key}: required")
-                out[section][key] = default
+        for key, (_, required, _) in spec.items():
+            if required and key not in out[section]:
+                raise ValidationError(f"{section}.{key}: required")
     return out
 
 
@@ -231,7 +209,7 @@ def _assemble(sections: dict[str, dict[str, object]]) -> tuple[SimScenario, RunS
         for section, ctor in _CTORS.items()
     }
     r = _keywords("run", sections["run"])
-    run = {name: r.pop(name) for name in _RUN_SETTINGS}
+    run = {name: r.pop(name) for name in _RUN_SETTINGS if name in r}
     scenario = _build("run", SimScenario, **parts, **r)
     return scenario, _build("run", RunSettings, **run)
 
@@ -252,10 +230,8 @@ def load_run_settings(path) -> RunSettings:
     return _load_bundle(path)[1]
 
 
-def serialize_scenario(sc: SimScenario, run: RunSettings | None = None) -> str:
+def serialize_scenario(sc: SimScenario, run: RunSettings = RunSettings()) -> str:
     """Canonical text form; parsing it back yields an identical scenario."""
-    if run is None:
-        run = RunSettings()
     buf = io.StringIO()
     for section, spec in _SCHEMA.items():
         obj = sc if section == "run" else getattr(sc, section)
@@ -272,7 +248,7 @@ def serialize_scenario(sc: SimScenario, run: RunSettings | None = None) -> str:
     return buf.getvalue()
 
 
-def save_scenario(sc: SimScenario, path, run: RunSettings | None = None) -> None:
+def save_scenario(sc: SimScenario, path, run: RunSettings = RunSettings()) -> None:
     """Write the canonical text form to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_scenario(sc, run))

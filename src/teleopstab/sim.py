@@ -29,6 +29,7 @@ from .plants import ImpedanceModel, RobotParams, WallModel, wall_force
 from .stability import ChannelConfig, StabilityReport, TeleopSystem, small_gain_value
 
 __all__ = [
+    "RunSettings",
     "NonidealityConfig",
     "OperatorForce",
     "SimScenario",
@@ -52,6 +53,27 @@ _CSV_CHUNK_FIELDS = 2304
 # Largest trace run_scenario will allocate: nine float64 columns of one row
 # per substep.  A longer run is rejected before anything is allocated.
 TRACE_BUDGET_BYTES = 2 * 1024**3
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """Per-run knobs from [run] that are not part of the scenario physics:
+    the random seed, the frequency grid size and the verdict thresholds."""
+
+    seed: int = 0
+    grid_points: int = 512
+    position_bound: float = 10.0  # rad
+    settle_window: float = 5.0  # s
+    settle_tol: float = 0.01  # rad/s
+
+    def __post_init__(self) -> None:
+        for name, least in (("seed", 0), ("grid_points", 2)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, int) or n < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
+        for name in ("position_bound", "settle_window", "settle_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -526,17 +548,12 @@ def run_scenario(
     )
 
 
-def verdict(
-    trace: SimTrace,
-    position_bound: float = 10.0,
-    settle_window: float = 5.0,
-    settle_tol: float = 0.01,
-) -> SimVerdict:
-    """Judge boundedness and settling of a trace.
+def verdict(trace: SimTrace, run: RunSettings = RunSettings()) -> SimVerdict:
+    """Judge boundedness and settling of a trace against ``run``'s thresholds.
 
-    bounded: every sample finite and max |x| within position_bound.
-    settling_ok: max |v| over the trailing settle_window below settle_tol
-    (never true for a diverged trace).
+    bounded: every sample finite and max |x| within run.position_bound.
+    settling_ok: max |v| over the trailing run.settle_window below
+    run.settle_tol (never true for a diverged trace).
     """
     signals = (
         trace.x_m, trace.v_m, trace.x_s, trace.v_s,
@@ -558,31 +575,26 @@ def verdict(
         max(np.max(np.abs(trace.x_m[:n_ok])), np.max(np.abs(trace.x_s[:n_ok])))
     )
     t_ok = trace.t[:n_ok]
-    sel = t_ok >= t_ok[-1] - settle_window
+    sel = t_ok >= t_ok[-1] - run.settle_window
     vmax = float(
         max(np.max(np.abs(trace.v_m[:n_ok][sel])), np.max(np.abs(trace.v_s[:n_ok][sel])))
     )
     diverged = div_time is not None
     return SimVerdict(
-        bounded=(not diverged) and max_abs <= position_bound,
+        bounded=(not diverged) and max_abs <= run.position_bound,
         max_abs_position=max_abs,
-        settling_ok=(not diverged) and vmax < settle_tol,
+        settling_ok=(not diverged) and vmax < run.settle_tol,
         final_velocity_max=vmax,
         divergence_time=div_time,
     )
 
 
 def sweep_period(
-    sc_template: SimScenario,
-    periods,
-    *,
-    seed: int = 0,
-    grid_points: int = 512,
-    position_bound: float = 10.0,
-    settle_window: float = 5.0,
-    settle_tol: float = 0.01,
+    sc_template: SimScenario, periods, run: RunSettings = RunSettings()
 ) -> list[SweepRow]:
     """Run the scenario at each period and pair verdicts with analysis reports.
+
+    Every row uses ``run``'s seed, grid size and verdict thresholds.
 
     Rows come back sorted by period; a row that fails with a domain error
     (ArithmeticError or ValueError) records it and the sweep continues, while
@@ -595,9 +607,8 @@ def sweep_period(
         try:
             ch = sc_template.channel.at_period(T)
             sc = replace(sc_template, channel=ch)
-            tr = run_scenario(sc, seed=seed)
-            vd = verdict(tr, position_bound, settle_window, settle_tol)
-            report = small_gain_value(system, ch, make_grid(T, grid_points))
+            vd = verdict(run_scenario(sc, seed=run.seed), run)
+            report = small_gain_value(system, ch, make_grid(T, run.grid_points))
             rows.append(SweepRow(period=T, verdict=vd, stability=report, error=None))
         except (ArithmeticError, ValueError) as exc:  # per-row isolation
             rows.append(SweepRow(period=T, verdict=None, stability=None, error=str(exc)))

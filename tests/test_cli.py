@@ -90,10 +90,23 @@ def test_analyze_grid_override(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert code == 1
     assert rep["stability"]["grid_size"] == 1024
+    # the report names the grid the verdict was computed on
+    assert rep["provenance"]["grid_points"] == 1024
     code = cli_dispatch(["analyze", "--config", SCENARIO_FILE, "--grid", "1"])
     err = capsys.readouterr().err
     assert code == 2
     assert "--grid" in err
+
+
+def test_max_period_grid_override_matches_file_setting(tmp_path, capsys):
+    cfg = _low_gain_cfg(tmp_path)
+    argv = ["max-period", "--criterion", "small_gain", "--range", "0.4:0.5"]
+    assert cli_dispatch([*argv, "--config", cfg, "--grid", "64"]) == 0
+    by_flag = capsys.readouterr().out
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("grid_points = 64\n")  # [run] is the last section
+    assert cli_dispatch([*argv, "--config", cfg]) == 0
+    assert capsys.readouterr().out == by_flag
 
 
 @pytest.mark.parametrize("criterion", sorted(stability.CRITERIA))
@@ -139,6 +152,19 @@ def test_simulate_outputs(tmp_path, capsys):
     assert rep["provenance"]["seed"] == 5
     assert rep["simulation"]["bounded"] is True
     assert "stability" in rep
+
+
+def test_simulate_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = cli_dispatch(
+        ["simulate", "--config", _cfg(tmp_path), "--out", str(out), "--seed", "-1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and "seed" in line
+    assert not out.exists()
 
 
 def test_simulate_divergent_exit_code(tmp_path, capsys):

@@ -205,11 +205,14 @@ def test_run_settings_validation(tmp_path):
     text = MINIMAL.replace("substeps = 4", "substeps = 4\ngrid_points = 1")
     p = tmp_path / "g.cfg"
     p.write_text(text)
-    with pytest.raises(ValidationError, match=r"run\.grid_points"):
+    with pytest.raises(ValidationError, match="run: grid_points must be"):
         load_run_settings(p)
     text = MINIMAL.replace("substeps = 4", "substeps = 4\nsettle_tol = -0.01")
     p.write_text(text)
     with pytest.raises(ValidationError, match="must be positive"):
+        load_run_settings(p)
+    p.write_text(MINIMAL.replace("substeps = 4", "substeps = 4\nseed = -1"))
+    with pytest.raises(ValidationError, match="run: seed must be"):
         load_run_settings(p)
 
 
@@ -222,6 +225,9 @@ def test_run_settings_validation(tmp_path):
         {"settle_window": -1.0},
         {"settle_tol": float("inf")},
         {"settle_tol": float("nan")},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"seed": True},
     ],
 )
 def test_run_settings_reject_what_a_file_cannot_hold(bad):
@@ -317,7 +323,7 @@ def _scenarios_and_runs(draw):
         jitter_sampling=draw(st.booleans()) and eps_min * substeps >= T,
     )
     run = RunSettings(
-        seed=draw(st.integers(-(2**63), 2**63)),
+        seed=draw(st.integers(0, 2**63)),
         grid_points=draw(st.integers(2, 1 << 20)),
         position_bound=draw(_positive),
         settle_window=draw(_positive),

@@ -15,6 +15,7 @@ from teleopstab import (
     ControllerGains,
     NonidealityConfig,
     OperatorForce,
+    RunSettings,
     SimScenario,
     SimTrace,
     apply_nonidealities,
@@ -599,7 +600,7 @@ def test_verdict_position_bound():
         substep=0.1,
         divergence_time=None,
     )
-    v = verdict(tr, position_bound=10.0)
+    v = verdict(tr, RunSettings(position_bound=10.0))
     assert not v.bounded
     assert v.max_abs_position == 25.0
     assert v.divergence_time is None
