@@ -19,7 +19,6 @@ __all__ = [
     "ControllerGains",
     "control_continuous",
     "controller_z_tf",
-    "passivity_gain_rule",
 ]
 
 
@@ -66,11 +65,3 @@ def controller_z_tf(g: ControllerGains, T: float) -> RationalTF:
     # ((k_deriv + kp*T) z - k_deriv) / (T z)
     return RationalTF(num=(-k_deriv, k_deriv + g.kp * T), den=(0.0, T))
 
-
-def passivity_gain_rule(kp: float, nu: float) -> float:
-    """Dissipation gain K_d = (nu/2)*K_p that restores controller passivity."""
-    if not kp > 0.0:
-        raise ValueError("kp must be positive")
-    if not nu > 0.0:
-        raise ValueError("nu must be positive")
-    return 0.5 * nu * kp

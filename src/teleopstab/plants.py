@@ -35,11 +35,6 @@ __all__ = [
 
 _SINGULAR_RTOL = 64.0 * np.finfo(float).eps
 
-# relative floor below which round-off residue at the top of the numerator
-# is trimmed (the exact leading coefficient of a strictly proper
-# discretization is zero)
-_COEFF_TRIM_RTOL = 1e-13
-
 # The [13/13] Pade approximant of e^a is (V - U)^-1 (V + U), with
 #   U = a (a^6 (b13 a^6 + b11 a^4 + b9 a^2) + b7 a^6 + b5 a^4 + b3 a^2 + b1 I),
 #   V = a^6 (b12 a^6 + b10 a^4 + b8 a^2) + b6 a^6 + b4 a^4 + b2 a^2 + b0 I;
@@ -233,8 +228,10 @@ def sampled_plant_tf(plant: RationalTF, T: float) -> RationalTF:
 
     With (A, B, C) the controllable companion realization of the plant,
     ``zoh_pair`` gives the held-input pair (Phi, Gamma).  The z-domain
-    denominator is det(zI - Phi) and the numerator
-    det(zI - Phi + Gamma*C) - det(zI - Phi), both from np.poly.
+    denominator is det(zI - Phi) and the numerator C adj(zI - Phi) Gamma,
+    both from the Faddeev-LeVerrier recurrence on Phi, with no trimming:
+    adj(zI - Phi) = sum_k B_k z^(n-1-k) with B_0 = I, den_k =
+    -tr(Phi B_(k-1))/k and B_k = Phi B_(k-1) + den_k I.
     """
     if not T > 0.0:
         raise ValueError("sampling period must be positive")
@@ -251,15 +248,13 @@ def sampled_plant_tf(plant: RationalTF, T: float) -> RationalTF:
     b = np.zeros(n)
     b[n - 1] = 1.0
     phi, gamma = zoh_pair(a, b, T)
-    den = np.poly(phi)
-    num = np.poly(phi - np.outer(gamma, c_row)) - den
-    num_asc = num[::-1].tolist()
-    den_asc = den[::-1].tolist()
-    scale = max(max(abs(c) for c in num_asc), max(abs(c) for c in den_asc))
-    floor = _COEFF_TRIM_RTOL * scale
-    while len(num_asc) > 1 and abs(num_asc[-1]) <= floor:
-        num_asc.pop()
-    return RationalTF(num=tuple(num_asc), den=tuple(den_asc))
+    num, den, adj = [], [1.0], np.eye(n)
+    for k in range(1, n + 1):
+        num.append(c_row @ adj @ gamma)
+        adj = phi @ adj
+        den.append(-np.trace(adj) / k)
+        adj.flat[:: n + 1] += den[-1]
+    return RationalTF(num=tuple(num[::-1]), den=tuple(den[::-1]))
 
 
 def hybrid_at(

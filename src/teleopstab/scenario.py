@@ -45,12 +45,6 @@ class ValidationError(ValueError):
     """Scenario file is well-formed but violates the model contract."""
 
 
-_BOOLS = {
-    "1": True, "yes": True, "true": True, "on": True,
-    "0": False, "no": False, "false": False, "off": False,
-}
-
-
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
         v = float(raw)
@@ -72,7 +66,7 @@ def _parse_int(section: str, key: str, raw: str) -> int:
 
 def _parse_bool(section: str, key: str, raw: str) -> bool:
     try:
-        return _BOOLS[raw.strip().lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     except KeyError:
         raise ValidationError(
             f"{section}.{key}: expected a boolean, got {raw!r}"

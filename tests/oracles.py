@@ -6,8 +6,10 @@ term-by-term instead of Horner, the hold kernel is the raw printed quotient
 evaluated in high precision, the discretized double-integrator plant is a
 hand-derived partial-fraction closed form, the general ZOH discretization
 is scipy.signal's, the held-input pair is mpmath's matrix exponential of Van
-Loan's block at 50 digits, and the small-gain test value is assembled term
-by term on a dense grid.  Test files compare package output against these.
+Loan's block at 50 digits (and the sampled plant's response C(zI - Phi)^-1
+Gamma is solved from that pair before any rounding), and the small-gain test
+value is assembled term by term on a dense grid.  Test files compare package
+output against these.
 """
 
 import cmath
@@ -76,6 +78,37 @@ def zoh_pair_mp(A, B, T, dps=50):
         phi = np.array([[float(e[i, j]) for j in range(n)] for i in range(n)])
         gamma = np.array([float(e[i, n]) for i in range(n)])
     return phi, gamma
+
+
+def zoh_response_mp(num, den, T, z, dps=50):
+    """C (zI - Phi)^-1 Gamma of the ZOH-sampled plant num/den at the point z.
+
+    The plant (ascending coefficients, strictly proper) is realized in
+    controllable companion form; (Phi, Gamma) come from mpmath.expm of Van
+    Loan's block [[A*T, B*T], [0, 0]] and the linear solve runs at ``dps``
+    digits, so the result is rounded to a complex once.
+    """
+    n = len(den) - 1
+    with mpmath.workdps(dps):
+        Tm = mpmath.mpf(float(T))
+        lead = mpmath.mpf(float(den[-1]))
+        block = mpmath.zeros(n + 1, n + 1)
+        for i in range(n - 1):
+            block[i, i + 1] = Tm
+        for j in range(n):
+            block[n - 1, j] = -mpmath.mpf(float(den[j])) / lead * Tm
+        block[n - 1, n] = Tm
+        e = mpmath.expm(block)
+        zm = mpmath.mpc(complex(z))
+        shifted = mpmath.matrix(n, n)
+        gamma = mpmath.matrix(n, 1)
+        for i in range(n):
+            for j in range(n):
+                shifted[i, j] = (zm if i == j else 0) - e[i, j]
+            gamma[i] = e[i, n]
+        x = mpmath.lu_solve(shifted, gamma)
+        val = sum(mpmath.mpf(float(c)) / lead * x[k] for k, c in enumerate(num))
+        return complex(val)
 
 
 def controller_response(kp, kv, kd, p_eps, T, z):

@@ -1,4 +1,4 @@
-"""Coordination controller: continuous, held on samples, z-domain, gain rule."""
+"""Coordination controller: continuous, held on samples, z-domain."""
 
 import cmath
 import math
@@ -11,7 +11,6 @@ from teleopstab import (
     control_continuous,
     controller_z_tf,
     eval_tf,
-    passivity_gain_rule,
 )
 
 REF = ControllerGains(kp=1.0, kv=10.0, kd=2.0, p_eps=0.002)
@@ -111,12 +110,3 @@ def test_control_output_odd_in_coordination_error():
         minus = control_continuous(REF, (-e, -ev), (-r, -rv))
         np.testing.assert_allclose(minus, -plus, rtol=1e-12, atol=1e-12)
 
-
-def test_passivity_gain_rule():
-    assert passivity_gain_rule(1.0, 4.0) == 2.0
-    nu = 2.0 * 0.0005 / 8.4
-    np.testing.assert_allclose(passivity_gain_rule(8.4, nu), 0.0005, rtol=1e-14)
-    with pytest.raises(ValueError):
-        passivity_gain_rule(2.0, 0.0)
-    with pytest.raises(ValueError):
-        passivity_gain_rule(0.0, 1.0)

@@ -29,7 +29,13 @@ from teleopstab import (
     zoh_pair,
 )
 
-from oracles import rk4_step_response, tf_step_sequence, zoh_cont2discrete, zoh_pair_mp
+from oracles import (
+    rk4_step_response,
+    tf_step_sequence,
+    zoh_cont2discrete,
+    zoh_pair_mp,
+    zoh_response_mp,
+)
 
 
 def test_robot_impedance_examples():
@@ -160,6 +166,27 @@ def test_sampled_plant_tf_matches_cont2discrete(plant, T):
     got_num[: len(tf.num)] = tf.num
     np.testing.assert_allclose(got_num, num, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(tf.den, den, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("T", [1e-3, 1e-4, 1e-5, 1e-6, 3e-7, 1e-7])
+@pytest.mark.parametrize(
+    "plant",
+    [
+        plant_position_tf(RobotParams(mass=0.5, damping=1.0), FREE),
+        plant_position_tf(RobotParams(mass=4.14, damping=0.103), FREE),
+        plant_position_tf(RobotParams(mass=0.5, damping=1.0), ImpedanceModel(0.0, 1.0, 10.0)),
+        plant_position_tf(RobotParams(mass=0.8, damping=1.3), ImpedanceModel(0.2, 0.0, 1000.0)),
+    ],
+)
+def test_sampled_plant_tf_response_matches_50_digit_oracle(plant, T):
+    # G(z) within 1e-11 of C (zI - Phi)^-1 Gamma from a 50-digit exponential,
+    # low in the band, mid-band and next to Nyquist; the numerator's top
+    # coefficient C Gamma ~ T^2/(2m) must survive as T -> 0
+    tf = sampled_plant_tf(plant, T)
+    for theta in (0.01 * math.pi, 0.3 * math.pi, 0.999 * math.pi):
+        z = cmath.exp(1j * theta)
+        want = zoh_response_mp(plant.num, plant.den, T, z)
+        assert abs(eval_tf(tf, z) - want) <= 1e-11 * abs(want)
 
 
 # a single state x' = -a x + u, or a robot m x'' + b x' + k x = u in companion

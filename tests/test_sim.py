@@ -12,12 +12,17 @@ from hypothesis import strategies as st
 
 from teleopstab import sim
 from teleopstab import (
+    ChannelConfig,
     ControllerGains,
+    ImpedanceModel,
+    NoBracket,
     NonidealityConfig,
     OperatorForce,
+    RobotParams,
     RunSettings,
     SimScenario,
     SimTrace,
+    alpha_zero_condition,
     apply_nonidealities,
     clamp_force,
     induced_delay_gamma,
@@ -697,6 +702,61 @@ def test_damping_bound_passes_where_the_loop_diverges(reference_scenario):
     assert row.verdict.bounded is False
     assert row.verdict.max_abs_position > 1e100
     assert row.stability.small_gain_pass is False
+
+
+def test_small_gain_passes_where_the_loop_diverges(reference_scenario):
+    """Pins a known defect: small_gain passes on a loop that diverges.
+
+    With two periods of delay each way, light master damping and a heavily
+    damped light slave, the test value peaks at the grid floor just below
+    one, so small_gain passes at T = 0.072 s on both grid sizes; yet the run
+    diverges, and max_stable_period finds no bracket on [1e-3, 0.1] because
+    the criterion fails at the short end and passes at the long one.  The fix
+    belongs to the certificate (ROADMAP item 1).  Until then this test states
+    today's behaviour; it must not be weakened to pass.
+    """
+    sc = SimScenario(
+        master=RobotParams(mass=1.19, damping=0.217),
+        slave=RobotParams(mass=0.117, damping=7.0),
+        human=ImpedanceModel(),
+        wall=WallModel(position=1e6),
+        gains=ControllerGains(kp=1.54, kv=0.453, kd=6.58, p_eps=0.345),
+        channel=ChannelConfig(T=0.072, d1=2, d2=2, eps_min=0.072, alpha=0.0),
+        operator_force=reference_scenario.operator_force,
+        duration=60.0,
+    )
+    system = sc.analysis_system()
+    for n in (512, 8192):
+        grid = make_grid(sc.channel.T, n)
+        report = small_gain_value(system, sc.channel, grid)
+        assert report.small_gain_pass is True
+        assert report.small_gain_value == pytest.approx(0.99999983903, abs=1e-10)
+        assert report.excluded_points == 0
+        assert abs(report.argmax_frequency - grid.points[0]) <= 1e-9
+    v = verdict(run_scenario(sc, seed=0))
+    assert v.bounded is False
+    assert v.max_abs_position > 1e6
+    with pytest.raises(NoBracket):
+        max_stable_period(system, sc.channel, "small_gain", (1e-3, 0.1))
+
+
+def test_alpha_zero_condition_passes_where_the_loop_diverges(reference_scenario):
+    """Pins a known defect: alpha_zero_condition passes on a diverging loop.
+
+    On the shipped scenario at T = 0.05 s its ratio stays below one over the
+    whole 512-point grid, peaking at the floor, yet the run diverges.  The
+    fix belongs to the condition (ROADMAP item 1).  Until then this test
+    states today's behaviour; it must not be weakened to pass.
+    """
+    sc = reference_scenario
+    ch = sc.channel.at_period(0.05)
+    system = sc.analysis_system()
+    ratios = [alpha_zero_condition(system, ch, w) for w in make_grid(0.05, 512).points]
+    assert int(np.argmax(ratios)) == 0
+    assert max(ratios) == pytest.approx(0.99999938, abs=1e-8)
+    (row,) = sweep_period(sc, [0.05])
+    assert row.error is None
+    assert row.verdict.bounded is False
 
 
 def test_analysis_system_is_the_bare_robots(reference_scenario):

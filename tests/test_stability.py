@@ -153,15 +153,38 @@ def test_small_gain_reference_configuration():
     ids=["reference", "low_gain_delayed"],
 )
 def test_small_gain_value_matches_50_digit_zoh_pair(system, ch, T, monkeypatch):
-    # the np.poly numerator of sampled_plant_tf cancels as T -> 0, so one
-    # ulp in (Phi, Gamma) moves the certificate by up to 1e-8 at T = 1e-4;
-    # the package's pair keeps it within 1e-10 of the 50-digit pair's value
+    # the certificate is no more accurate than the held-input pair it is
+    # built from: the package's pair keeps it within 1e-10 of the value
+    # computed from the 50-digit pair
     ch = ch.at_period(T)
     grid = make_grid(T, 8192)
     got = small_gain_value(system, ch, grid).small_gain_value
     monkeypatch.setattr(plants, "zoh_pair", zoh_pair_mp)
     want = small_gain_value(system, ch, grid).small_gain_value
     assert abs(got - want) <= 1e-10 * want
+
+
+def test_small_gain_refine_finds_an_interior_peak():
+    # lightly damped robots with a high k_p: the test value peaks between two
+    # points of the 512-point grid, and the golden refine lifts the reported
+    # sup above the grid maximum to the peak of the bracketing interval
+    system = TeleopSystem(
+        RobotParams(mass=4.14, damping=0.103),
+        RobotParams(mass=3.04, damping=0.0533),
+        ControllerGains(kp=3.25, kv=6.7e-4, kd=1.19e-3, p_eps=0.0214),
+    )
+    ch = ChannelConfig(T=1.22e-3, d1=1, d2=1, eps_min=1.22e-3, alpha=1.0)
+    grid = make_grid(ch.T, 512)
+    coarse = small_gain_value(system, ch, grid).small_gain_value
+    fine = small_gain_value(system, ch, make_grid(ch.T, 8192)).small_gain_value
+    assert abs(coarse - fine) <= 1e-12
+    ctx = _context(system, ch)
+    values, _ = _small_gain_curve(ctx, np.asarray(grid.points))
+    i = int(np.nanargmax(values))
+    assert 0 < i < len(values) - 1
+    assert coarse > values[i] + 1e-9
+    dense, _ = _small_gain_curve(ctx, np.linspace(grid.points[i - 1], grid.points[i + 1], 200_001))
+    assert abs(coarse - np.nanmax(dense)) <= 1e-12
 
 
 def test_small_gain_grid_convergence():
