@@ -134,6 +134,8 @@ _PINNED_DIGESTS = {
     "wall_entry_exit": "20da28dc8b8e14adc6f3fe40380f60036f4d1e29ecbb58559e582463c164fabc",
     "wall_entry_exit_continuous": "d3d18c23dee2ee39db064ad13726a636af169a6648a4b9ce4a993cc59de58b75",
     "diverging": "d89412286716446cd73aef822e2f443f6f8f4f58ceff4ff0225f0624e2eaad7a",
+    "pulse_inside_one_substep": "4ad15c0b537ee2a5f8cf5cb9a78e1f3d7347b9d1fedb49d624642c1f0b683fcc",
+    "diverging_jittered": "680f6e266a05bb2c96d9d9ead9c7c903387aff76b0b72c718bae384184d3dc68",
 }
 
 
@@ -186,6 +188,24 @@ def _pinned_cases(ref):
             _short(
                 ref,
                 channel=dataclasses.replace(ch, T=0.2, eps_min=0.2),
+                duration=20.0,
+                gains=ControllerGains(kp=1e6, kv=0.1, kd=0.2, p_eps=0.002),
+            ),
+            0,
+            "sampled",
+        ),
+        # both pulse edges inside substep 500 (h = 6e-4): three smooth pieces
+        "pulse_inside_one_substep": (
+            _short(ref, operator_force=OperatorForce(0.30011, 0.30031, 5.0)),
+            0,
+            "sampled",
+        ),
+        # diverges at 10.62 s (row 531), inside an irregular hold interval
+        "diverging_jittered": (
+            _short(
+                ref,
+                channel=dataclasses.replace(ch, T=0.2, eps_min=0.1),
+                jitter_sampling=True,
                 duration=20.0,
                 gains=ControllerGains(kp=1e6, kv=0.1, kd=0.2, p_eps=0.002),
             ),
