@@ -8,6 +8,11 @@ switch time, and a wall contact transition inside a substep is localized by
 deterministic bisection, so the integrator only ever sees smooth pieces;
 sampling and hold instants stay exactly grid-aligned.
 
+The substep loop only integrates: it runs from one event (a sample, a hold,
+a substep near a pulse edge) to the next and writes only the state.  The
+held torques and the terminations' forces are derived from the holds and the
+state columns after it, with the per-row formulas' bits.
+
 Identical scenario + seed reproduces bit-identical traces.
 """
 
@@ -53,6 +58,10 @@ _CSV_CHUNK_FIELDS = 2304
 # Largest trace run_scenario will allocate: nine float64 columns of one row
 # per substep.  A longer run is rejected before anything is allocated.
 TRACE_BUDGET_BYTES = 2 * 1024**3
+# rows per block of F_e, and holds per block of F_m and F_s, when the loop
+# is done; they bound the temporaries at a few tens of KiB
+_BLOCK_ROWS = 512
+_BLOCK_HOLDS = 128
 
 
 @dataclass(frozen=True)
@@ -233,7 +242,11 @@ class _SensorPipeline:
 
 def clamp_force(f: float, cfg: NonidealityConfig) -> float:
     """Actuator saturation in force units: |F| <= limit/force_to_volts."""
-    lim = cfg.actuator_limit / cfg.force_to_volts
+    return _saturate(f, cfg.actuator_limit / cfg.force_to_volts)
+
+
+def _saturate(f: float, lim: float) -> float:
+    """f clipped to [-lim, lim]; a NaN passes through."""
     if f > lim:
         return lim
     if f < -lim:
@@ -273,8 +286,14 @@ def run_scenario(
     controller_mode "sampled" (default) runs the full sampler/delay/hold
     machinery; "continuous" recomputes the control law from the true state at
     every substep (reference loop for consistency checks).  A non-finite
-    state aborts the run; the trace is truncated at the offending sample and
+    state aborts the run; the trace ends at the first non-finite row and
     carries its time as divergence_time.
+
+    The loop integrates and writes only x_m, v_m, x_s and v_s, a run of
+    substeps at a time between events.  t is the grid j*h; F_m, F_s, F_h
+    and F_e are derived from the holds and the state columns after the
+    loop, bit for bit the values a row-at-a-time loop writes, within the
+    same nine columns of memory.
 
     Raises ValueError, before allocating, when the nine trace columns would
     exceed TRACE_BUDGET_BYTES.
@@ -399,9 +418,8 @@ def run_scenario(
     # sampling machinery
     sampled = controller_mode == "sampled"
     cfg = sc.nonidealities
-
-    def clamp(f: float) -> float:
-        return f if cfg is None else clamp_force(f, cfg)
+    # the actuator's largest |F|, taken once a run; unbounded without hardware
+    lim = math.inf if cfg is None else clamp_force(math.inf, cfg)
 
     pipe_m = pipe_s = None
     if sampled and cfg is not None:
@@ -426,12 +444,22 @@ def run_scenario(
 
     d1_sub = ch.d1 * nsub
     d2_sub = ch.d2 * nsub
+    delay_s = ch.d1 * T  # a hold's time is its packet's sample time plus these
+    delay_m = ch.d2 * T
+
+    # runs of plain substeps stop at the substeps within two of each pulse
+    # edge, which go one at a time: the one holding the edge is cut there,
+    # and the pulse value a plain substep takes at its midpoint changes only
+    # next to it
+    near_edges = sorted({
+        j for e in (f_start, f_stop) for j in range(math.floor(e / h) - 2, math.floor(e / h) + 3)
+    })
 
     # state; the startup latches hold the local initial condition on both
     # sides, so the first held torques see zero coordination error
     x_m = v_m = x_s = v_s = 0.0
-    f_m_held = clamp(control_continuous(g, (x_m, v_m), (x_m, v_m)))
-    f_s_held = clamp(control_continuous(g, (x_s, v_s), (x_s, v_s)))
+    f_m_first = f_m_held = _saturate(control_continuous(g, (x_m, v_m), (x_m, v_m)), lim)
+    f_s_first = f_s_held = _saturate(control_continuous(g, (x_s, v_s), (x_s, v_s)), lim)
 
     # packets in flight, oldest first: (arrival substep, sample time, measurement)
     to_s: deque[tuple[int, float, tuple[float, float]]] = deque()
@@ -441,7 +469,8 @@ def run_scenario(
     hold_s_times = array("d")
 
     n_rows = n_total + 1
-    t_arr = np.empty(n_rows)
+    t_arr = np.arange(n_rows, dtype=float)
+    t_arr *= h  # j * h, as the loop takes it
     xm_arr = np.empty(n_rows)
     vm_arr = np.empty(n_rows)
     xs_arr = np.empty(n_rows)
@@ -450,17 +479,24 @@ def run_scenario(
     fs_arr = np.empty(n_rows)
     fh_arr = np.empty(n_rows)
     fe_arr = np.empty(n_rows)
+    state_w = xm_w, vm_w, xs_w, vs_w = tuple(map(memoryview, (xm_arr, vm_arr, xs_arr, vs_arr)))
+    # a hold writes its torque to its row; the rows between holds are filled
+    # in after the loop
+    fm_w, fs_w = memoryview(fm_arr), memoryview(fs_arr)
+    xm_w[0], vm_w[0], xs_w[0], vs_w[0] = x_m, v_m, x_s, v_s
 
     next_sample, t_sample = next(instants)
-    never = n_rows  # no event is due at or after the last row
+    never = n_rows  # no event or break is due at or after the last row
     next_event = 0
+    breaks = iter([*(j for j in near_edges if j >= 0), never])
+    next_break = next(breaks)
     last = n_total  # row the run ends on; moves up when the state diverges
     divergence_time: float | None = None
-    for j in range(n_rows):
-        t0 = j * h
+    j = 0
+    while j < last:
         # events at substep j set the torques held over it; the last row
         # records the state the final substep reached and starts nothing
-        if j == next_event and j < last:
+        if j == next_event:
             if sampled:
                 if j == next_sample:
                     if pipe_m is not None:
@@ -475,77 +511,150 @@ def run_scenario(
                     next_sample, t_sample = next(instants)
                 if to_s and to_s[0][0] == j:
                     _, t_sent, remote = to_s.popleft()
-                    f_s_held = clamp(control_continuous(g, own_s, remote))
-                    hold_s_times.append(t_sent + ch.d1 * T)
+                    f_s_held = _saturate(control_continuous(g, own_s, remote), lim)
+                    hold_s_times.append(t_sent + delay_s)
+                    fs_w[j] = f_s_held
                 if to_m and to_m[0][0] == j:
                     _, t_sent, remote = to_m.popleft()
-                    f_m_held = clamp(control_continuous(g, own_m, remote))
-                    hold_m_times.append(t_sent + ch.d2 * T)
+                    f_m_held = _saturate(control_continuous(g, own_m, remote), lim)
+                    hold_m_times.append(t_sent + delay_m)
+                    fm_w[j] = f_m_held
                 next_event = min(
                     next_sample,
                     to_s[0][0] if to_s else never,
                     to_m[0][0] if to_m else never,
                 )
             else:
-                f_m_held = clamp(control_continuous(g, (x_m, v_m), (x_s, v_s)))
-                f_s_held = clamp(control_continuous(g, (x_s, v_s), (x_m, v_m)))
+                f_m_held = _saturate(control_continuous(g, (x_m, v_m), (x_s, v_s)), lim)
+                f_s_held = _saturate(control_continuous(g, (x_s, v_s), (x_m, v_m)), lim)
+                fm_w[j] = f_m_held
+                fs_w[j] = f_s_held
                 next_event = j + 1
 
-        # row j: the state, the held torques and the terminations' forces
-        fstar = f_mag if f_start <= t0 < f_stop else 0.0
-        a_m = (fstar - k_h * x_m - b_m_tot * v_m + f_m_held) * inv_mm
-        t_arr[j] = t0
-        xm_arr[j] = x_m
-        vm_arr[j] = v_m
-        xs_arr[j] = x_s
-        vs_arr[j] = v_s
-        fm_arr[j] = f_m_held
-        fs_arr[j] = f_s_held
-        fh_arr[j] = fstar - m_h * a_m - b_h * v_m - k_h * x_m
-        fe_arr[j] = -(wall_force(x_s, v_s, wall) if x_s > x_wall else 0.0)
-        if j == last:
-            break
-
-        # substep j; its width stays t1 - t0, which need not round to h
+        # substeps j .. stop - 1, each writing the state it reaches to the
+        # next row; a substep's width stays t1 - t0, which need not round to h
+        t0 = j * h
         t1 = t0 + h
+        if j == next_break:
+            next_break = next(breaks)
         if t0 < f_start < t1 or t0 < f_stop < t1:
-            y = advance_cut(t0, t1, x_m, v_m, x_s, v_s, f_m_held, f_s_held)
+            stop = j + 1
+            x_m, v_m, x_s, v_s = advance_cut(t0, t1, x_m, v_m, x_s, v_s, f_m_held, f_s_held)
+            xm_w[stop] = x_m
+            vm_w[stop] = v_m
+            xs_w[stop] = x_s
+            vs_w[stop] = v_s
         else:
-            mid = 0.5 * (t0 + t1)
-            fstar = f_mag if f_start <= mid < f_stop else 0.0
-            y = rk4(x_m, v_m, x_s, v_s, t1 - t0, fstar, f_m_held, f_s_held)
-            # the step advance_smooth would try first; it redoes it and
-            # bisects only when a finite end state changed wall branch
-            if (
-                (x_s > x_wall or y[2] > x_wall)
-                and wall_branch(y[2], y[3]) != wall_branch(x_s, v_s)
-                and isfinite(y[2])
-                and isfinite(y[3])
-            ):
-                y = advance_smooth(t0, t1, x_m, v_m, x_s, v_s, fstar, f_m_held, f_s_held)
-        x_m, v_m, x_s, v_s = y
+            stop = min(next_event, next_break, last)
+            fstar = f_mag if f_start <= 0.5 * (t0 + t1) < f_stop else 0.0
+            for i in range(j, stop):
+                t0 = i * h
+                t1 = t0 + h
+                y = rk4(x_m, v_m, x_s, v_s, t1 - t0, fstar, f_m_held, f_s_held)
+                # the step advance_smooth would try first; it redoes it and
+                # bisects only when a finite end state changed wall branch
+                if (
+                    (x_s > x_wall or y[2] > x_wall)
+                    and wall_branch(y[2], y[3]) != wall_branch(x_s, v_s)
+                    and isfinite(y[2])
+                    and isfinite(y[3])
+                ):
+                    y = advance_smooth(t0, t1, x_m, v_m, x_s, v_s, fstar, f_m_held, f_s_held)
+                x_m, v_m, x_s, v_s = y
+                i += 1
+                xm_w[i] = x_m
+                vm_w[i] = v_m
+                xs_w[i] = x_s
+                vs_w[i] = v_s
         if not (isfinite(x_m) and isfinite(v_m) and isfinite(x_s) and isfinite(v_s)):
+            # a non-finite state value stays non-finite, so the run ends on
+            # the first non-finite row of these substeps
             last = j + 1
+            while all(isfinite(w[last]) for w in state_w):
+                last += 1
             divergence_time = last * h
+            break
+        j = stop
     rows = last + 1
 
+    # the torque columns, from the state and the holds
+    t, xm, vm, xs, vs, fm, fs, fh, fe = (
+        a[:rows]
+        for a in (t_arr, xm_arr, vm_arr, xs_arr, vs_arr, fm_arr, fs_arr, fh_arr, fe_arr)
+    )
+    if sampled:
+        _fill_held(fm, hold_m_times, h, f_m_first)
+        _fill_held(fs, hold_s_times, h, f_s_first)
+    else:  # a hold on every row but the last
+        fm[last] = f_m_held
+        fs[last] = f_s_held
+
+    # F_h in place, in the row formula's operation order:
+    #   a_m = (fstar - k_h*x_m - b_m_tot*v_m + F_m) * inv_mm
+    #   F_h = fstar - m_h*a_m - b_h*v_m - k_h*x_m
+    # with fstar = f_mag on the rows whose t lies in [f_start, f_stop); fe
+    # holds each product until F_e is written
+    on, off = np.searchsorted(t, (f_start, f_stop))
+    pulse = ((0, on, 0.0), (on, off, f_mag), (off, rows, 0.0))
+    with np.errstate(all="ignore"):  # a diverged run's last row overflows
+        np.multiply(xm, k_h, out=fh)
+        for a, b, f in pulse:
+            np.subtract(f, fh[a:b], out=fh[a:b])
+        fh -= np.multiply(vm, b_m_tot, out=fe)
+        fh += fm
+        fh *= inv_mm
+        fh *= m_h
+        for a, b, f in pulse:
+            np.subtract(f, fh[a:b], out=fh[a:b])
+        fh -= np.multiply(vm, b_h, out=fe)
+        fh -= np.multiply(xm, k_h, out=fe)
+
+    # F_e = -wall_force: -0.0 short of the wall, where wall_force is 0.0, so
+    # the plants' wall law runs only on blocks that reach past it
+    fe.fill(-0.0)
+    for a in range(0, rows, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, rows)
+        if (xs[a:b] > x_wall).any():
+            fe[a:b] = [-wall_force(x, v, wall) for x, v in zip(xs_w[a:b], vs_w[a:b])]
+
     return SimTrace(
-        t=t_arr[:rows],
-        x_m=xm_arr[:rows],
-        v_m=vm_arr[:rows],
-        x_s=xs_arr[:rows],
-        v_s=vs_arr[:rows],
-        f_m=fm_arr[:rows],
-        f_s=fs_arr[:rows],
-        f_h=fh_arr[:rows],
-        f_e=fe_arr[:rows],
-        sample_events=np.array(sample_times),
-        hold_events_m=np.array(hold_m_times),
-        hold_events_s=np.array(hold_s_times),
+        t=t,
+        x_m=xm,
+        v_m=vm,
+        x_s=xs,
+        v_s=vs,
+        f_m=fm,
+        f_s=fs,
+        f_h=fh,
+        f_e=fe,
+        sample_events=np.asarray(sample_times),
+        hold_events_m=np.asarray(hold_m_times),
+        hold_events_s=np.asarray(hold_s_times),
         period=T,
         substep=h,
         divergence_time=divergence_time,
     )
+
+
+def _fill_held(col: np.ndarray, times: array, h: float, first: float) -> None:
+    """Give each row of ``col`` the torque of the last hold at or before it,
+    and ``first`` before any; each hold's own row already holds its torque.
+
+    A hold's time is its row times h to within a few ulps, and rows stay far
+    below 2**40 under TRACE_BUDGET_BYTES, so rint(time / h) is its row.
+    """
+    times = np.asarray(times)
+    if not len(times):
+        col[:] = first
+        return
+    start, end = np.rint(times[[0, -1]] / h).astype(np.intp)
+    col[:start] = first
+    # a side's holds are at most a period apart, so a block of them spans at
+    # most _BLOCK_HOLDS periods of rows
+    for i in range(0, len(times) - 1, _BLOCK_HOLDS):
+        seg = np.rint(times[i : i + _BLOCK_HOLDS + 1] / h).astype(np.intp)
+        col[seg[0] : seg[-1]] = np.repeat(col.take(seg[:-1]), np.diff(seg))
+    col[end:] = col[end]
 
 
 def verdict(trace: SimTrace, run: RunSettings = RunSettings()) -> SimVerdict:
@@ -571,14 +680,11 @@ def verdict(trace: SimTrace, run: RunSettings = RunSettings()) -> SimVerdict:
         n_ok = first_bad
     if n_ok == 0:
         return SimVerdict(False, math.inf, False, math.inf, div_time)
-    max_abs = float(
-        max(np.max(np.abs(trace.x_m[:n_ok])), np.max(np.abs(trace.x_s[:n_ok])))
-    )
     t_ok = trace.t[:n_ok]
-    sel = t_ok >= t_ok[-1] - run.settle_window
-    vmax = float(
-        max(np.max(np.abs(trace.v_m[:n_ok][sel])), np.max(np.abs(trace.v_s[:n_ok][sel])))
-    )
+    # t ascends, so the settle window is the rows from `settle` on
+    settle = int(np.searchsorted(t_ok, t_ok[-1] - run.settle_window))
+    max_abs = _max_abs(trace.x_m[:n_ok], trace.x_s[:n_ok])
+    vmax = _max_abs(trace.v_m[settle:n_ok], trace.v_s[settle:n_ok])
     diverged = div_time is not None
     return SimVerdict(
         bounded=(not diverged) and max_abs <= run.position_bound,
@@ -587,6 +693,12 @@ def verdict(trace: SimTrace, run: RunSettings = RunSettings()) -> SimVerdict:
         final_velocity_max=vmax,
         divergence_time=div_time,
     )
+
+
+def _max_abs(*columns: np.ndarray) -> float:
+    """max |x| over finite columns, from their extremes: no |x| copy of a
+    column is made."""
+    return max(abs(float(e)) for c in columns for e in (c.max(), c.min()))
 
 
 def sweep_period(

@@ -213,6 +213,35 @@ def second_order_step(m, b, k, force, t):
     return (force / k) * np.where(t > 0, resp, 0.0)
 
 
+def trace_row_forces(trace, sc):
+    """(F_h, F_e) of a simulator trace, one row at a time in Python floats.
+
+    The row formulas in the operation order a row-at-a-time simulator loop
+    wrote them, with the operator pulse f* = magnitude on [start, stop):
+        a_m = (f* - k_h x_m - (b_m + b_h) v_m + F_m) * (1 / (m_m + m_h))
+        F_h = f* - m_h a_m - b_h v_m - k_h x_m
+        F_e = -(k_w (x_s - x_w) + b_w v_s, floored at 0) past the wall, else -0.0
+    """
+    master, human, wall, pulse = sc.master, sc.human, sc.wall, sc.operator_force
+    inv_mm = 1.0 / (master.mass + human.mass)
+    b_m_tot = master.damping + human.damping
+    f_h, f_e = [], []
+    for t, x_m, v_m, x_s, v_s, f_m in zip(
+        trace.t.tolist(), trace.x_m.tolist(), trace.v_m.tolist(),
+        trace.x_s.tolist(), trace.v_s.tolist(), trace.f_m.tolist(),
+    ):
+        fstar = pulse.magnitude if pulse.start <= t < pulse.stop else 0.0
+        a_m = (fstar - human.stiffness * x_m - b_m_tot * v_m + f_m) * inv_mm
+        f_h.append(fstar - human.mass * a_m - human.damping * v_m - human.stiffness * x_m)
+        reaction = 0.0
+        if x_s > wall.position:
+            reaction = wall.stiffness * (x_s - wall.position) + wall.damping * v_s
+            if reaction < 0.0:
+                reaction = 0.0
+        f_e.append(-reaction)
+    return np.array(f_h), np.array(f_e)
+
+
 _TRACE_COLUMNS = ("t", "x_m", "v_m", "x_s", "v_s", "f_m", "f_s", "f_h", "f_e")
 
 

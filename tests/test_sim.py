@@ -40,7 +40,7 @@ from teleopstab import (
     wall_force,
 )
 
-from oracles import events_csv, savetxt_trace, second_order_step
+from oracles import events_csv, savetxt_trace, second_order_step, trace_row_forces
 
 SCENARIO_FILE = "scenarios/wall_contact.cfg"
 ZERO_GAINS = ControllerGains(kp=0.0, kv=0.0, kd=0.0, p_eps=0.0)
@@ -440,6 +440,19 @@ def test_trace_wall_force_is_the_plants_wall_law(reference_scenario):
     assert np.array_equal(tr.f_e, expected)
 
 
+@pytest.mark.parametrize(
+    "case", ["reference", "wall_entry_exit", "continuous", "diverging"]
+)
+def test_trace_forces_match_the_row_formulas(reference_scenario, case):
+    # F_h and F_e are derived from the state columns after the loop; they
+    # must carry the bits the per-row formulas give, signed zeros included
+    sc, seed, mode = _pinned_cases(reference_scenario)[case]
+    tr = run_scenario(sc, seed=seed, controller_mode=mode)
+    f_h, f_e = trace_row_forces(tr, sc)
+    assert np.array_equal(tr.f_h.view(np.uint64), f_h.view(np.uint64))
+    assert np.array_equal(tr.f_e.view(np.uint64), f_e.view(np.uint64))
+
+
 def test_trace_budget_checked_before_allocation(reference_scenario, monkeypatch):
     # 0.06 s at T = 6 ms, 10 substeps: 101 rows of nine float64 columns
     sc = _short(
@@ -520,18 +533,27 @@ def test_sample_bookkeeping_memory_is_bounded(reference_scenario):
         operator_force=OperatorForce(0.1, 0.5, 5.0),
         nonidealities=NonidealityConfig(noise_std=0.001),
     )
-    tracemalloc.start()
-    try:
-        tr = run_scenario(sc, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def run_peak(mode):
+        tracemalloc.start()
+        try:
+            tr = run_scenario(sc, seed=0, controller_mode=mode)
+            return tr, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tr, peak = run_peak("sampled")
     n_samples = len(tr.sample_events)
     assert n_samples == 1000
     extra_per_sample = (peak - 9 * 8 * len(tr.t)) / n_samples
-    # three float64 event arrays are 24 B a sample, 48 B while they are copied
-    # out; keeping every measurement and instant cost about 370 B a sample
+    # three float64 event arrays are 24 B a sample; keeping every measurement
+    # and instant cost about 370 B a sample
     assert extra_per_sample < 150.0
+    # continuous mode holds anew on every row, so it may keep nothing per
+    # hold beyond the row's own torques: a (row, torque) record per hold and
+    # side would add 32 B a row
+    tr, peak = run_peak("continuous")
+    assert (peak - 9 * 8 * len(tr.t)) / len(tr.t) < 8.0
 
 
 def test_scenario_validation():
