@@ -23,7 +23,7 @@ import itertools
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "write_events_csv",
 ]
 
-_CSV_HEADER = "t,x_m,v_m,x_s,v_s,F_m,F_s,F_h,F_e"
 # fields formatted per write; _g17_csv holds about 280 bytes a field while
 # it works, so a block stays near 600 KiB
 _CSV_CHUNK_FIELDS = 2304
@@ -166,7 +165,9 @@ class SimTrace:
     """Substep-resolution signal record plus sampler/hold event instants.
 
     hold_events_* pair with sample_events by index: entry i is the arrival of
-    the packet sampled at sample_events[i], exactly one delay later.
+    the packet sampled at sample_events[i], so by construction hold_events_s
+    is sample_events + channel.t1 and hold_events_m is sample_events +
+    channel.t2, over as many samples as arrived.
     """
 
     t: np.ndarray
@@ -184,6 +185,12 @@ class SimTrace:
     period: float
     substep: float
     divergence_time: float | None = None
+
+
+# the nine signal columns, in SimTrace's field order, which is also the
+# trace CSV's; the file names the forces with a capital F
+_TRACE_COLUMNS = tuple(f.name for f in fields(SimTrace))[:9]
+_CSV_HEADER = ",".join(_TRACE_COLUMNS).replace("f_", "F_")
 
 
 @dataclass(frozen=True)
@@ -444,8 +451,6 @@ def run_scenario(
 
     d1_sub = ch.d1 * nsub
     d2_sub = ch.d2 * nsub
-    delay_s = ch.d1 * T  # a hold's time is its packet's sample time plus these
-    delay_m = ch.d2 * T
 
     # runs of plain substeps stop at the substeps within two of each pulse
     # edge, which go one at a time: the one holding the edge is cut there,
@@ -461,28 +466,23 @@ def run_scenario(
     f_m_first = f_m_held = _saturate(control_continuous(g, (x_m, v_m), (x_m, v_m)), lim)
     f_s_first = f_s_held = _saturate(control_continuous(g, (x_s, v_s), (x_s, v_s)), lim)
 
-    # packets in flight, oldest first: (arrival substep, sample time, measurement)
-    to_s: deque[tuple[int, float, tuple[float, float]]] = deque()
-    to_m: deque[tuple[int, float, tuple[float, float]]] = deque()
+    # packets in flight, oldest first: (arrival substep, measurement); each
+    # side's holds deliver the samples in order, so a hold's time is its
+    # sample's time plus the channel delay
+    to_s: deque[tuple[int, tuple[float, float]]] = deque()
+    to_m: deque[tuple[int, tuple[float, float]]] = deque()
     sample_times = array("d")
-    hold_m_times = array("d")
-    hold_s_times = array("d")
+    hold_m_rows = array("q")
+    hold_s_rows = array("q")
 
     n_rows = n_total + 1
-    t_arr = np.arange(n_rows, dtype=float)
-    t_arr *= h  # j * h, as the loop takes it
-    xm_arr = np.empty(n_rows)
-    vm_arr = np.empty(n_rows)
-    xs_arr = np.empty(n_rows)
-    vs_arr = np.empty(n_rows)
-    fm_arr = np.empty(n_rows)
-    fs_arr = np.empty(n_rows)
-    fh_arr = np.empty(n_rows)
-    fe_arr = np.empty(n_rows)
-    state_w = xm_w, vm_w, xs_w, vs_w = tuple(map(memoryview, (xm_arr, vm_arr, xs_arr, vs_arr)))
+    # in _TRACE_COLUMNS order: t, the state at [1:5], the torques at [5:7]
+    columns = [np.arange(n_rows, dtype=float), *(np.empty(n_rows) for _ in _TRACE_COLUMNS[1:])]
+    columns[0] *= h  # j * h, as the loop takes it
+    state_w = xm_w, vm_w, xs_w, vs_w = tuple(map(memoryview, columns[1:5]))
     # a hold writes its torque to its row; the rows between holds are filled
     # in after the loop
-    fm_w, fs_w = memoryview(fm_arr), memoryview(fs_arr)
+    fm_w, fs_w = map(memoryview, columns[5:7])
     xm_w[0], vm_w[0], xs_w[0], vs_w[0] = x_m, v_m, x_s, v_s
 
     next_sample, t_sample = next(instants)
@@ -506,18 +506,18 @@ def run_scenario(
                         own_m = (x_m, v_m)
                         own_s = (x_s, v_s)
                     sample_times.append(t_sample)
-                    to_s.append((j + d1_sub, t_sample, own_m))
-                    to_m.append((j + d2_sub, t_sample, own_s))
+                    to_s.append((j + d1_sub, own_m))
+                    to_m.append((j + d2_sub, own_s))
                     next_sample, t_sample = next(instants)
                 if to_s and to_s[0][0] == j:
-                    _, t_sent, remote = to_s.popleft()
+                    remote = to_s.popleft()[1]
                     f_s_held = _saturate(control_continuous(g, own_s, remote), lim)
-                    hold_s_times.append(t_sent + delay_s)
+                    hold_s_rows.append(j)
                     fs_w[j] = f_s_held
                 if to_m and to_m[0][0] == j:
-                    _, t_sent, remote = to_m.popleft()
+                    remote = to_m.popleft()[1]
                     f_m_held = _saturate(control_continuous(g, own_m, remote), lim)
-                    hold_m_times.append(t_sent + delay_m)
+                    hold_m_rows.append(j)
                     fm_w[j] = f_m_held
                 next_event = min(
                     next_sample,
@@ -578,16 +578,15 @@ def run_scenario(
     rows = last + 1
 
     # the torque columns, from the state and the holds
-    t, xm, vm, xs, vs, fm, fs, fh, fe = (
-        a[:rows]
-        for a in (t_arr, xm_arr, vm_arr, xs_arr, vs_arr, fm_arr, fs_arr, fh_arr, fe_arr)
-    )
+    t, xm, vm, xs, vs, fm, fs, fh, fe = columns = [a[:rows] for a in columns]
+    n_m, n_s = len(hold_m_rows), len(hold_s_rows)
     if sampled:
-        _fill_held(fm, hold_m_times, h, f_m_first)
-        _fill_held(fs, hold_s_times, h, f_s_first)
+        _fill_held(fm, hold_m_rows, f_m_first)
+        _fill_held(fs, hold_s_rows, f_s_first)
     else:  # a hold on every row but the last
         fm[last] = f_m_held
         fs[last] = f_s_held
+    del hold_m_rows, hold_s_rows  # freed before the hold times are formed
 
     # F_h in place, in the row formula's operation order:
     #   a_m = (fstar - k_h*x_m - b_m_tot*v_m + F_m) * inv_mm
@@ -617,44 +616,34 @@ def run_scenario(
         if (xs[a:b] > x_wall).any():
             fe[a:b] = [-wall_force(x, v, wall) for x, v in zip(xs_w[a:b], vs_w[a:b])]
 
+    sample_events = np.asarray(sample_times)
     return SimTrace(
-        t=t,
-        x_m=xm,
-        v_m=vm,
-        x_s=xs,
-        v_s=vs,
-        f_m=fm,
-        f_s=fs,
-        f_h=fh,
-        f_e=fe,
-        sample_events=np.asarray(sample_times),
-        hold_events_m=np.asarray(hold_m_times),
-        hold_events_s=np.asarray(hold_s_times),
+        *columns,
+        sample_events=sample_events,
+        hold_events_m=sample_events[:n_m] + ch.t2,
+        hold_events_s=sample_events[:n_s] + ch.t1,
         period=T,
         substep=h,
         divergence_time=divergence_time,
     )
 
 
-def _fill_held(col: np.ndarray, times: array, h: float, first: float) -> None:
+def _fill_held(col: np.ndarray, rows: array, first: float) -> None:
     """Give each row of ``col`` the torque of the last hold at or before it,
-    and ``first`` before any; each hold's own row already holds its torque.
-
-    A hold's time is its row times h to within a few ulps, and rows stay far
-    below 2**40 under TRACE_BUDGET_BYTES, so rint(time / h) is its row.
+    and ``first`` before any; each hold's own row, listed in ``rows`` in
+    ascending order, already holds its torque.
     """
-    times = np.asarray(times)
-    if not len(times):
+    rows = np.asarray(rows)
+    if not len(rows):
         col[:] = first
         return
-    start, end = np.rint(times[[0, -1]] / h).astype(np.intp)
-    col[:start] = first
+    col[: rows[0]] = first
     # a side's holds are at most a period apart, so a block of them spans at
     # most _BLOCK_HOLDS periods of rows
-    for i in range(0, len(times) - 1, _BLOCK_HOLDS):
-        seg = np.rint(times[i : i + _BLOCK_HOLDS + 1] / h).astype(np.intp)
+    for i in range(0, len(rows) - 1, _BLOCK_HOLDS):
+        seg = rows[i : i + _BLOCK_HOLDS + 1]
         col[seg[0] : seg[-1]] = np.repeat(col.take(seg[:-1]), np.diff(seg))
-    col[end:] = col[end]
+    col[rows[-1] :] = col[rows[-1]]
 
 
 def verdict(trace: SimTrace, run: RunSettings = RunSettings()) -> SimVerdict:
@@ -664,10 +653,7 @@ def verdict(trace: SimTrace, run: RunSettings = RunSettings()) -> SimVerdict:
     settling_ok: max |v| over the trailing run.settle_window below
     run.settle_tol (never true for a diverged trace).
     """
-    signals = (
-        trace.x_m, trace.v_m, trace.x_s, trace.v_s,
-        trace.f_m, trace.f_s, trace.f_h, trace.f_e,
-    )
+    signals = [getattr(trace, name) for name in _TRACE_COLUMNS[1:]]
     finite_rows = np.ones(len(trace.t), dtype=bool)
     for s in signals:
         finite_rows &= np.isfinite(s)
@@ -909,10 +895,7 @@ def write_trace_csv(trace: SimTrace, path) -> None:
     writer takes about 0.3 us a value, file write included; one CPython
     ``%`` per value took about 0.8 us.
     """
-    columns = (
-        trace.t, trace.x_m, trace.v_m, trace.x_s, trace.v_s,
-        trace.f_m, trace.f_s, trace.f_h, trace.f_e,
-    )
+    columns = [getattr(trace, name) for name in _TRACE_COLUMNS]
     step = _CSV_CHUNK_FIELDS // len(columns)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_CSV_HEADER + "\n")
@@ -925,20 +908,22 @@ def write_events_csv(trace: SimTrace, path) -> None:
     """Write sampler/hold events as kind,t rows ordered by time.
 
     Equal times keep the order sample, hold_m, hold_s.  The t field is
-    ``"%.17g" % t``, formatted by ``_g17_csv`` as in the trace.  About
-    0.7 us a row on the shipped scenario (40 k rows), most of it joining
-    each row's kind to its time; one ``%`` per row took about 1 us.
+    ``"%.17g" % t``, formatted by ``_g17_csv`` as in the trace.  Only the
+    times, the kinds (a byte each) and the sort order span the whole run;
+    a block of rows at a time is gathered, formatted and joined.  About
+    0.7 to 0.9 us a row on the shipped scenario (40 k rows), most of it
+    joining each row's kind to its time; one ``%`` per row took about 1 us.
     """
     names = ("sample,", "hold_m,", "hold_s,")
     arrays = (trace.sample_events, trace.hold_events_m, trace.hold_events_s)
     t = np.concatenate(arrays)
-    kind = np.repeat(np.arange(len(names)), [len(a) for a in arrays])
+    kind = np.repeat(np.arange(len(names), dtype=np.uint8), [len(a) for a in arrays])
     order = np.lexsort((kind, t))
-    t_sorted = t[order]
-    prefixes = [names[k] for k in kind[order].tolist()]
     step = _CSV_CHUNK_FIELDS
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("kind,t\n")
         for a in range(0, len(order), step):
-            lines = _g17_csv(t_sorted[a : a + step, None]).decode("ascii")
-            fh.write("".join(map(str.__add__, prefixes[a : a + step], lines.splitlines(True))))
+            rows = order[a : a + step]
+            lines = _g17_csv(t[rows, None]).decode("ascii").splitlines(True)
+            prefixes = [names[k] for k in kind[rows].tolist()]
+            fh.write("".join(map(str.__add__, prefixes, lines)))

@@ -143,8 +143,7 @@ class StabilityReport:
 class MaxPeriodResult:
     """Largest period passing a criterion plus both endpoint evaluations.
 
-    Only the small_gain criterion is a stability certificate; see
-    max_stable_period.
+    Neither criterion is a stability certificate; see max_stable_period.
 
     status is "bracketed" when the criterion flipped inside the range,
     "always_pass"/"always_fail" when it never did (period is then the
@@ -187,8 +186,6 @@ class _LoopContext:
     c_tf: RationalTF  # z-domain controller, shared by both robots
     gm_tf: RationalTF  # ZOH-discretized plants, z-domain
     gs_tf: RationalTF
-    t1: float
-    t2: float
 
 
 def _context(system: TeleopSystem, ch: ChannelConfig) -> _LoopContext:
@@ -200,20 +197,13 @@ def _context(system: TeleopSystem, ch: ChannelConfig) -> _LoopContext:
         c_tf=controller_z_tf(system.gains, ch.T),
         gm_tf=sampled_plant_tf(plant_position_tf(system.master, system.human), ch.T),
         gs_tf=sampled_plant_tf(plant_position_tf(system.slave, system.env), ch.T),
-        t1=ch.t1,
-        t2=ch.t2,
     )
 
 
-def _controller_terms(ctx: _LoopContext, omega: float):
-    """r(jw), z = e^(jwT) and C(z) = C_m(z) = C_s(z) at one frequency."""
+def _mn_from_context(ctx: _LoopContext, omega: float):
     r = r_kernel(omega, ctx.T)
     z = cmath.exp(1j * omega * ctx.T)
-    return r, z, eval_tf(ctx.c_tf, z)
-
-
-def _mn_from_context(ctx: _LoopContext, omega: float):
-    r, z, c = _controller_terms(ctx, omega)
+    c = eval_tf(ctx.c_tf, z)  # C(z) = C_m(z) = C_s(z)
     gm = eval_tf(ctx.gm_tf, z)
     gs = eval_tf(ctx.gs_tf, z)
     t_alpha = ctx.alpha * ctx.b_s * c * r
@@ -368,13 +358,15 @@ def alpha_zero_condition(system: TeleopSystem, ch: ChannelConfig, omega: float) 
     the ratio is below one.  Periodic in (T1+T2)*omega with period 2*pi;
     reduces to the undelayed test at T1 = T2 = 0.
     """
-    ctx = _context(system, ch)
-    r, _, c = _controller_terms(ctx, omega)
-    d_term = r * r * (1.0 - cmath.exp(-(ctx.t1 + ctx.t2) * 1j * omega)) / 2.0
-    num = abs(d_term + ctx.b_s * c * r) + abs(d_term + ctx.b_m * c * r) + abs(d_term)
-    t0 = 2.0 * ctx.b_m * ctx.b_s * c * c
-    t1 = ctx.b_s * c * c * c * r
-    t2 = ctx.b_m * c * c * c * r
+    b_m = system.master.damping
+    b_s = system.slave.damping
+    r = r_kernel(omega, ch.T)
+    c = eval_tf(controller_z_tf(system.gains, ch.T), cmath.exp(1j * omega * ch.T))
+    d_term = r * r * (1.0 - cmath.exp(-(ch.t1 + ch.t2) * 1j * omega)) / 2.0
+    num = abs(d_term + b_s * c * r) + abs(d_term + b_m * c * r) + abs(d_term)
+    t0 = 2.0 * b_m * b_s * c * c
+    t1 = b_s * c * c * c * r
+    t2 = b_m * c * c * c * r
     den = t0 + t1 + t2 + d_term
     scale = abs(t0) + abs(t1) + abs(t2) + abs(d_term)
     if abs(den) <= _SINGULAR_RTOL * scale:
@@ -432,9 +424,13 @@ def max_stable_period(
     always_fail status.  An inverted bracket (fail at T_lo, pass at T_hi) has
     no first flip and raises NoBracket.
 
-    Only small_gain is a stability certificate.  damping_bound is not: on
-    scenarios/wall_contact.cfg it passes on all of [1e-4, 0.1] s, yet the
-    simulated loop is bounded at T = 0.04 s and diverges at T = 0.05 s.
+    Neither criterion is a stability certificate.  damping_bound passes on
+    all of [1e-4, 0.1] s on scenarios/wall_contact.cfg, yet the simulated
+    loop is bounded at T = 0.04 s and diverges at T = 0.05 s.  small_gain
+    passes at T = 0.072 s on a delayed loop that diverges
+    (tests/test_sim.py::test_small_gain_passes_where_the_loop_diverges),
+    and on scenarios/wall_contact.cfg it fails at each of 1, 6, 50 and
+    200 ms, though the runs at 1 and 6 ms are bounded.
     """
     t_lo, t_hi = t_range
     if not (0.0 < t_lo < t_hi):

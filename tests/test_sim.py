@@ -980,3 +980,19 @@ def test_trace_csv_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1024**2
+
+
+def test_events_csv_memory_is_bounded(tmp_path):
+    # only the times, a byte of kind and the sort order span the run; the
+    # rows are gathered, formatted and joined a block at a time.  A
+    # whole-run sorted copy, kind list and prefix list cost about 52 B an
+    # event, this writer about 31
+    tr = _synthetic_trace(1, np.random.default_rng(3), (20_000, 20_000, 20_000))
+    sim._g17_tables()  # built once per process, not per write
+    tracemalloc.start()
+    try:
+        write_events_csv(tr, tmp_path / "events.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 60_000 < 40.0

@@ -249,6 +249,18 @@ def test_alpha_zero_condition_delay_term_periodicity():
     np.testing.assert_allclose(with_delay, without, rtol=1e-10)
 
 
+def test_alpha_zero_condition_builds_no_sampled_plant(monkeypatch):
+    # the ratio reads r, C(z) and the dampings only; the ZOH plants of the
+    # small-gain context are never part of it
+    calls = []
+    zoh = stability.sampled_plant_tf
+    monkeypatch.setattr(stability, "sampled_plant_tf", lambda *a: calls.append(a) or zoh(*a))
+    ch = dataclasses.replace(REF_CHANNEL, d1=1, d2=1)
+    for w in (5.0, 100.0, 450.0):
+        alpha_zero_condition(REF_SYSTEM, ch, w)
+    assert calls == []
+
+
 def test_alpha_zero_condition_matches_independent_evaluation():
     ch = dataclasses.replace(REF_CHANNEL, d1=1, d2=1)
     T = ch.T
