@@ -6,7 +6,7 @@ sampled, delayed signals through zero-order holds) is covered end to end:
 * frequency-domain machinery for rational transfer functions (:mod:`.lti`),
 * robot / operator / wall models and exact ZOH discretization (:mod:`.plants`),
 * the shared coordinating controller (:mod:`.control`),
-* absolute-stability certificates for the sampled loop (:mod:`.stability`),
+* stability tests for the sampled loop, none of them a certificate (:mod:`.stability`),
 * a deterministic hybrid continuous/discrete simulator (:mod:`.sim`),
 * scenario files, reports, and the command line front end
   (:mod:`.scenario`, :mod:`.cli`).

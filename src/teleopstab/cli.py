@@ -20,7 +20,6 @@ import math
 import os
 import sys
 
-from .lti import make_grid
 from .scenario import (
     ParseError,
     ValidationError,
@@ -30,7 +29,7 @@ from .scenario import (
     write_report,
 )
 from .sim import run_scenario, sweep_period, verdict, write_events_csv, write_trace_csv
-from .stability import CRITERIA, NoBracket, max_stable_period, small_gain_value
+from .stability import CRITERIA, NoBracket, max_stable_period, small_gain_at_period
 
 __all__ = ["main", "cli_dispatch"]
 
@@ -47,11 +46,6 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _stability_report(sc, run):
-    grid = make_grid(sc.channel.T, run.grid_points)
-    return small_gain_value(sc.analysis_system(), sc.channel, grid)
-
-
 def _grid_size(raw: str) -> int:
     """argparse type of ``--grid``: an integer number of points, at least 2."""
     try:
@@ -64,7 +58,7 @@ def _grid_size(raw: str) -> int:
 
 
 def _cmd_analyze(args, sc, run) -> int:
-    stability = _stability_report(sc, run)
+    stability = small_gain_at_period(sc.analysis_system(), sc.channel, run.grid_points)
     report = build_report(sc, run, stability=stability)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -74,9 +68,10 @@ def _cmd_analyze(args, sc, run) -> int:
 
 
 def _cmd_simulate(args, sc, run) -> int:
+    # the small-gain test first: its grid is checked before the trace is allocated
+    stability = small_gain_at_period(sc.analysis_system(), sc.channel, run.grid_points)
     trace = run_scenario(sc, seed=run.seed)
     v = verdict(trace, run)
-    stability = _stability_report(sc, run)
     report = build_report(sc, run, stability=stability, sim_verdict=v)
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(trace, os.path.join(args.out, "trace.csv"))

@@ -26,6 +26,12 @@ _POLE_RTOL = 64.0 * np.finfo(float).eps
 
 _LOG_GRID_DECADES = 1e6  # grids start at pi/(T * 1e6)
 
+# make_grid plus small_gain_value peak at 332 bytes a grid point (tracemalloc
+# on scenarios/wall_contact.cfg, 8 192 to 262 144 points), so a grid of this
+# many points fits the 2 GiB a simulation trace may take
+_GRID_BYTES_PER_POINT = 332
+MAX_GRID_POINTS = 2 * 1024**3 // _GRID_BYTES_PER_POINT  # 6 468 324
+
 
 class PoleHit(ArithmeticError):
     """Transfer-function evaluation requested at (or numerically on) a pole."""
@@ -195,12 +201,15 @@ def eval_tf_grid(tf: RationalTF, s: np.ndarray) -> np.ndarray:
 def make_grid(T: float, n_points: int = 512) -> FrequencyGrid:
     """Build a log-spaced evaluation grid on [pi/(T*1e6), pi/T].
 
-    The last point is exactly the Nyquist frequency pi/T.
+    The last point is exactly the Nyquist frequency pi/T.  More than
+    MAX_GRID_POINTS points raise BadGrid before anything is allocated.
     """
     if not T > 0.0:
         raise ValueError("sampling period must be positive")
     if n_points < 2:
         raise BadGrid(f"n_points = {n_points}, need at least 2")
+    if n_points > MAX_GRID_POINTS:
+        raise BadGrid(f"n_points = {n_points}, at most {MAX_GRID_POINTS} fit the grid budget")
     nyq = math.pi / T
     pts = np.geomspace(nyq / _LOG_GRID_DECADES, nyq, n_points)
     pts[-1] = nyq

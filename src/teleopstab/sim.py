@@ -29,9 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import ControllerGains, control_continuous
-from .lti import make_grid
 from .plants import ImpedanceModel, RobotParams, WallModel, wall_force
-from .stability import ChannelConfig, StabilityReport, TeleopSystem, small_gain_value
+from .stability import ChannelConfig, StabilityReport, TeleopSystem, small_gain_at_period
 
 __all__ = [
     "RunSettings",
@@ -706,7 +705,7 @@ def sweep_period(
             ch = sc_template.channel.at_period(T)
             sc = replace(sc_template, channel=ch)
             vd = verdict(run_scenario(sc, seed=run.seed), run)
-            report = small_gain_value(system, ch, make_grid(T, run.grid_points))
+            report = small_gain_at_period(system, ch, run.grid_points)
             rows.append(SweepRow(period=T, verdict=vd, stability=report, error=None))
         except (ArithmeticError, ValueError) as exc:  # per-row isolation
             rows.append(SweepRow(period=T, verdict=None, stability=None, error=str(exc)))

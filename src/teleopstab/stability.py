@@ -8,11 +8,9 @@ scattering-style small-gain condition
 built from the hold kernel r(jw) = (T/2)(e^(-jwT) - 1)/(1 - cos wT), the
 z-domain controllers, and the ZOH-discretized robot plants.  A closed-form
 damping bound and a delay-robust ratio condition for the unscaled (alpha = 0)
-architecture complete the certificate set.
-
-All tests quantify over passive terminations, so the plants default to the
-bare robots; optional termination impedances can be folded in for sensitivity
-work.
+architecture sit next to it.  tests/test_sim.py pins each of the three passing
+on a loop that diverges, so none is a stability certificate.  The plants
+default to the bare robots; termination impedances can be folded in.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ __all__ = [
     "r_kernel",
     "mn_terms",
     "small_gain_value",
+    "small_gain_at_period",
     "alpha_zero_condition",
     "damping_bound",
     "max_stable_period",
@@ -327,13 +326,12 @@ def small_gain_value(
     best_i = int(np.nanargmax(values))  # first maximum; NaN never wins
     best_v = float(values[best_i])
     n_excluded = int(np.count_nonzero(excluded))
-    lo = grid.points[best_i - 1] if best_i > 0 else grid.points[0]
-    hi = grid.points[best_i + 1] if best_i + 1 < len(grid.points) else grid.points[-1]
+    lo = grid.points[max(best_i - 1, 0)]
+    hi = grid.points[min(best_i + 1, len(grid.points) - 1)]
     best_w = grid.points[best_i]
-    if hi > lo:
-        w_ref, v_ref = _golden_refine(ctx, lo, hi)
-        if v_ref > best_v:
-            best_v, best_w = v_ref, w_ref
+    w_ref, v_ref = _golden_refine(ctx, lo, hi)
+    if v_ref > best_v:
+        best_v, best_w = v_ref, w_ref
     bound = damping_bound(system.gains, ch.T)
     return StabilityReport(
         period=ch.T,
@@ -385,21 +383,23 @@ def damping_bound(g: ControllerGains, T: float) -> float:
     return g.kp * T + 2.0 * g.kd - 2.0 * g.p_eps - 2.0 * g.kv
 
 
-def _small_gain_passes(
-    system: TeleopSystem, ch_template: ChannelConfig, T: float, grid_points: int
-) -> bool:
-    ch = ch_template.at_period(T)
-    return small_gain_value(system, ch, make_grid(T, grid_points)).small_gain_pass
+def small_gain_at_period(
+    system: TeleopSystem, ch: ChannelConfig, grid_points: int
+) -> StabilityReport:
+    """small_gain_value on make_grid(ch.T, grid_points): the loop judged at ch's period."""
+    return small_gain_value(system, ch, make_grid(ch.T, grid_points))
 
 
-def _damping_bound_passes(
-    system: TeleopSystem, ch_template: ChannelConfig, T: float, grid_points: int
-) -> bool:
-    bound = damping_bound(system.gains, T)
+def _small_gain_passes(system: TeleopSystem, ch: ChannelConfig, grid_points: int) -> bool:
+    return small_gain_at_period(system, ch, grid_points).small_gain_pass
+
+
+def _damping_bound_passes(system: TeleopSystem, ch: ChannelConfig, grid_points: int) -> bool:
+    bound = damping_bound(system.gains, ch.T)
     return min(system.master.damping, system.slave.damping) > bound
 
 
-# Criterion name -> pass predicate (system, channel template, T, grid points).
+# Criterion name -> pass predicate (system, channel at the period, grid points).
 # The predicates look small_gain_value, make_grid and damping_bound up in this
 # module at call time, so a wrapper bound over those names sees every call.
 CRITERIA = {
@@ -439,8 +439,12 @@ def max_stable_period(
         passes = CRITERIA[criterion]
     except KeyError:
         raise ValueError(f"unknown criterion {criterion!r}") from None
-    pass_lo = passes(system, ch_template, t_lo, grid_points)
-    pass_hi = passes(system, ch_template, t_hi, grid_points)
+
+    def passes_at(T: float) -> bool:
+        return passes(system, ch_template.at_period(T), grid_points)
+
+    pass_lo = passes_at(t_lo)
+    pass_hi = passes_at(t_hi)
     common = dict(
         criterion=criterion, t_lo=t_lo, t_hi=t_hi, pass_lo=pass_lo, pass_hi=pass_hi
     )
@@ -453,7 +457,7 @@ def max_stable_period(
     lo, hi = t_lo, t_hi
     while (hi - lo) > _BISECT_REL_WIDTH * hi:
         mid = 0.5 * (lo + hi)
-        if passes(system, ch_template, mid, grid_points):
+        if passes_at(mid):
             lo = mid
         else:
             hi = mid

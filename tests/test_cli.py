@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from teleopstab import read_report, stability
+from teleopstab import cli, load_run_settings, load_scenario, read_report, stability
 from teleopstab.cli import _build_parser, cli_dispatch
 
 SCENARIO_FILE = "scenarios/wall_contact.cfg"
@@ -125,6 +125,64 @@ def test_max_period_grid_below_two_is_a_usage_error(capsys, criterion):
     assert code == 2
     assert captured.out == ""
     assert "error: argument --grid: must be at least 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["max-period", "--criterion", "small_gain", "--range", "1e-3:0.1"]],
+)
+def test_grid_beyond_the_budget_is_a_usage_error(capsys, argv):
+    # make_grid rejects the size before it allocates the grid
+    code = cli_dispatch([*argv, "--config", SCENARIO_FILE, "--grid", "1000000000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and "grid budget" in line
+
+
+def test_file_grid_beyond_the_budget_is_rejected_before_the_run(tmp_path, capsys, monkeypatch):
+    cfg = _cfg(tmp_path)
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("grid_points = 1000000000000\n")  # [run] is the last section
+    runs = []
+    real_run = cli.run_scenario
+
+    def counted_run(*args, **kwargs):
+        runs.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", counted_run)
+    out = tmp_path / "run"
+    assert cli_dispatch(["analyze", "--config", cfg]) == 2
+    assert cli_dispatch(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("error:") and "grid budget" in line for line in lines)
+    # simulate judges the grid first: no trace, no output directory
+    assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make_cfg", [_cfg, _low_gain_cfg])
+def test_analyze_sweep_and_criterion_judge_a_period_alike(tmp_path, capsys, make_cfg):
+    # analyze, the sweep row at the scenario's period and the small_gain
+    # criterion there all judge the loop through one call
+    cfg = make_cfg(tmp_path)
+    code = cli_dispatch(["analyze", "--config", cfg])
+    analyzed = json.loads(capsys.readouterr().out)["stability"]
+    assert code == (0 if analyzed["small_gain_pass"] else 1)
+    sc, run = load_scenario(cfg), load_run_settings(cfg)
+    out = tmp_path / "sw"
+    periods = repr(sc.channel.T)
+    assert cli_dispatch(["sweep", "--config", cfg, "--periods", periods, "--out", str(out)]) == 0
+    (row,) = read_report(out / "sweep.json")["sweep"]
+    passes = stability.CRITERIA["small_gain"](sc.analysis_system(), sc.channel, run.grid_points)
+    assert row["period"] == sc.channel.T
+    assert row["small_gain_value"] == analyzed["small_gain_value"]
+    assert row["small_gain_pass"] is analyzed["small_gain_pass"] is passes
 
 
 def test_analyze_passing_configuration(tmp_path, capsys):

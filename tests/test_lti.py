@@ -1,6 +1,7 @@
 """Rational transfer functions, their array evaluation, and grids."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from teleopstab import (
     eval_tf,
     make_grid,
 )
-from teleopstab.lti import cdiv, cmul, eval_tf_grid
+from teleopstab.lti import MAX_GRID_POINTS, cdiv, cmul, eval_tf_grid
 
 from oracles import rational_brute
 
@@ -126,6 +127,19 @@ def test_make_grid_default_postconditions():
 def test_make_grid_rejects_too_few_points():
     with pytest.raises(BadGrid):
         make_grid(0.01, 1)
+
+
+def test_make_grid_rejects_a_grid_beyond_the_budget_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadGrid, match="grid budget"):
+            make_grid(0.006, 10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(BadGrid, match="grid budget"):
+        make_grid(0.006, MAX_GRID_POINTS + 1)
 
 
 def test_frequency_grid_invariants():

@@ -721,7 +721,7 @@ def test_sweep_propagates_programming_errors(reference_scenario, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken certificate core")
 
-    monkeypatch.setattr("teleopstab.sim.small_gain_value", broken)
+    monkeypatch.setattr("teleopstab.stability.small_gain_value", broken)
     sc = _short(reference_scenario, duration=2.0)
     with pytest.raises(TypeError, match="broken certificate core"):
         sweep_period(sc, [sc.channel.T])
