@@ -14,6 +14,7 @@ unreadable configuration, or a configuration the certificates cannot judge.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -44,17 +45,6 @@ _SWEEP_COLUMNS = (
     ("stability", "small_gain_pass"),
     ("stability", "damping_bound"),
 )
-
-
-def _grid_size(raw: str) -> int:
-    """argparse type of ``--grid``: an integer number of points, at least 2."""
-    try:
-        n = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
-    return n
 
 
 def _cmd_analyze(args, sc, run) -> int:
@@ -98,21 +88,21 @@ def _cmd_sweep(args, sc, run) -> int:
     periods = _parse_periods(args.periods)
     os.makedirs(args.out, exist_ok=True)
     rows = sweep_period(sc, periods, run)
-    lines = [",".join(attr for _, attr in _SWEEP_COLUMNS) + ",error"]
-    payload = []
-    for row in rows:
-        if row.error is not None:
-            lines.append(repr(row.period) + "," * len(_SWEEP_COLUMNS) + row.error)
-            payload.append({"period": row.period, "error": row.error})
-            continue
-        values = {
+    payload = [
+        {"period": row.period, "error": row.error}
+        if row.error is not None
+        else {
             attr: getattr(row if source is None else getattr(row, source), attr)
             for source, attr in _SWEEP_COLUMNS
         }
-        lines.append(",".join(repr(v) for v in values.values()) + ",")
-        payload.append(values)
-    with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for row in rows
+    ]
+    with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(
+            fh, [attr for _, attr in _SWEEP_COLUMNS] + ["error"], lineterminator="\n"
+        )
+        writer.writeheader()
+        writer.writerows(payload)
     report = build_report(sc, run)
     report["sweep"] = payload
     write_report(report, os.path.join(args.out, "sweep.json"))
@@ -173,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="absolute-stability analysis for one scenario")
     pa.add_argument("--config", required=True, help="scenario file")
-    pa.add_argument("--grid", dest="grid_points", type=_grid_size, help="frequency grid size")
+    pa.add_argument("--grid", dest="grid_points", type=int, help="frequency grid size")
     pa.add_argument("--out", default=None, help="also write the JSON report here")
     pa.set_defaults(func=_cmd_analyze)
 
@@ -198,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stability criterion to bisect on",
     )
     pm.add_argument("--range", required=True, help="search bracket LO:HI in s")
-    pm.add_argument("--grid", dest="grid_points", type=_grid_size, help="frequency grid size")
+    pm.add_argument("--grid", dest="grid_points", type=int, help="frequency grid size")
     pm.set_defaults(func=_cmd_max_period)
     return p
 

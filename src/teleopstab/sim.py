@@ -704,8 +704,9 @@ def sweep_period(
         try:
             ch = sc_template.channel.at_period(T)
             sc = replace(sc_template, channel=ch)
-            vd = verdict(run_scenario(sc, seed=run.seed), run)
+            # the grid is judged first, so an over-budget grid runs nothing
             report = small_gain_at_period(system, ch, run.grid_points)
+            vd = verdict(run_scenario(sc, seed=run.seed), run)
             rows.append(SweepRow(period=T, verdict=vd, stability=report, error=None))
         except (ArithmeticError, ValueError) as exc:  # per-row isolation
             rows.append(SweepRow(period=T, verdict=None, stability=None, error=str(exc)))

@@ -1,14 +1,16 @@
 """Command line front end: exit codes, outputs, and error paths."""
 
 import argparse
+import csv
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from teleopstab import cli, load_run_settings, load_scenario, read_report, stability
+from teleopstab import cli, load_run_settings, load_scenario, lti, read_report, sim, stability
 from teleopstab.cli import _build_parser, cli_dispatch
 
 SCENARIO_FILE = "scenarios/wall_contact.cfg"
@@ -93,9 +95,10 @@ def test_analyze_grid_override(capsys):
     # the report names the grid the verdict was computed on
     assert rep["provenance"]["grid_points"] == 1024
     code = cli_dispatch(["analyze", "--config", SCENARIO_FILE, "--grid", "1"])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 2
-    assert "--grid" in err
+    assert captured.out == ""
+    assert "grid_points must be an integer >= 2" in captured.err
 
 
 def test_max_period_grid_override_matches_file_setting(tmp_path, capsys):
@@ -124,7 +127,7 @@ def test_max_period_grid_below_two_is_a_usage_error(capsys, criterion):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "error: argument --grid: must be at least 2" in captured.err
+    assert "error: grid_points must be an integer >= 2" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -268,6 +271,50 @@ def test_sweep_outputs(tmp_path, capsys):
         "period", "bounded", "max_abs_position", "settling_ok",
         "small_gain_value", "small_gain_pass", "damping_bound",
     }
+
+
+def _short_wall_contact(tmp_path, extra_run=""):
+    # the shortest run that still ends after the operator pulse, at 20 s
+    text = pathlib.Path(SCENARIO_FILE).read_text(encoding="utf-8")
+    p = tmp_path / "wall_contact.cfg"
+    p.write_text(text.replace("duration = 80.0\n", "duration = 20.0\n") + extra_run)
+    return str(p)
+
+
+def test_sweep_error_rows_keep_the_header_width(tmp_path, capsys):
+    # the budget message holds a comma; every row still parses to the header
+    cfg = _short_wall_contact(tmp_path)
+    out = tmp_path / "sw"
+    argv = ["sweep", "--config", cfg, "--periods", "0.006,1e-12", "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    capsys.readouterr()
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 8 and header[-1] == "error"
+    assert [len(row) for row in rows] == [8, 8]
+    errors = {float(row[0]): row[-1] for row in rows}
+    assert errors[0.006] == ""
+    (err_row,) = [row for row in read_report(out / "sweep.json")["sweep"] if "error" in row]
+    assert err_row["period"] == 1e-12
+    assert "," in err_row["error"] and "budget" in err_row["error"]
+    assert errors[1e-12] == err_row["error"]
+
+
+def test_sweep_over_budget_grid_simulates_nothing(tmp_path, capsys, monkeypatch):
+    cfg = _short_wall_contact(tmp_path, f"grid_points = {lti.MAX_GRID_POINTS + 1}\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_scenario called for an over-budget grid")
+
+    monkeypatch.setattr(sim, "run_scenario", no_run)
+    out = tmp_path / "sw"
+    argv = ["sweep", "--config", cfg, "--periods", "0.001,0.006", "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    capsys.readouterr()
+    rows = read_report(out / "sweep.json")["sweep"]
+    assert [row["period"] for row in rows] == [0.001, 0.006]
+    assert all(set(row) == {"period", "error"} for row in rows)
+    assert all("grid budget" in row["error"] for row in rows)
 
 
 def test_sweep_bad_periods(tmp_path, capsys):

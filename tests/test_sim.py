@@ -25,6 +25,7 @@ from teleopstab import (
     alpha_zero_condition,
     apply_nonidealities,
     clamp_force,
+    control_continuous,
     induced_delay_gamma,
     load_scenario,
     max_stable_period,
@@ -216,10 +217,16 @@ def _pinned_cases(ref):
 
 
 def _trace_digest(tr):
+    # every NaN hashes as 0xfff8000000000000: the sign bit of a NaN made from
+    # infinities is chosen by the interpreter's compiled float code, not by the
+    # simulator, and a diverged run's x_s and v_s flip it under a line tracer
     h = hashlib.sha256()
     for name in _COLUMNS + ("sample_events", "hold_events_m", "hold_events_s"):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(getattr(tr, name), dtype="<f8").tobytes())
+        a = np.array(getattr(tr, name), dtype="<f8")
+        bits = a.view("<u8")
+        bits[np.isnan(a)] = 0xFFF8000000000000
+        h.update(bits.tobytes())
     h.update(repr(tr.divergence_time).encode())
     return h.hexdigest()
 
@@ -675,6 +682,43 @@ def test_divergent_run_truncates_with_divergence_time(reference_scenario):
     # verdict may flag divergence slightly earlier than the engine stamp
     assert v.divergence_time is not None
     assert v.divergence_time <= tr.divergence_time
+
+
+def test_divergence_inside_a_run_of_plain_substeps(reference_scenario):
+    # a stiff operator spring makes RK4 unstable at h = 6e-4 s: the master's
+    # state grows every substep from the pulse on and overflows between two
+    # samples, so the run's end state is non-finite and the trace must end at
+    # the first non-finite row inside that run
+    human = ImpedanceModel(mass=0.0, damping=1.0, stiffness=1e8)
+    tr = run_scenario(_short(reference_scenario, human=human), seed=0)
+    nsub = round(reference_scenario.channel.T / tr.substep)
+    last = len(tr.t) - 1
+    # the run holding the divergence started at a sample row before last - 1
+    assert last % nsub >= 2
+    state = np.column_stack([tr.x_m, tr.v_m, tr.x_s, tr.v_s])
+    assert np.isfinite(state[:-1]).all()
+    assert not np.isfinite(state[-1]).all()
+    assert tr.divergence_time == tr.t[-1]
+
+
+def test_side_with_no_hold_keeps_the_startup_latch(reference_scenario):
+    # packets land two periods after their sample, so a run of one period
+    # ends before either side's first hold; the pulse moves the master, yet
+    # both torques stay at the latch taken from the zero initial state
+    ch = dataclasses.replace(reference_scenario.channel, d1=2, d2=2)
+    sc = _short(
+        reference_scenario,
+        channel=ch,
+        duration=ch.T,
+        operator_force=OperatorForce(0.001, 0.004, 5.0),
+    )
+    tr = run_scenario(sc, seed=0)
+    assert tr.x_m[-1] != 0.0
+    latch = control_continuous(sc.gains, (0.0, 0.0), (0.0, 0.0))
+    for col in (tr.f_m, tr.f_s):
+        assert col.tobytes() == np.full(len(tr.t), latch).tobytes()
+    assert len(tr.hold_events_m) == 0
+    assert len(tr.hold_events_s) == 0
 
 
 def test_sweep_reference_trend(reference_scenario):
