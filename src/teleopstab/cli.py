@@ -8,7 +8,8 @@ Subcommands:
 * ``max-period`` bisect for the largest sampling period passing a criterion
 
 Exit codes: 0 success, 1 analysis or simulation verdict failed, 2 bad usage,
-unreadable configuration, or a configuration the certificates cannot judge.
+unreadable configuration, a configuration the certificates cannot judge, or
+a sweep none of whose periods succeeded.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def _cmd_sweep(args, sc, run) -> int:
     report["sweep"] = payload
     write_report(report, os.path.join(args.out, "sweep.json"))
     print(f"{len(rows)} periods swept, outputs in {args.out}")
+    if all(row.error is not None for row in rows):
+        # nothing was judged or simulated: fail as analyze and simulate do
+        first = rows[0]
+        print(f"error: every period failed; at {first.period!r} s: {first.error}", file=sys.stderr)
+        return 2
     return 0
 
 

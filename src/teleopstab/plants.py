@@ -146,6 +146,22 @@ def plant_position_tf(p: RobotParams, terminator: ImpedanceModel) -> RationalTF:
     return RationalTF(num=(1.0,), den=den)
 
 
+def _robot_blocks(p: RobotParams, termination: ImpedanceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous (A, B) of a robot with its termination folded in.
+
+    State (x, v) and the force on the robot as input, so that
+    v' = (u - k*x - (b + b')*v) / (m + m').  The inverse mass 1/(m + m') and
+    the summed damping are formed once, as the simulator's field takes them:
+    A = [[0, 1], [-k/(m + m'), -(b + b')/(m + m')]] and B = (0, 1/(m + m')).
+    """
+    inv_m = 1.0 / (p.mass + termination.mass)
+    a = np.array([
+        [0.0, 1.0],
+        [-termination.stiffness * inv_m, -(p.damping + termination.damping) * inv_m],
+    ])
+    return a, np.array([0.0, inv_m])
+
+
 def zoh_pair(A: np.ndarray, B: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Held-input pair (Phi, Gamma) of x' = A x + B u over one period T.
 

@@ -13,11 +13,20 @@ a substep near a pulse edge) to the next and writes only the state.  The
 held torques and the terminations' forces are derived from the holds and the
 state columns after it, with the per-row formulas' bits.
 
+Between events each robot is linear with a constant input, and one RK4
+substep of it is exactly the map y <- M y + N u of its transition matrices
+(``_rk4_map``).  A plain substep whose every RK4 stage keeps the slave short
+of the wall steps both robots by their maps; a substep in or near wall
+contact, or holding a pulse edge, evaluates RK4's stages.  The two differ
+only in rounding: traces agree with the all-stage loop (kept as the test
+oracle) to 1e-9 of each column's scale.
+
 Identical scenario + seed reproduces bit-identical traces.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -29,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import ControllerGains, control_continuous
-from .plants import ImpedanceModel, RobotParams, WallModel, wall_force
+from .plants import FREE, ImpedanceModel, RobotParams, WallModel, _robot_blocks, wall_force
 from .stability import ChannelConfig, StabilityReport, TeleopSystem, small_gain_at_period
 
 __all__ = [
@@ -284,56 +293,65 @@ def apply_nonidealities(
     return out_p, out_v
 
 
-def run_scenario(
-    sc: SimScenario, seed: int = 0, controller_mode: str = "sampled"
-) -> SimTrace:
-    """Integrate one scenario and return the substep-resolution trace.
-
-    controller_mode "sampled" (default) runs the full sampler/delay/hold
-    machinery; "continuous" recomputes the control law from the true state at
-    every substep (reference loop for consistency checks).  A non-finite
-    state aborts the run; the trace ends at the first non-finite row and
-    carries its time as divergence_time.
-
-    The loop integrates and writes only x_m, v_m, x_s and v_s, a run of
-    substeps at a time between events.  t is the grid j*h; F_m, F_s, F_h
-    and F_e are derived from the holds and the state columns after the
-    loop, bit for bit the values a row-at-a-time loop writes, within the
-    same nine columns of memory.
-
-    Raises ValueError, before allocating, when the nine trace columns would
-    exceed TRACE_BUDGET_BYTES.
+def _rk4_map(a: np.ndarray, b: np.ndarray, h: float):
+    """(M, N) as nested floats: one classical RK4 step of width h of
+    y' = a y + b u with u constant is exactly y <- M y + N u, where Z = h a,
+    M = I + Z + Z^2/2 + Z^3/6 + Z^4/24 and N = h (I + Z/2 + Z^2/6 + Z^3/24) b.
     """
-    if controller_mode not in ("sampled", "continuous"):
-        raise ValueError(f"unknown controller_mode {controller_mode!r}")
-    g = sc.gains
-    ch = sc.channel
-    T = ch.T
-    nsub = sc.integrator_substeps
-    h = T / nsub
-    n_periods = math.ceil(sc.duration / T - 1e-9)
-    n_total = n_periods * nsub
-    trace_bytes = 9 * 8 * (n_total + 1)
-    if trace_bytes > TRACE_BUDGET_BYTES:
-        raise ValueError(
-            f"trace of {n_total + 1} rows needs {trace_bytes} bytes, over the "
-            f"{TRACE_BUDGET_BYTES}-byte budget; shorten duration or raise the period"
-        )
+    z = h * a
+    eye = np.eye(len(b))
+    s = eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0  # I + Z/2 + Z^2/6 + Z^3/24
+    return (eye + z @ s).tolist(), (h * (s @ b)).tolist()
 
+
+def _rk4_gain(a: np.ndarray, h: float) -> float:
+    """Largest |R(h*lambda)| over the eigenvalues lambda of the 2x2 ``a``
+    with Re lambda < 0, where R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is RK4's
+    growth factor; 0.0 when no mode decays.
+
+    The eigenvalues are the roots tr/2 +- sqrt((tr/2)^2 - det): a first
+    ``np.linalg.eigvals`` call maps about 0.9 MiB of LAPACK into the process.
+    """
+    (a00, a01), (a10, a11) = a.tolist()
+    half_tr = 0.5 * (a00 + a11)
+    root = cmath.sqrt(half_tr * half_tr - (a00 * a11 - a01 * a10))
+    zs = [h * lam for lam in (half_tr + root, half_tr - root) if lam.real < 0.0]
+    return max((abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))) for z in zs), default=0.0)
+
+
+def _slave_reach(a: np.ndarray, b: np.ndarray, h: float) -> tuple[float, float]:
+    """(c_v, c_f) such that no RK4 stage position of a substep of width h of
+    the free slave, nor its end position, exceeds
+    x_s + c_v*|v_s| + c_f*|F_s| for a start state (x_s, v_s) and torque F_s.
+
+    With c = -a[1][1] (damping over mass) and beta = b[1], short of the wall
+    every stage velocity is v_s + w*(beta*F_s - c*v_prev) for a w in [0, h];
+    so when h*c < 1 each is within V = (|v_s| + h*beta*|F_s|)/(1 - h*c) of
+    zero, and each stage position and the end position lie within h*V of
+    x_s.  The bound returned is twice h*V, which covers the rounding of the
+    stages and of the test itself.  When h*c >= 1 both are inf: the test
+    x_s + c_v*|v_s| <= x_wall - c_f*|F_s| then compares against -inf or a
+    NaN, and never holds.
+    """
+    hc = -h * a[1][1]
+    if not hc < 1.0:
+        return math.inf, math.inf
+    c_v = 2.0 * h / (1.0 - hc)
+    return c_v, c_v * h * b[1]
+
+
+def _stage_rk4(sc: SimScenario):
+    """Classical RK4 over width dt of the robot/wall field of ``sc``, stage by
+    stage: ``rk4(xm, vm, xs, vs, dt, fstar, fm, fs)`` returns the new
+    (xm, vm, xs, vs)."""
     # hoisted dynamics constants
     inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
     b_m_tot = sc.master.damping + sc.human.damping
     k_h = sc.human.stiffness
-    m_h = sc.human.mass
-    b_h = sc.human.damping
     inv_ms = 1.0 / sc.slave.mass
     b_s = sc.slave.damping
     wall = sc.wall
     x_wall = wall.position
-    f_start = sc.operator_force.start
-    f_stop = sc.operator_force.stop
-    f_mag = sc.operator_force.magnitude
-    isfinite = math.isfinite
 
     def rk4(xm, vm, xs, vs, dt, fstar, fm, fs):
         # Classical RK4 of the robot/wall field; each stage evaluates
@@ -341,7 +359,8 @@ def run_scenario(
         #   a_s = (-wall_force(xs, vs) - b_s*vs + fs) / m_s
         # with the torques fm, fs already carrying the feedback sign.  Short
         # of the wall the reaction is the 0.0 wall_force itself returns there.
-        # Traces are pinned bit for bit, so the operation order is fixed.
+        # The operation order is that of the all-stage loop kept in
+        # tests/oracles.py, whose traces are pinned bit for bit.
         h2 = 0.5 * dt
         k1v = (fstar - k_h * xm - b_m_tot * vm + fm) * inv_mm
         w = wall_force(xs, vs, wall) if xs > x_wall else 0.0
@@ -374,6 +393,96 @@ def run_scenario(
             xs + s6 * (vs + 2.0 * (v2s + v3s) + v4s),
             vs + s6 * (k1u + 2.0 * (k2u + k3u) + k4u),
         )
+
+    return rk4
+
+
+def run_scenario(
+    sc: SimScenario, seed: int = 0, controller_mode: str = "sampled"
+) -> SimTrace:
+    """Integrate one scenario and return the substep-resolution trace.
+
+    controller_mode "sampled" (default) runs the full sampler/delay/hold
+    machinery; "continuous" recomputes the control law from the true state at
+    every substep (reference loop for consistency checks).  A non-finite
+    state aborts the run; the trace ends at the first non-finite row and
+    carries its time as divergence_time.
+
+    The loop integrates and writes only x_m, v_m, x_s and v_s, a run of
+    substeps at a time between events.  t is the grid j*h; F_m, F_s, F_h
+    and F_e are derived from the holds and the state columns after the
+    loop, bit for bit the values a row-at-a-time loop writes, within the
+    same nine columns of memory.
+
+    A plain substep (no pulse edge inside it) steps both robots by RK4's
+    transition maps when a bound shows that none of RK4's stages takes the
+    slave past the wall; every other substep evaluates RK4's four stages,
+    with the wall-branch check and bisection.  The trace is bit-identical
+    for a scenario and seed, and agrees with the all-stage loop to 1e-9 of
+    each column's largest finite magnitude.  A decaying mode that RK4
+    amplifies at this substep (master with the operator, slave against the
+    wall) is logged as a WARNING on the "teleopstab" logger.
+
+    Raises ValueError, before allocating, when the nine trace columns would
+    exceed TRACE_BUDGET_BYTES.
+    """
+    if controller_mode not in ("sampled", "continuous"):
+        raise ValueError(f"unknown controller_mode {controller_mode!r}")
+    g = sc.gains
+    ch = sc.channel
+    T = ch.T
+    nsub = sc.integrator_substeps
+    h = T / nsub
+    n_periods = math.ceil(sc.duration / T - 1e-9)
+    n_total = n_periods * nsub
+    trace_bytes = 9 * 8 * (n_total + 1)
+    if trace_bytes > TRACE_BUDGET_BYTES:
+        raise ValueError(
+            f"trace of {n_total + 1} rows needs {trace_bytes} bytes, over the "
+            f"{TRACE_BUDGET_BYTES}-byte budget; shorten duration or raise the period"
+        )
+
+    rk4 = _stage_rk4(sc)
+    # F_h's constants, as rk4 takes them
+    inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
+    b_m_tot = sc.master.damping + sc.human.damping
+    k_h = sc.human.stiffness
+    m_h = sc.human.mass
+    b_h = sc.human.damping
+    wall = sc.wall
+    x_wall = wall.position
+    f_start = sc.operator_force.start
+    f_stop = sc.operator_force.stop
+    f_mag = sc.operator_force.magnitude
+    isfinite = math.isfinite
+
+    # RK4's transition maps at width h: the master with the operator (input
+    # fstar + F_m) and the free slave (input F_s), whose first column is
+    # (1, 0) exactly, as it has no spring
+    master = _robot_blocks(sc.master, sc.human)
+    slave = _robot_blocks(sc.slave, FREE)
+    ((m00, m01), (m10, m11)), (n_m0, n_m1) = _rk4_map(*master, h)
+    ((_, s01), (_, s11)), (n_s0, n_s1) = _rk4_map(*slave, h)
+    reach_v, reach_f = _slave_reach(*slave, h)
+    # a decaying mode that RK4 amplifies makes the run diverge on its own
+    pressed = ImpedanceModel(damping=wall.damping, stiffness=wall.stiffness)
+    modes = (
+        ("master with the operator", master[0]),
+        ("slave against the wall", _robot_blocks(sc.slave, pressed)[0]),
+    )
+    for mode, a in modes:
+        gain = _rk4_gain(a, h)
+        if gain > 1.0:
+            # imported only here: logging costs every process about 5 ms and
+            # 0.4 MiB to load, and a run seldom warns
+            import logging
+
+            logging.getLogger("teleopstab").warning(
+                "RK4 at substep h = %.6g s amplifies the decaying %s mode "
+                "(|R(h*lambda)| = %.6g > 1); the run may diverge where the loop "
+                "does not: raise [run] substeps",
+                h, mode, gain,
+            )
 
     def wall_branch(xs, vs):
         # 0 free flight, 1 pushing contact, 2 clamped (spring+damper pulls)
@@ -546,20 +655,31 @@ def run_scenario(
         else:
             stop = min(next_event, next_break, last)
             fstar = f_mag if f_start <= 0.5 * (t0 + t1) < f_stop else 0.0
+            # the maps' input terms, and the slave's clearance, over the run
+            u_m = fstar + f_m_held
+            u_m0, u_m1 = n_m0 * u_m, n_m1 * u_m
+            u_s0, u_s1 = n_s0 * f_s_held, n_s1 * f_s_held
+            x_clear = x_wall - reach_f * abs(f_s_held)
             for i in range(j, stop):
-                t0 = i * h
-                t1 = t0 + h
-                y = rk4(x_m, v_m, x_s, v_s, t1 - t0, fstar, f_m_held, f_s_held)
-                # the step advance_smooth would try first; it redoes it and
-                # bisects only when a finite end state changed wall branch
-                if (
-                    (x_s > x_wall or y[2] > x_wall)
-                    and wall_branch(y[2], y[3]) != wall_branch(x_s, v_s)
-                    and isfinite(y[2])
-                    and isfinite(y[3])
-                ):
-                    y = advance_smooth(t0, t1, x_m, v_m, x_s, v_s, fstar, f_m_held, f_s_held)
-                x_m, v_m, x_s, v_s = y
+                if x_s + reach_v * abs(v_s) <= x_clear:
+                    # every RK4 stage keeps the slave short of the wall
+                    # (_slave_reach), so the substep is the linear step
+                    x_m, v_m = m00 * x_m + m01 * v_m + u_m0, m10 * x_m + m11 * v_m + u_m1
+                    x_s, v_s = x_s + s01 * v_s + u_s0, s11 * v_s + u_s1
+                else:
+                    t0 = i * h
+                    t1 = t0 + h
+                    y = rk4(x_m, v_m, x_s, v_s, t1 - t0, fstar, f_m_held, f_s_held)
+                    # the step advance_smooth would try first; it redoes it and
+                    # bisects only when a finite end state changed wall branch
+                    if (
+                        (x_s > x_wall or y[2] > x_wall)
+                        and wall_branch(y[2], y[3]) != wall_branch(x_s, v_s)
+                        and isfinite(y[2])
+                        and isfinite(y[3])
+                    ):
+                        y = advance_smooth(t0, t1, x_m, v_m, x_s, v_s, fstar, f_m_held, f_s_held)
+                    x_m, v_m, x_s, v_s = y
                 i += 1
                 xm_w[i] = x_m
                 vm_w[i] = v_m

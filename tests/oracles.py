@@ -10,14 +10,36 @@ Loan's block at 50 digits (and the sampled plant's response C(zI - Phi)^-1
 Gamma is solved from that pair before any rounding), and the small-gain test
 value is assembled term by term on a dense grid.  Test files compare package
 output against these.
+
+The one exception is ``stagewise_run_scenario``, the simulator's substep loop
+as it ran before plain substeps stepped by RK4's transition maps: every
+substep evaluates RK4's four stages.  It shares the package's sensor pipeline,
+clamp, control law, wall law and hold filling, so the trace digests pinned on
+it cover those helpers too.
 """
 
 import cmath
+import itertools
 import math
+from array import array
+from collections import deque
 
 import mpmath
 import numpy as np
 from scipy import signal
+
+from teleopstab.control import control_continuous
+from teleopstab.plants import wall_force
+from teleopstab.sim import (
+    _BLOCK_ROWS,
+    TRACE_BUDGET_BYTES,
+    SimTrace,
+    _draws,
+    _fill_held,
+    _saturate,
+    _SensorPipeline,
+    clamp_force,
+)
 
 
 def poly_brute(coeffs, s):
@@ -264,3 +286,347 @@ def events_csv(trace, path):
         fh.write("kind,t\n")
         for t, _, kind in events:
             fh.write(f"{kind},{t:.17g}\n")
+
+
+def stagewise_run_scenario(sc, seed=0, controller_mode="sampled"):
+    """Integrate one scenario and return the substep-resolution trace.
+
+    Every substep evaluates the four stages of ``rk4``; see the module
+    docstring.
+
+    controller_mode "sampled" (default) runs the full sampler/delay/hold
+    machinery; "continuous" recomputes the control law from the true state at
+    every substep (reference loop for consistency checks).  A non-finite
+    state aborts the run; the trace ends at the first non-finite row and
+    carries its time as divergence_time.
+
+    The loop integrates and writes only x_m, v_m, x_s and v_s, a run of
+    substeps at a time between events.  t is the grid j*h; F_m, F_s, F_h
+    and F_e are derived from the holds and the state columns after the
+    loop, bit for bit the values a row-at-a-time loop writes, within the
+    same nine columns of memory.
+
+    Raises ValueError, before allocating, when the nine trace columns would
+    exceed TRACE_BUDGET_BYTES.
+    """
+    if controller_mode not in ("sampled", "continuous"):
+        raise ValueError(f"unknown controller_mode {controller_mode!r}")
+    g = sc.gains
+    ch = sc.channel
+    T = ch.T
+    nsub = sc.integrator_substeps
+    h = T / nsub
+    n_periods = math.ceil(sc.duration / T - 1e-9)
+    n_total = n_periods * nsub
+    trace_bytes = 9 * 8 * (n_total + 1)
+    if trace_bytes > TRACE_BUDGET_BYTES:
+        raise ValueError(
+            f"trace of {n_total + 1} rows needs {trace_bytes} bytes, over the "
+            f"{TRACE_BUDGET_BYTES}-byte budget; shorten duration or raise the period"
+        )
+
+    # hoisted dynamics constants
+    inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
+    b_m_tot = sc.master.damping + sc.human.damping
+    k_h = sc.human.stiffness
+    m_h = sc.human.mass
+    b_h = sc.human.damping
+    inv_ms = 1.0 / sc.slave.mass
+    b_s = sc.slave.damping
+    wall = sc.wall
+    x_wall = wall.position
+    f_start = sc.operator_force.start
+    f_stop = sc.operator_force.stop
+    f_mag = sc.operator_force.magnitude
+    isfinite = math.isfinite
+
+    def rk4(xm, vm, xs, vs, dt, fstar, fm, fs):
+        # Classical RK4 of the robot/wall field; each stage evaluates
+        #   a_m = (fstar - k_h*xm - b_m_tot*vm + fm) / m_m
+        #   a_s = (-wall_force(xs, vs) - b_s*vs + fs) / m_s
+        # with the torques fm, fs already carrying the feedback sign.  Short
+        # of the wall the reaction is the 0.0 wall_force itself returns there.
+        # Traces are pinned bit for bit, so the operation order is fixed.
+        h2 = 0.5 * dt
+        k1v = (fstar - k_h * xm - b_m_tot * vm + fm) * inv_mm
+        w = wall_force(xs, vs, wall) if xs > x_wall else 0.0
+        k1u = (-w - b_s * vs + fs) * inv_ms
+        x2m = xm + h2 * vm
+        v2m = vm + h2 * k1v
+        x2s = xs + h2 * vs
+        v2s = vs + h2 * k1u
+        k2v = (fstar - k_h * x2m - b_m_tot * v2m + fm) * inv_mm
+        w = wall_force(x2s, v2s, wall) if x2s > x_wall else 0.0
+        k2u = (-w - b_s * v2s + fs) * inv_ms
+        x3m = xm + h2 * v2m
+        v3m = vm + h2 * k2v
+        x3s = xs + h2 * v2s
+        v3s = vs + h2 * k2u
+        k3v = (fstar - k_h * x3m - b_m_tot * v3m + fm) * inv_mm
+        w = wall_force(x3s, v3s, wall) if x3s > x_wall else 0.0
+        k3u = (-w - b_s * v3s + fs) * inv_ms
+        x4m = xm + dt * v3m
+        v4m = vm + dt * k3v
+        x4s = xs + dt * v3s
+        v4s = vs + dt * k3u
+        k4v = (fstar - k_h * x4m - b_m_tot * v4m + fm) * inv_mm
+        w = wall_force(x4s, v4s, wall) if x4s > x_wall else 0.0
+        k4u = (-w - b_s * v4s + fs) * inv_ms
+        s6 = dt / 6.0
+        return (
+            xm + s6 * (vm + 2.0 * (v2m + v3m) + v4m),
+            vm + s6 * (k1v + 2.0 * (k2v + k3v) + k4v),
+            xs + s6 * (vs + 2.0 * (v2s + v3s) + v4s),
+            vs + s6 * (k1u + 2.0 * (k2u + k3u) + k4u),
+        )
+
+    def wall_branch(xs, vs):
+        # 0 free flight, 1 pushing contact, 2 clamped (spring+damper pulls)
+        if xs <= x_wall:
+            return 0
+        return 1 if wall_force(xs, vs, wall) > 0.0 else 2
+
+    def advance_smooth(t0, t1, xm, vm, xs, vs, fstar, fm, fs):
+        # integrate a profile-constant piece, bisecting wall branch changes
+        for _ in range(64):
+            dt = t1 - t0
+            if dt <= 0.0:
+                return xm, vm, xs, vs
+            b0 = wall_branch(xs, vs)
+            y = rk4(xm, vm, xs, vs, dt, fstar, fm, fs)
+            if wall_branch(y[2], y[3]) == b0 or not (isfinite(y[2]) and isfinite(y[3])):
+                return y
+            lo, hi = 0.0, dt
+            y_hi = y
+            for _ in range(64):
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break
+                ym = rk4(xm, vm, xs, vs, mid, fstar, fm, fs)
+                if wall_branch(ym[2], ym[3]) == b0:
+                    lo = mid
+                else:
+                    hi = mid
+                    y_hi = ym
+            xm, vm, xs, vs = y_hi
+            t0 = t0 + hi
+        return rk4(xm, vm, xs, vs, t1 - t0, fstar, fm, fs)
+
+    def advance_cut(t0, t1, xm, vm, xs, vs, fm, fs):
+        # a substep holding an operator-force edge: one smooth piece per side
+        cuts = [t0]
+        if t0 < f_start < t1:
+            cuts.append(f_start)
+        if t0 < f_stop < t1:
+            cuts.append(f_stop)
+        cuts.append(t1)
+        for a, b in zip(cuts, cuts[1:]):
+            mid = 0.5 * (a + b)
+            fstar = f_mag if f_start <= mid < f_stop else 0.0
+            xm, vm, xs, vs = advance_smooth(a, b, xm, vm, xs, vs, fstar, fm, fs)
+        return xm, vm, xs, vs
+
+    # sampling machinery
+    sampled = controller_mode == "sampled"
+    cfg = sc.nonidealities
+    # the actuator's largest |F|, taken once a run; unbounded without hardware
+    lim = math.inf if cfg is None else clamp_force(math.inf, cfg)
+
+    pipe_m = pipe_s = None
+    if sampled and cfg is not None:
+        pipe_m = _SensorPipeline(cfg, T, np.random.default_rng([seed, 0]))
+        pipe_s = _SensorPipeline(cfg, T, np.random.default_rng([seed, 1]))
+
+    # (substep, time) of each sample; jittered intervals are drawn as needed
+    if sampled and sc.jitter_sampling:
+        intervals = _draws(np.random.default_rng([seed, 2]).uniform, ch.eps_min, T)
+        min_sub = max(1, math.ceil(ch.eps_min / h - 1e-9))
+
+        def jittered():
+            j = 0
+            while True:
+                yield j, j * h
+                u = next(intervals)
+                j += min(nsub, max(min_sub, int(round(u / h))))
+
+        instants = jittered()
+    else:
+        instants = ((k * nsub, k * T) for k in itertools.count())
+
+    d1_sub = ch.d1 * nsub
+    d2_sub = ch.d2 * nsub
+
+    # runs of plain substeps stop at the substeps within two of each pulse
+    # edge, which go one at a time: the one holding the edge is cut there,
+    # and the pulse value a plain substep takes at its midpoint changes only
+    # next to it
+    near_edges = sorted({
+        j for e in (f_start, f_stop) for j in range(math.floor(e / h) - 2, math.floor(e / h) + 3)
+    })
+
+    # state; the startup latches hold the local initial condition on both
+    # sides, so the first held torques see zero coordination error
+    x_m = v_m = x_s = v_s = 0.0
+    f_m_first = f_m_held = _saturate(control_continuous(g, (x_m, v_m), (x_m, v_m)), lim)
+    f_s_first = f_s_held = _saturate(control_continuous(g, (x_s, v_s), (x_s, v_s)), lim)
+
+    # packets in flight, oldest first: (arrival substep, measurement); each
+    # side's holds deliver the samples in order, so a hold's time is its
+    # sample's time plus the channel delay
+    to_s: deque[tuple[int, tuple[float, float]]] = deque()
+    to_m: deque[tuple[int, tuple[float, float]]] = deque()
+    sample_times = array("d")
+    hold_m_rows = array("q")
+    hold_s_rows = array("q")
+
+    n_rows = n_total + 1
+    # in _TRACE_COLUMNS order: t, the state at [1:5], the torques at [5:7]
+    columns = [np.arange(n_rows, dtype=float), *(np.empty(n_rows) for _ in _TRACE_COLUMNS[1:])]
+    columns[0] *= h  # j * h, as the loop takes it
+    state_w = xm_w, vm_w, xs_w, vs_w = tuple(map(memoryview, columns[1:5]))
+    # a hold writes its torque to its row; the rows between holds are filled
+    # in after the loop
+    fm_w, fs_w = map(memoryview, columns[5:7])
+    xm_w[0], vm_w[0], xs_w[0], vs_w[0] = x_m, v_m, x_s, v_s
+
+    next_sample, t_sample = next(instants)
+    never = n_rows  # no event or break is due at or after the last row
+    next_event = 0
+    breaks = iter([*(j for j in near_edges if j >= 0), never])
+    next_break = next(breaks)
+    last = n_total  # row the run ends on; moves up when the state diverges
+    divergence_time: float | None = None
+    j = 0
+    while j < last:
+        # events at substep j set the torques held over it; the last row
+        # records the state the final substep reached and starts nothing
+        if j == next_event:
+            if sampled:
+                if j == next_sample:
+                    if pipe_m is not None:
+                        own_m = pipe_m.sample(x_m, v_m)
+                        own_s = pipe_s.sample(x_s, v_s)
+                    else:
+                        own_m = (x_m, v_m)
+                        own_s = (x_s, v_s)
+                    sample_times.append(t_sample)
+                    to_s.append((j + d1_sub, own_m))
+                    to_m.append((j + d2_sub, own_s))
+                    next_sample, t_sample = next(instants)
+                if to_s and to_s[0][0] == j:
+                    remote = to_s.popleft()[1]
+                    f_s_held = _saturate(control_continuous(g, own_s, remote), lim)
+                    hold_s_rows.append(j)
+                    fs_w[j] = f_s_held
+                if to_m and to_m[0][0] == j:
+                    remote = to_m.popleft()[1]
+                    f_m_held = _saturate(control_continuous(g, own_m, remote), lim)
+                    hold_m_rows.append(j)
+                    fm_w[j] = f_m_held
+                next_event = min(
+                    next_sample,
+                    to_s[0][0] if to_s else never,
+                    to_m[0][0] if to_m else never,
+                )
+            else:
+                f_m_held = _saturate(control_continuous(g, (x_m, v_m), (x_s, v_s)), lim)
+                f_s_held = _saturate(control_continuous(g, (x_s, v_s), (x_m, v_m)), lim)
+                fm_w[j] = f_m_held
+                fs_w[j] = f_s_held
+                next_event = j + 1
+
+        # substeps j .. stop - 1, each writing the state it reaches to the
+        # next row; a substep's width stays t1 - t0, which need not round to h
+        t0 = j * h
+        t1 = t0 + h
+        if j == next_break:
+            next_break = next(breaks)
+        if t0 < f_start < t1 or t0 < f_stop < t1:
+            stop = j + 1
+            x_m, v_m, x_s, v_s = advance_cut(t0, t1, x_m, v_m, x_s, v_s, f_m_held, f_s_held)
+            xm_w[stop] = x_m
+            vm_w[stop] = v_m
+            xs_w[stop] = x_s
+            vs_w[stop] = v_s
+        else:
+            stop = min(next_event, next_break, last)
+            fstar = f_mag if f_start <= 0.5 * (t0 + t1) < f_stop else 0.0
+            for i in range(j, stop):
+                t0 = i * h
+                t1 = t0 + h
+                y = rk4(x_m, v_m, x_s, v_s, t1 - t0, fstar, f_m_held, f_s_held)
+                # the step advance_smooth would try first; it redoes it and
+                # bisects only when a finite end state changed wall branch
+                if (
+                    (x_s > x_wall or y[2] > x_wall)
+                    and wall_branch(y[2], y[3]) != wall_branch(x_s, v_s)
+                    and isfinite(y[2])
+                    and isfinite(y[3])
+                ):
+                    y = advance_smooth(t0, t1, x_m, v_m, x_s, v_s, fstar, f_m_held, f_s_held)
+                x_m, v_m, x_s, v_s = y
+                i += 1
+                xm_w[i] = x_m
+                vm_w[i] = v_m
+                xs_w[i] = x_s
+                vs_w[i] = v_s
+        if not (isfinite(x_m) and isfinite(v_m) and isfinite(x_s) and isfinite(v_s)):
+            # a non-finite state value stays non-finite, so the run ends on
+            # the first non-finite row of these substeps
+            last = j + 1
+            while all(isfinite(w[last]) for w in state_w):
+                last += 1
+            divergence_time = last * h
+            break
+        j = stop
+    rows = last + 1
+
+    # the torque columns, from the state and the holds
+    t, xm, vm, xs, vs, fm, fs, fh, fe = columns = [a[:rows] for a in columns]
+    n_m, n_s = len(hold_m_rows), len(hold_s_rows)
+    if sampled:
+        _fill_held(fm, hold_m_rows, f_m_first)
+        _fill_held(fs, hold_s_rows, f_s_first)
+    else:  # a hold on every row but the last
+        fm[last] = f_m_held
+        fs[last] = f_s_held
+    del hold_m_rows, hold_s_rows  # freed before the hold times are formed
+
+    # F_h in place, in the row formula's operation order:
+    #   a_m = (fstar - k_h*x_m - b_m_tot*v_m + F_m) * inv_mm
+    #   F_h = fstar - m_h*a_m - b_h*v_m - k_h*x_m
+    # with fstar = f_mag on the rows whose t lies in [f_start, f_stop); fe
+    # holds each product until F_e is written
+    on, off = np.searchsorted(t, (f_start, f_stop))
+    pulse = ((0, on, 0.0), (on, off, f_mag), (off, rows, 0.0))
+    with np.errstate(all="ignore"):  # a diverged run's last row overflows
+        np.multiply(xm, k_h, out=fh)
+        for a, b, f in pulse:
+            np.subtract(f, fh[a:b], out=fh[a:b])
+        fh -= np.multiply(vm, b_m_tot, out=fe)
+        fh += fm
+        fh *= inv_mm
+        fh *= m_h
+        for a, b, f in pulse:
+            np.subtract(f, fh[a:b], out=fh[a:b])
+        fh -= np.multiply(vm, b_h, out=fe)
+        fh -= np.multiply(xm, k_h, out=fe)
+
+    # F_e = -wall_force: -0.0 short of the wall, where wall_force is 0.0, so
+    # the plants' wall law runs only on blocks that reach past it
+    fe.fill(-0.0)
+    for a in range(0, rows, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, rows)
+        if (xs[a:b] > x_wall).any():
+            fe[a:b] = [-wall_force(x, v, wall) for x, v in zip(xs_w[a:b], vs_w[a:b])]
+
+    sample_events = np.asarray(sample_times)
+    return SimTrace(
+        *columns,
+        sample_events=sample_events,
+        hold_events_m=sample_events[:n_m] + ch.t2,
+        hold_events_s=sample_events[:n_s] + ch.t1,
+        period=T,
+        substep=h,
+        divergence_time=divergence_time,
+    )

@@ -309,12 +309,18 @@ def test_sweep_over_budget_grid_simulates_nothing(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(sim, "run_scenario", no_run)
     out = tmp_path / "sw"
     argv = ["sweep", "--config", cfg, "--periods", "0.001,0.006", "--out", str(out)]
-    assert cli_dispatch(argv) == 0
-    capsys.readouterr()
+    # no row succeeded, so the sweep fails, with one error line, after
+    # writing every row's error
+    assert cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "grid budget" in err
     rows = read_report(out / "sweep.json")["sweep"]
     assert [row["period"] for row in rows] == [0.001, 0.006]
     assert all(set(row) == {"period", "error"} for row in rows)
     assert all("grid budget" in row["error"] for row in rows)
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        _, *csv_rows = csv.reader(fh)
+    assert [row[-1] for row in csv_rows] == [row["error"] for row in rows]
 
 
 def test_sweep_bad_periods(tmp_path, capsys):

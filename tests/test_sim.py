@@ -2,16 +2,18 @@
 
 import dataclasses
 import hashlib
+import logging
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from teleopstab import sim
+from teleopstab import plants, sim
 from teleopstab import (
+    FREE,
     ChannelConfig,
     ControllerGains,
     ImpedanceModel,
@@ -41,7 +43,13 @@ from teleopstab import (
     wall_force,
 )
 
-from oracles import events_csv, savetxt_trace, second_order_step, trace_row_forces
+from oracles import (
+    events_csv,
+    savetxt_trace,
+    second_order_step,
+    stagewise_run_scenario,
+    trace_row_forces,
+)
 
 SCENARIO_FILE = "scenarios/wall_contact.cfg"
 ZERO_GAINS = ControllerGains(kp=0.0, kv=0.0, kd=0.0, p_eps=0.0)
@@ -121,10 +129,13 @@ def test_determinism_bit_identical(reference_scenario):
     assert np.array_equal(a.hold_events_m, b.hold_events_m)
 
 
-# sha256 of every trace column, the three event arrays and divergence_time for
-# short runs covering each path of the substep loop (pulse edges, wall branch
-# changes, noise, clamp, jitter, delays, divergence); any change of rounding,
-# branch handling or random-draw order in run_scenario moves a digest
+# sha256 of every trace column, the three event arrays and divergence_time of
+# the all-stage oracle, oracles.stagewise_run_scenario, for short runs covering
+# each path of the substep loop (pulse edges, wall branch changes, noise,
+# clamp, jitter, delays, divergence); any change of rounding, branch handling
+# or random-draw order in the oracle or the package helpers it shares moves a
+# digest.  run_scenario is held to the oracle by
+# test_run_scenario_matches_the_stagewise_oracle
 _PINNED_DIGESTS = {
     "reference": "ec87a37e9d83438a5ced8d6fc16cbdd2bdd451f4d1fd77a64be4d9e945d21864",
     "continuous": "b2168ddd06a00a10d4c25717c49d683416e200510dc43579fac931561b6a1cad",
@@ -231,14 +242,41 @@ def _trace_digest(tr):
     return h.hexdigest()
 
 
-def test_trace_bits_match_pinned_digests(reference_scenario):
-    cases = _pinned_cases(reference_scenario)
-    assert cases.keys() == _PINNED_DIGESTS.keys()
-    digests = {
-        name: _trace_digest(run_scenario(sc, seed=seed, controller_mode=mode))
-        for name, (sc, seed, mode) in cases.items()
+@pytest.fixture(scope="module")
+def oracle_traces(reference_scenario):
+    return {
+        name: stagewise_run_scenario(sc, seed=seed, controller_mode=mode)
+        for name, (sc, seed, mode) in _pinned_cases(reference_scenario).items()
     }
+
+
+def test_trace_bits_match_pinned_digests(oracle_traces):
+    assert oracle_traces.keys() == _PINNED_DIGESTS.keys()
+    digests = {name: _trace_digest(tr) for name, tr in oracle_traces.items()}
     assert digests == _PINNED_DIGESTS
+
+
+def test_run_scenario_matches_the_stagewise_oracle(reference_scenario, oracle_traces, caplog):
+    # the transition maps change only rounding: the same rows, events and
+    # divergence time, the same non-finite entries, and every finite entry
+    # within 1e-9 of its column's largest finite magnitude (about 3e-11 is
+    # seen, on fine_period_nonideal)
+    caplog.set_level(logging.WARNING, logger="teleopstab")
+    for name, (sc, seed, mode) in _pinned_cases(reference_scenario).items():
+        want = oracle_traces[name]
+        got = run_scenario(sc, seed=seed, controller_mode=mode)
+        assert len(got.t) == len(want.t), name
+        assert got.divergence_time == want.divergence_time, name
+        for events in ("sample_events", "hold_events_m", "hold_events_s"):
+            assert np.array_equal(getattr(got, events), getattr(want, events)), (name, events)
+        for col in _COLUMNS:
+            a, b = getattr(got, col), getattr(want, col)
+            finite = np.isfinite(b)
+            assert np.array_equal(np.isfinite(a), finite), (name, col)
+            scale = np.abs(b[finite]).max(initial=0.0)
+            assert np.abs(a[finite] - b[finite]).max(initial=0.0) <= 1e-9 * scale, (name, col)
+    # no pinned case has a decaying mode that RK4 amplifies
+    assert not caplog.records
 
 
 def test_controller_outputs_constant_between_holds(reference_scenario):
@@ -684,13 +722,20 @@ def test_divergent_run_truncates_with_divergence_time(reference_scenario):
     assert v.divergence_time <= tr.divergence_time
 
 
-def test_divergence_inside_a_run_of_plain_substeps(reference_scenario):
+def test_divergence_inside_a_run_of_plain_substeps(reference_scenario, caplog):
     # a stiff operator spring makes RK4 unstable at h = 6e-4 s: the master's
     # state grows every substep from the pulse on and overflows between two
     # samples, so the run's end state is non-finite and the trace must end at
     # the first non-finite row inside that run
     human = ImpedanceModel(mass=0.0, damping=1.0, stiffness=1e8)
-    tr = run_scenario(_short(reference_scenario, human=human), seed=0)
+    with caplog.at_level(logging.WARNING, logger="teleopstab"):
+        tr = run_scenario(_short(reference_scenario, human=human), seed=0)
+    # the run warns once, for the master's mode only: RK4's growth factor
+    # there exceeds 1 though the mode decays
+    (record,) = caplog.records
+    assert record.name == "teleopstab" and record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert "master with the operator" in message and "h = 0.0006 s" in message
     nsub = round(reference_scenario.channel.T / tr.substep)
     last = len(tr.t) - 1
     # the run holding the divergence started at a sample row before last - 1
@@ -719,6 +764,117 @@ def test_side_with_no_hold_keeps_the_startup_latch(reference_scenario):
         assert col.tobytes() == np.full(len(tr.t), latch).tobytes()
     assert len(tr.hold_events_m) == 0
     assert len(tr.hold_events_s) == 0
+
+
+_MASS = st.floats(0.1, 3.0)
+_DAMPING = st.floats(0.1, 10.0)
+_STIFFNESS = st.floats(0.0, 1e3)
+_SUBSTEP = st.floats(1e-5, 1e-2)
+_STATE = st.floats(-10.0, 10.0)
+_FORCE = st.floats(-100.0, 100.0)
+
+
+def _robots(sc, m, b, k, wall=math.inf):
+    """sc with both robots (m, b), an operator spring k and the wall at ``wall``."""
+    robot = RobotParams(mass=m, damping=b)
+    return dataclasses.replace(
+        sc, master=robot, slave=robot, human=ImpedanceModel(stiffness=k),
+        wall=WallModel(position=wall),
+    )
+
+
+def _abs_rk4_map(a, b, h):
+    """RK4's (M, N) at width h with every term of its series taken in
+    absolute value: each product and sum either evaluation order forms is
+    bounded by these entries times |y| and |u|."""
+    z = np.abs(h * np.asarray(a))
+    eye = np.eye(2)
+    s = eye + z / 2 + z @ z / 6 + z @ z @ z / 24
+    return eye + z @ s, h * s @ np.abs(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=_MASS, b=_DAMPING, k=_STIFFNESS, h=_SUBSTEP,
+    state=st.tuples(_STATE, _STATE, _STATE, _STATE),
+    forces=st.tuples(_FORCE, _FORCE, _FORCE),
+)
+def test_one_map_step_is_one_rk4_step(reference_scenario, m, b, k, h, state, forces):
+    # the map and the four stages evaluate the same polynomial in h*A in
+    # different orders, so they differ by rounding only: at most 64 ulps of
+    # the series with every term made positive
+    sc = _robots(reference_scenario, m, b, k)
+    xm, vm, xs, vs = state
+    fstar, fm, fs = forces
+    staged = sim._stage_rk4(sc)(xm, vm, xs, vs, h, fstar, fm, fs)
+    sides = (
+        (plants._robot_blocks(sc.master, sc.human), (xm, vm), fstar + fm, abs(fstar) + abs(fm)),
+        (plants._robot_blocks(sc.slave, FREE), (xs, vs), fs, abs(fs)),
+    )
+    for side, ((a, bb), y, u, u_abs) in enumerate(sides):
+        mm, nn = sim._rk4_map(a, bb, h)
+        mapped = [row[0] * y[0] + row[1] * y[1] + n * u for row, n in zip(mm, nn)]
+        m_abs, n_abs = _abs_rk4_map(a, bb, h)
+        bound = 64 * np.finfo(float).eps * (m_abs @ np.abs(y) + n_abs * u_abs)
+        assert np.all(np.abs(np.subtract(mapped, staged[2 * side : 2 * side + 2])) <= bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=_MASS, b=_DAMPING, h=_SUBSTEP, xs=_STATE, vs=st.floats(-100.0, 100.0), fs=_FORCE,
+    gap=st.floats(0.0, 3.0),
+)
+def test_wall_bound_keeps_every_rk4_stage_short_of_the_wall(
+    reference_scenario, m, b, h, xs, vs, fs, gap
+):
+    # a wall placed near the bound's reach; wherever the bound admits the
+    # substep, each stage position (as rk4 forms it, the wall's reaction
+    # being 0.0 short of it) and the end position stay at or short of it
+    slave = plants._robot_blocks(RobotParams(mass=m, damping=b), FREE)
+    reach_v, reach_f = sim._slave_reach(*slave, h)
+    x_wall = xs + gap * (reach_v * abs(vs) + reach_f * abs(fs))
+    assume(xs + reach_v * abs(vs) <= x_wall - reach_f * abs(fs))
+    inv_ms = 1.0 / m
+    h2 = 0.5 * h
+    k1u = (-0.0 - b * vs + fs) * inv_ms
+    v2s = vs + h2 * k1u
+    k2u = (-0.0 - b * v2s + fs) * inv_ms
+    v3s = vs + h2 * k2u
+    for x in (xs, xs + h2 * vs, xs + h2 * v2s, xs + h * v3s):
+        assert x <= x_wall
+    # the wall never engaged: rk4 gives the bits it gives with no wall
+    walled = sim._stage_rk4(_robots(reference_scenario, m, b, 0.0, wall=x_wall))
+    free = sim._stage_rk4(_robots(reference_scenario, m, b, 0.0))
+    end = walled(0.0, 0.0, xs, vs, h, 0.0, 0.0, fs)
+    assert end == free(0.0, 0.0, xs, vs, h, 0.0, 0.0, fs)
+    assert end[2] <= x_wall
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=_MASS, b=_DAMPING, k=_STIFFNESS, m_h=st.floats(0.0, 3.0), b_h=st.floats(0.0, 10.0),
+    m_s=_MASS, b_s=_DAMPING,
+)
+def test_rk4_constants_are_the_blocks(reference_scenario, m, b, k, m_h, b_h, m_s, b_s):
+    sc = dataclasses.replace(
+        reference_scenario,
+        master=RobotParams(mass=m, damping=b),
+        human=ImpedanceModel(mass=m_h, damping=b_h, stiffness=k),
+        slave=RobotParams(mass=m_s, damping=b_s),
+    )
+    # the constants rk4 evaluates its stages with, read from its closure
+    rk4 = sim._stage_rk4(sc)
+    hoisted = dict(zip(rk4.__code__.co_freevars, (c.cell_contents for c in rk4.__closure__)))
+    a_m, b_m = plants._robot_blocks(sc.master, sc.human)
+    a_s, b_sv = plants._robot_blocks(sc.slave, FREE)
+    assert b_m[1] == hoisted["inv_mm"]
+    assert a_m[1, 0] == -(hoisted["k_h"] * hoisted["inv_mm"])
+    assert a_m[1, 1] == -(hoisted["b_m_tot"] * hoisted["inv_mm"])
+    assert b_sv[1] == hoisted["inv_ms"]
+    assert a_s[1, 0] == 0.0
+    assert a_s[1, 1] == -(hoisted["b_s"] * hoisted["inv_ms"])
+    for a, bb in ((a_m, b_m), (a_s, b_sv)):
+        assert a[0].tolist() == [0.0, 1.0] and bb[0] == 0.0
 
 
 def test_sweep_reference_trend(reference_scenario):
