@@ -202,7 +202,8 @@ def make_grid(T: float, n_points: int = 512) -> FrequencyGrid:
     """Build a log-spaced evaluation grid on [pi/(T*1e6), pi/T].
 
     The last point is exactly the Nyquist frequency pi/T.  More than
-    MAX_GRID_POINTS points raise BadGrid before anything is allocated.
+    MAX_GRID_POINTS points, or a T so small that pi/T overflows, raise
+    BadGrid before anything is allocated.
     """
     if not T > 0.0:
         raise ValueError("sampling period must be positive")
@@ -211,6 +212,8 @@ def make_grid(T: float, n_points: int = 512) -> FrequencyGrid:
     if n_points > MAX_GRID_POINTS:
         raise BadGrid(f"n_points = {n_points}, at most {MAX_GRID_POINTS} fit the grid budget")
     nyq = math.pi / T
+    if not math.isfinite(nyq):
+        raise BadGrid(f"Nyquist frequency pi/T overflows at sampling period T = {T!r}")
     pts = np.geomspace(nyq / _LOG_GRID_DECADES, nyq, n_points)
     pts[-1] = nyq
     return FrequencyGrid(points=pts, nyquist=nyq)

@@ -6,7 +6,10 @@ multiples of T, and the controller outputs are zero-order held between packet
 arrivals.  A substep holding an operator-force switch is cut exactly at the
 switch time, and a wall contact transition inside a substep is localized by
 deterministic bisection, so the integrator only ever sees smooth pieces;
-sampling and hold instants stay exactly grid-aligned.
+sampling and hold instants stay exactly grid-aligned.  The robots interact
+only through the held torques, so over a substep each is its own 2-state
+system: the operator pulse acts on the master only, the wall on the slave
+only.
 
 The substep loop only integrates: it runs from one event (a sample, a hold,
 a substep near a pulse edge) to the next and writes only the state.  The
@@ -15,11 +18,13 @@ state columns after it, with the per-row formulas' bits.
 
 Between events each robot is linear with a constant input, and one RK4
 substep of it is exactly the map y <- M y + N u of its transition matrices
-(``_rk4_map``).  A plain substep whose every RK4 stage keeps the slave short
-of the wall steps both robots by their maps; a substep in or near wall
-contact, or holding a pulse edge, evaluates RK4's stages.  The two differ
-only in rounding: traces agree with the all-stage loop (kept as the test
-oracle) to 1e-9 of each column's scale.
+(``_rk4_map``).  The master always steps by its map, at the width of each
+piece the substep is cut into.  The slave steps by its map when every RK4
+stage keeps it short of the wall; in or near wall contact, or in a substep
+holding a pulse edge, it evaluates RK4's stages (``_stage_rk4``), and the
+pieces it bisects at wall branch changes are the master's pieces too.  The
+two forms differ only in rounding: traces agree with the coupled all-stage
+loop (kept as the test oracle) to 1e-9 of each column's scale.
 
 Identical scenario + seed reproduces bit-identical traces.
 """
@@ -341,55 +346,38 @@ def _slave_reach(a: np.ndarray, b: np.ndarray, h: float) -> tuple[float, float]:
 
 
 def _stage_rk4(sc: SimScenario):
-    """Classical RK4 over width dt of the robot/wall field of ``sc``, stage by
-    stage: ``rk4(xm, vm, xs, vs, dt, fstar, fm, fs)`` returns the new
-    (xm, vm, xs, vs)."""
+    """Classical RK4 over width dt of the slave against the wall of ``sc``,
+    stage by stage: ``rk4(xs, vs, dt, fs)`` returns the new (xs, vs)."""
     # hoisted dynamics constants
-    inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
-    b_m_tot = sc.master.damping + sc.human.damping
-    k_h = sc.human.stiffness
     inv_ms = 1.0 / sc.slave.mass
     b_s = sc.slave.damping
     wall = sc.wall
     x_wall = wall.position
 
-    def rk4(xm, vm, xs, vs, dt, fstar, fm, fs):
-        # Classical RK4 of the robot/wall field; each stage evaluates
-        #   a_m = (fstar - k_h*xm - b_m_tot*vm + fm) / m_m
+    def rk4(xs, vs, dt, fs):
+        # Classical RK4 of the slave/wall field; each stage evaluates
         #   a_s = (-wall_force(xs, vs) - b_s*vs + fs) / m_s
-        # with the torques fm, fs already carrying the feedback sign.  Short
-        # of the wall the reaction is the 0.0 wall_force itself returns there.
-        # The operation order is that of the all-stage loop kept in
-        # tests/oracles.py, whose traces are pinned bit for bit.
+        # with the torque fs already carrying the feedback sign.  Short of
+        # the wall the reaction is the 0.0 wall_force itself returns there.
+        # The operation order is that of the slave's half of the all-stage
+        # loop kept in tests/oracles.py, whose traces are pinned bit for bit.
         h2 = 0.5 * dt
-        k1v = (fstar - k_h * xm - b_m_tot * vm + fm) * inv_mm
         w = wall_force(xs, vs, wall) if xs > x_wall else 0.0
         k1u = (-w - b_s * vs + fs) * inv_ms
-        x2m = xm + h2 * vm
-        v2m = vm + h2 * k1v
         x2s = xs + h2 * vs
         v2s = vs + h2 * k1u
-        k2v = (fstar - k_h * x2m - b_m_tot * v2m + fm) * inv_mm
         w = wall_force(x2s, v2s, wall) if x2s > x_wall else 0.0
         k2u = (-w - b_s * v2s + fs) * inv_ms
-        x3m = xm + h2 * v2m
-        v3m = vm + h2 * k2v
         x3s = xs + h2 * v2s
         v3s = vs + h2 * k2u
-        k3v = (fstar - k_h * x3m - b_m_tot * v3m + fm) * inv_mm
         w = wall_force(x3s, v3s, wall) if x3s > x_wall else 0.0
         k3u = (-w - b_s * v3s + fs) * inv_ms
-        x4m = xm + dt * v3m
-        v4m = vm + dt * k3v
         x4s = xs + dt * v3s
         v4s = vs + dt * k3u
-        k4v = (fstar - k_h * x4m - b_m_tot * v4m + fm) * inv_mm
         w = wall_force(x4s, v4s, wall) if x4s > x_wall else 0.0
         k4u = (-w - b_s * v4s + fs) * inv_ms
         s6 = dt / 6.0
         return (
-            xm + s6 * (vm + 2.0 * (v2m + v3m) + v4m),
-            vm + s6 * (k1v + 2.0 * (k2v + k3v) + k4v),
             xs + s6 * (vs + 2.0 * (v2s + v3s) + v4s),
             vs + s6 * (k1u + 2.0 * (k2u + k3u) + k4u),
         )
@@ -414,14 +402,17 @@ def run_scenario(
     loop, bit for bit the values a row-at-a-time loop writes, within the
     same nine columns of memory.
 
-    A plain substep (no pulse edge inside it) steps both robots by RK4's
-    transition maps when a bound shows that none of RK4's stages takes the
-    slave past the wall; every other substep evaluates RK4's four stages,
-    with the wall-branch check and bisection.  The trace is bit-identical
-    for a scenario and seed, and agrees with the all-stage loop to 1e-9 of
-    each column's largest finite magnitude.  A decaying mode that RK4
-    amplifies at this substep (master with the operator, slave against the
-    wall) is logged as a WARNING on the "teleopstab" logger.
+    The master steps by RK4's transition map over each smooth piece.  A
+    plain substep (no pulse edge inside it) steps the slave by its map too
+    when a bound shows that none of RK4's stages takes it past the wall;
+    otherwise only the slave evaluates RK4's four stages, with the
+    wall-branch check and bisection, and a substep it cuts at a branch
+    change, or one cut at a pulse edge, steps the master by the map at each
+    piece's width.  The trace is bit-identical for a scenario and seed, and
+    agrees with the all-stage loop to 1e-9 of each column's largest finite
+    magnitude.  A decaying mode that RK4 amplifies at this substep (master
+    with the operator, slave against the wall) is logged as a WARNING on the
+    "teleopstab" logger.
 
     Raises ValueError, before allocating, when the nine trace columns would
     exceed TRACE_BUDGET_BYTES.
@@ -443,7 +434,7 @@ def run_scenario(
         )
 
     rk4 = _stage_rk4(sc)
-    # F_h's constants, as rk4 takes them
+    # F_h's constants, formed as _robot_blocks forms the master's block
     inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
     b_m_tot = sc.master.damping + sc.human.damping
     k_h = sc.human.stiffness
@@ -490,45 +481,43 @@ def run_scenario(
             return 0
         return 1 if wall_force(xs, vs, wall) > 0.0 else 2
 
-    def advance_smooth(t0, t1, xm, vm, xs, vs, fstar, fm, fs):
-        # integrate a profile-constant piece, bisecting wall branch changes
+    def advance_slave(t0, t1, xs, vs, fs):
+        # the slave over [t0, t1] at a held torque, bisecting wall branch
+        # changes; returns its end state and the widths of the smooth pieces
+        widths = []
         for _ in range(64):
             dt = t1 - t0
             if dt <= 0.0:
-                return xm, vm, xs, vs
+                return xs, vs, widths
             b0 = wall_branch(xs, vs)
-            y = rk4(xm, vm, xs, vs, dt, fstar, fm, fs)
-            if wall_branch(y[2], y[3]) == b0 or not (isfinite(y[2]) and isfinite(y[3])):
-                return y
+            x1, v1 = rk4(xs, vs, dt, fs)
+            if wall_branch(x1, v1) == b0 or not (isfinite(x1) and isfinite(v1)):
+                widths.append(dt)
+                return x1, v1, widths
             lo, hi = 0.0, dt
-            y_hi = y
+            y_hi = x1, v1
             for _ in range(64):
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
                     break
-                ym = rk4(xm, vm, xs, vs, mid, fstar, fm, fs)
-                if wall_branch(ym[2], ym[3]) == b0:
+                ym = rk4(xs, vs, mid, fs)
+                if wall_branch(*ym) == b0:
                     lo = mid
                 else:
                     hi = mid
                     y_hi = ym
-            xm, vm, xs, vs = y_hi
+            xs, vs = y_hi
+            widths.append(hi)
             t0 = t0 + hi
-        return rk4(xm, vm, xs, vs, t1 - t0, fstar, fm, fs)
+        widths.append(t1 - t0)
+        return *rk4(xs, vs, t1 - t0, fs), widths
 
-    def advance_cut(t0, t1, xm, vm, xs, vs, fm, fs):
-        # a substep holding an operator-force edge: one smooth piece per side
-        cuts = [t0]
-        if t0 < f_start < t1:
-            cuts.append(f_start)
-        if t0 < f_stop < t1:
-            cuts.append(f_stop)
-        cuts.append(t1)
-        for a, b in zip(cuts, cuts[1:]):
-            mid = 0.5 * (a + b)
-            fstar = f_mag if f_start <= mid < f_stop else 0.0
-            xm, vm, xs, vs = advance_smooth(a, b, xm, vm, xs, vs, fstar, fm, fs)
-        return xm, vm, xs, vs
+    def advance_master(xm, vm, widths, u):
+        # the master over the slave's pieces, by RK4's map at each width
+        for w in widths:
+            ((a00, a01), (a10, a11)), (b0, b1) = _rk4_map(*master, w)
+            xm, vm = a00 * xm + a01 * vm + b0 * u, a10 * xm + a11 * vm + b1 * u
+        return xm, vm
 
     # sampling machinery
     sampled = controller_mode == "sampled"
@@ -646,8 +635,13 @@ def run_scenario(
         if j == next_break:
             next_break = next(breaks)
         if t0 < f_start < t1 or t0 < f_stop < t1:
+            # a substep holding a pulse edge: one piece on each side of it
             stop = j + 1
-            x_m, v_m, x_s, v_s = advance_cut(t0, t1, x_m, v_m, x_s, v_s, f_m_held, f_s_held)
+            cuts = [t0, *(e for e in (f_start, f_stop) if t0 < e < t1), t1]
+            for a, b in zip(cuts, cuts[1:]):
+                fstar = f_mag if f_start <= 0.5 * (a + b) < f_stop else 0.0
+                x_s, v_s, widths = advance_slave(a, b, x_s, v_s, f_s_held)
+                x_m, v_m = advance_master(x_m, v_m, widths, fstar + f_m_held)
             xm_w[stop] = x_m
             vm_w[stop] = v_m
             xs_w[stop] = x_s
@@ -668,18 +662,13 @@ def run_scenario(
                     x_s, v_s = x_s + s01 * v_s + u_s0, s11 * v_s + u_s1
                 else:
                     t0 = i * h
-                    t1 = t0 + h
-                    y = rk4(x_m, v_m, x_s, v_s, t1 - t0, fstar, f_m_held, f_s_held)
-                    # the step advance_smooth would try first; it redoes it and
-                    # bisects only when a finite end state changed wall branch
-                    if (
-                        (x_s > x_wall or y[2] > x_wall)
-                        and wall_branch(y[2], y[3]) != wall_branch(x_s, v_s)
-                        and isfinite(y[2])
-                        and isfinite(y[3])
-                    ):
-                        y = advance_smooth(t0, t1, x_m, v_m, x_s, v_s, fstar, f_m_held, f_s_held)
-                    x_m, v_m, x_s, v_s = y
+                    x_s, v_s, widths = advance_slave(t0, t0 + h, x_s, v_s, f_s_held)
+                    # the master takes the slave's pieces; one piece is the
+                    # whole substep, the width-h map's
+                    if len(widths) == 1:
+                        x_m, v_m = m00 * x_m + m01 * v_m + u_m0, m10 * x_m + m11 * v_m + u_m1
+                    else:
+                        x_m, v_m = advance_master(x_m, v_m, widths, u_m)
                 i += 1
                 xm_w[i] = x_m
                 vm_w[i] = v_m

@@ -13,7 +13,8 @@ output against these.
 
 The one exception is ``stagewise_run_scenario``, the simulator's substep loop
 as it ran before plain substeps stepped by RK4's transition maps: every
-substep evaluates RK4's four stages.  It shares the package's sensor pipeline,
+substep evaluates the four stages of ``stage_rk4``, which steps both robots
+together.  It shares the package's sensor pipeline,
 clamp, control law, wall law and hold filling, so the trace digests pinned on
 it cover those helpers too.
 """
@@ -288,6 +289,63 @@ def events_csv(trace, path):
             fh.write(f"{kind},{t:.17g}\n")
 
 
+def stage_rk4(sc):
+    """Classical RK4 over width dt of the coupled robot/wall field of ``sc``,
+    stage by stage: ``rk4(xm, vm, xs, vs, dt, fstar, fm, fs)`` returns the
+    new (xm, vm, xs, vs).  ``stagewise_run_scenario`` steps every substep
+    with it."""
+    # hoisted dynamics constants
+    inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
+    b_m_tot = sc.master.damping + sc.human.damping
+    k_h = sc.human.stiffness
+    inv_ms = 1.0 / sc.slave.mass
+    b_s = sc.slave.damping
+    wall = sc.wall
+    x_wall = wall.position
+
+    def rk4(xm, vm, xs, vs, dt, fstar, fm, fs):
+        # Classical RK4 of the robot/wall field; each stage evaluates
+        #   a_m = (fstar - k_h*xm - b_m_tot*vm + fm) / m_m
+        #   a_s = (-wall_force(xs, vs) - b_s*vs + fs) / m_s
+        # with the torques fm, fs already carrying the feedback sign.  Short
+        # of the wall the reaction is the 0.0 wall_force itself returns there.
+        # Traces are pinned bit for bit, so the operation order is fixed.
+        h2 = 0.5 * dt
+        k1v = (fstar - k_h * xm - b_m_tot * vm + fm) * inv_mm
+        w = wall_force(xs, vs, wall) if xs > x_wall else 0.0
+        k1u = (-w - b_s * vs + fs) * inv_ms
+        x2m = xm + h2 * vm
+        v2m = vm + h2 * k1v
+        x2s = xs + h2 * vs
+        v2s = vs + h2 * k1u
+        k2v = (fstar - k_h * x2m - b_m_tot * v2m + fm) * inv_mm
+        w = wall_force(x2s, v2s, wall) if x2s > x_wall else 0.0
+        k2u = (-w - b_s * v2s + fs) * inv_ms
+        x3m = xm + h2 * v2m
+        v3m = vm + h2 * k2v
+        x3s = xs + h2 * v2s
+        v3s = vs + h2 * k2u
+        k3v = (fstar - k_h * x3m - b_m_tot * v3m + fm) * inv_mm
+        w = wall_force(x3s, v3s, wall) if x3s > x_wall else 0.0
+        k3u = (-w - b_s * v3s + fs) * inv_ms
+        x4m = xm + dt * v3m
+        v4m = vm + dt * k3v
+        x4s = xs + dt * v3s
+        v4s = vs + dt * k3u
+        k4v = (fstar - k_h * x4m - b_m_tot * v4m + fm) * inv_mm
+        w = wall_force(x4s, v4s, wall) if x4s > x_wall else 0.0
+        k4u = (-w - b_s * v4s + fs) * inv_ms
+        s6 = dt / 6.0
+        return (
+            xm + s6 * (vm + 2.0 * (v2m + v3m) + v4m),
+            vm + s6 * (k1v + 2.0 * (k2v + k3v) + k4v),
+            xs + s6 * (vs + 2.0 * (v2s + v3s) + v4s),
+            vs + s6 * (k1u + 2.0 * (k2u + k3u) + k4u),
+        )
+
+    return rk4
+
+
 def stagewise_run_scenario(sc, seed=0, controller_mode="sampled"):
     """Integrate one scenario and return the substep-resolution trace.
 
@@ -331,8 +389,6 @@ def stagewise_run_scenario(sc, seed=0, controller_mode="sampled"):
     k_h = sc.human.stiffness
     m_h = sc.human.mass
     b_h = sc.human.damping
-    inv_ms = 1.0 / sc.slave.mass
-    b_s = sc.slave.damping
     wall = sc.wall
     x_wall = wall.position
     f_start = sc.operator_force.start
@@ -340,45 +396,7 @@ def stagewise_run_scenario(sc, seed=0, controller_mode="sampled"):
     f_mag = sc.operator_force.magnitude
     isfinite = math.isfinite
 
-    def rk4(xm, vm, xs, vs, dt, fstar, fm, fs):
-        # Classical RK4 of the robot/wall field; each stage evaluates
-        #   a_m = (fstar - k_h*xm - b_m_tot*vm + fm) / m_m
-        #   a_s = (-wall_force(xs, vs) - b_s*vs + fs) / m_s
-        # with the torques fm, fs already carrying the feedback sign.  Short
-        # of the wall the reaction is the 0.0 wall_force itself returns there.
-        # Traces are pinned bit for bit, so the operation order is fixed.
-        h2 = 0.5 * dt
-        k1v = (fstar - k_h * xm - b_m_tot * vm + fm) * inv_mm
-        w = wall_force(xs, vs, wall) if xs > x_wall else 0.0
-        k1u = (-w - b_s * vs + fs) * inv_ms
-        x2m = xm + h2 * vm
-        v2m = vm + h2 * k1v
-        x2s = xs + h2 * vs
-        v2s = vs + h2 * k1u
-        k2v = (fstar - k_h * x2m - b_m_tot * v2m + fm) * inv_mm
-        w = wall_force(x2s, v2s, wall) if x2s > x_wall else 0.0
-        k2u = (-w - b_s * v2s + fs) * inv_ms
-        x3m = xm + h2 * v2m
-        v3m = vm + h2 * k2v
-        x3s = xs + h2 * v2s
-        v3s = vs + h2 * k2u
-        k3v = (fstar - k_h * x3m - b_m_tot * v3m + fm) * inv_mm
-        w = wall_force(x3s, v3s, wall) if x3s > x_wall else 0.0
-        k3u = (-w - b_s * v3s + fs) * inv_ms
-        x4m = xm + dt * v3m
-        v4m = vm + dt * k3v
-        x4s = xs + dt * v3s
-        v4s = vs + dt * k3u
-        k4v = (fstar - k_h * x4m - b_m_tot * v4m + fm) * inv_mm
-        w = wall_force(x4s, v4s, wall) if x4s > x_wall else 0.0
-        k4u = (-w - b_s * v4s + fs) * inv_ms
-        s6 = dt / 6.0
-        return (
-            xm + s6 * (vm + 2.0 * (v2m + v3m) + v4m),
-            vm + s6 * (k1v + 2.0 * (k2v + k3v) + k4v),
-            xs + s6 * (vs + 2.0 * (v2s + v3s) + v4s),
-            vs + s6 * (k1u + 2.0 * (k2u + k3u) + k4u),
-        )
+    rk4 = stage_rk4(sc)
 
     def wall_branch(xs, vs):
         # 0 free flight, 1 pushing contact, 2 clamped (spring+damper pulls)

@@ -169,6 +169,20 @@ def test_file_grid_beyond_the_budget_is_rejected_before_the_run(tmp_path, capsys
     assert not out.exists()
 
 
+def test_period_whose_nyquist_overflows_is_a_usage_error(tmp_path):
+    # pi/T is inf at T = 1e-320: one error line naming T, and no numpy
+    # warning, on the process's own stderr
+    cfg = _cfg(tmp_path, period=1e-320)
+    out = subprocess.run(
+        [sys.executable, "-m", "teleopstab.cli", "analyze", "--config", cfg],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("error:") and "T = 1e-320" in line
+
+
 @pytest.mark.parametrize("make_cfg", [_cfg, _low_gain_cfg])
 def test_analyze_sweep_and_criterion_judge_a_period_alike(tmp_path, capsys, make_cfg):
     # analyze, the sweep row at the scenario's period and the small_gain

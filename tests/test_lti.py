@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,14 @@ def test_make_grid_rejects_a_grid_beyond_the_budget_before_allocating():
     assert peak < 2**20
     with pytest.raises(BadGrid, match="grid budget"):
         make_grid(0.006, MAX_GRID_POINTS + 1)
+
+
+@pytest.mark.parametrize("T", [1e-320, 5e-324])
+def test_make_grid_rejects_a_period_whose_nyquist_overflows(T):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadGrid, match=f"T = {T!r}"):
+            make_grid(T, 8)
 
 
 def test_frequency_grid_invariants():
