@@ -8,7 +8,7 @@ Subcommands:
 * ``max-period`` bisect for the largest sampling period passing a criterion
 
 Exit codes: 0 success, 1 analysis or simulation verdict failed, 2 bad usage,
-unreadable configuration, a configuration the certificates cannot judge, or
+unreadable configuration, a configuration the stability tests cannot judge, or
 a sweep none of whose periods succeeded.
 """
 
@@ -220,7 +220,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         run = dataclasses.replace(run, **overrides)
         return args.func(args, sc, run)
     except (ParseError, ValidationError, OSError, ValueError, ArithmeticError) as exc:
-        # ArithmeticError: a loadable scenario the certificates cannot judge
+        # ArithmeticError: a loadable scenario the stability tests cannot judge
         # (SingularDenominator, PoleHit, KernelSingular)
         print(f"error: {exc}", file=sys.stderr)
         return 2

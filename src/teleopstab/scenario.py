@@ -209,7 +209,8 @@ def _assemble(sections: dict[str, dict[str, object]]) -> tuple[SimScenario, RunS
 
 
 def _load_bundle(path) -> tuple[SimScenario, RunSettings]:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark some editors write first
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     return _assemble(_read_sections(text, str(path)))
 

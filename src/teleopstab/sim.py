@@ -168,8 +168,8 @@ class SimScenario:
             raise ValueError("jitter mode needs eps_min >= T/substeps")
 
     def analysis_system(self) -> TeleopSystem:
-        """The bare robots and gains: the certificates quantify over every
-        passive termination, so the human and the wall are left out."""
+        """The bare robots and gains: the stability tests quantify over
+        every passive termination, so the human and the wall are left out."""
         return TeleopSystem(master=self.master, slave=self.slave, gains=self.gains)
 
 
@@ -305,14 +305,16 @@ def _rk4_map(a: np.ndarray, b: np.ndarray, h: float):
     """
     z = h * a
     eye = np.eye(len(b))
-    s = eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0  # I + Z/2 + Z^2/6 + Z^3/24
-    return (eye + z @ s).tolist(), (h * (s @ b)).tolist()
+    with np.errstate(all="ignore"):  # a stiff enough block overflows to inf/NaN
+        s = eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0  # I + Z/2 + Z^2/6 + Z^3/24
+        return (eye + z @ s).tolist(), (h * (s @ b)).tolist()
 
 
 def _rk4_gain(a: np.ndarray, h: float) -> float:
     """Largest |R(h*lambda)| over the eigenvalues lambda of the 2x2 ``a``
     with Re lambda < 0, where R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is RK4's
-    growth factor; 0.0 when no mode decays.
+    growth factor; 0.0 when no mode decays, and inf when R overflows to a
+    NaN, which counts the mode as amplified.
 
     The eigenvalues are the roots tr/2 +- sqrt((tr/2)^2 - det): a first
     ``np.linalg.eigvals`` call maps about 0.9 MiB of LAPACK into the process.
@@ -321,7 +323,9 @@ def _rk4_gain(a: np.ndarray, h: float) -> float:
     half_tr = 0.5 * (a00 + a11)
     root = cmath.sqrt(half_tr * half_tr - (a00 * a11 - a01 * a10))
     zs = [h * lam for lam in (half_tr + root, half_tr - root) if lam.real < 0.0]
-    return max((abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))) for z in zs), default=0.0)
+    rs = [1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))) for z in zs]
+    # hypot, unlike abs, gives inf where |R| overflows; a NaN R is amplified
+    return max((math.inf if r != r else math.hypot(r.real, r.imag) for r in rs), default=0.0)
 
 
 def _slave_reach(a: np.ndarray, b: np.ndarray, h: float) -> tuple[float, float]:
@@ -404,15 +408,15 @@ def run_scenario(
 
     The master steps by RK4's transition map over each smooth piece.  A
     plain substep (no pulse edge inside it) steps the slave by its map too
-    when a bound shows that none of RK4's stages takes it past the wall;
-    otherwise only the slave evaluates RK4's four stages, with the
-    wall-branch check and bisection, and a substep it cuts at a branch
-    change, or one cut at a pulse edge, steps the master by the map at each
-    piece's width.  The trace is bit-identical for a scenario and seed, and
-    agrees with the all-stage loop to 1e-9 of each column's largest finite
-    magnitude.  A decaying mode that RK4 amplifies at this substep (master
-    with the operator, slave against the wall) is logged as a WARNING on the
-    "teleopstab" logger.
+    when a bound shows that none of RK4's stages takes it past the wall.
+    Every other substep takes one slow path: it is cut at any pulse edge
+    inside it, the slave evaluates RK4's four stages over each piece, with
+    the wall-branch check and bisection, and the master takes the map at
+    each of the slave's piece widths.  The trace is bit-identical for a
+    scenario and seed, and agrees with the all-stage loop to 1e-9 of each
+    column's largest finite magnitude.  A decaying mode that RK4 amplifies
+    at this substep (master with the operator, slave against the wall) is
+    logged as a WARNING on the "teleopstab" logger.
 
     Raises ValueError, before allocating, when the nine trace columns would
     exceed TRACE_BUDGET_BYTES.
@@ -511,13 +515,6 @@ def run_scenario(
             t0 = t0 + hi
         widths.append(t1 - t0)
         return *rk4(xs, vs, t1 - t0, fs), widths
-
-    def advance_master(xm, vm, widths, u):
-        # the master over the slave's pieces, by RK4's map at each width
-        for w in widths:
-            ((a00, a01), (a10, a11)), (b0, b1) = _rk4_map(*master, w)
-            xm, vm = a00 * xm + a01 * vm + b0 * u, a10 * xm + a11 * vm + b1 * u
-        return xm, vm
 
     # sampling machinery
     sampled = controller_mode == "sampled"
@@ -632,48 +629,47 @@ def run_scenario(
         # next row; a substep's width stays t1 - t0, which need not round to h
         t0 = j * h
         t1 = t0 + h
+        pieces = None
         if j == next_break:
             next_break = next(breaks)
-        if t0 < f_start < t1 or t0 < f_stop < t1:
-            # a substep holding a pulse edge: one piece on each side of it
-            stop = j + 1
             cuts = [t0, *(e for e in (f_start, f_stop) if t0 < e < t1), t1]
-            for a, b in zip(cuts, cuts[1:]):
-                fstar = f_mag if f_start <= 0.5 * (a + b) < f_stop else 0.0
-                x_s, v_s, widths = advance_slave(a, b, x_s, v_s, f_s_held)
-                x_m, v_m = advance_master(x_m, v_m, widths, fstar + f_m_held)
-            xm_w[stop] = x_m
-            vm_w[stop] = v_m
-            xs_w[stop] = x_s
-            vs_w[stop] = v_s
-        else:
-            stop = min(next_event, next_break, last)
-            fstar = f_mag if f_start <= 0.5 * (t0 + t1) < f_stop else 0.0
-            # the maps' input terms, and the slave's clearance, over the run
-            u_m = fstar + f_m_held
-            u_m0, u_m1 = n_m0 * u_m, n_m1 * u_m
-            u_s0, u_s1 = n_s0 * f_s_held, n_s1 * f_s_held
-            x_clear = x_wall - reach_f * abs(f_s_held)
-            for i in range(j, stop):
-                if x_s + reach_v * abs(v_s) <= x_clear:
-                    # every RK4 stage keeps the slave short of the wall
-                    # (_slave_reach), so the substep is the linear step
-                    x_m, v_m = m00 * x_m + m01 * v_m + u_m0, m10 * x_m + m11 * v_m + u_m1
-                    x_s, v_s = x_s + s01 * v_s + u_s0, s11 * v_s + u_s1
-                else:
-                    t0 = i * h
-                    x_s, v_s, widths = advance_slave(t0, t0 + h, x_s, v_s, f_s_held)
-                    # the master takes the slave's pieces; one piece is the
-                    # whole substep, the width-h map's
-                    if len(widths) == 1:
+            if len(cuts) > 2:
+                # a substep holding a pulse edge is a run of its own
+                # (near_edges); each piece takes its midpoint's pulse value
+                pieces = [
+                    (a, b, (f_mag if f_start <= 0.5 * (a + b) < f_stop else 0.0) + f_m_held)
+                    for a, b in zip(cuts, cuts[1:])
+                ]
+        stop = min(next_event, next_break, last)
+        # the maps' input terms, and the slave's clearance, over the run; a
+        # cut substep has none, so only the slow path takes it
+        u_m = (f_mag if f_start <= 0.5 * (t0 + t1) < f_stop else 0.0) + f_m_held
+        u_m0, u_m1 = n_m0 * u_m, n_m1 * u_m
+        u_s0, u_s1 = n_s0 * f_s_held, n_s1 * f_s_held
+        x_clear = x_wall - reach_f * abs(f_s_held) if pieces is None else -math.inf
+        for i in range(j, stop):
+            if x_s + reach_v * abs(v_s) <= x_clear:
+                # every RK4 stage keeps the slave short of the wall
+                # (_slave_reach), so the substep is the linear step
+                x_m, v_m = m00 * x_m + m01 * v_m + u_m0, m10 * x_m + m11 * v_m + u_m1
+                x_s, v_s = x_s + s01 * v_s + u_s0, s11 * v_s + u_s1
+            else:
+                # the slave evaluates RK4's stages over each piece, bisecting
+                # wall branch changes, and the master takes the slave's pieces
+                t0 = i * h
+                for a, b, u in pieces or ((t0, t0 + h, u_m),):
+                    x_s, v_s, widths = advance_slave(a, b, x_s, v_s, f_s_held)
+                    if len(widths) == 1 and pieces is None:  # the whole substep
                         x_m, v_m = m00 * x_m + m01 * v_m + u_m0, m10 * x_m + m11 * v_m + u_m1
                     else:
-                        x_m, v_m = advance_master(x_m, v_m, widths, u_m)
-                i += 1
-                xm_w[i] = x_m
-                vm_w[i] = v_m
-                xs_w[i] = x_s
-                vs_w[i] = v_s
+                        for w in widths:
+                            ((m0, m1), (m2, m3)), (n0, n1) = _rk4_map(*master, w)
+                            x_m, v_m = m0 * x_m + m1 * v_m + n0 * u, m2 * x_m + m3 * v_m + n1 * u
+            i += 1
+            xm_w[i] = x_m
+            vm_w[i] = v_m
+            xs_w[i] = x_s
+            vs_w[i] = v_s
         if not (isfinite(x_m) and isfinite(v_m) and isfinite(x_s) and isfinite(v_s)):
             # a non-finite state value stays non-finite, so the run ends on
             # the first non-finite row of these substeps

@@ -1,7 +1,9 @@
 """Scenario files, run settings, canonical serialization, and reports."""
 
+import codecs
 import dataclasses
 import hashlib
+import json
 import re
 
 import pytest
@@ -33,6 +35,7 @@ from teleopstab import (
     serialize_scenario,
     write_report,
 )
+from teleopstab.cli import cli_dispatch
 
 SCENARIO_FILE = "scenarios/wall_contact.cfg"
 FORMAT_DOC = "docs/scenario-format.md"
@@ -122,6 +125,23 @@ def test_comments_and_inline_comments(tmp_path):
     sc = _load(tmp_path, text)
     assert sc.duration == 2.0
     assert sc.integrator_substeps == 4
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    # some editors start a UTF-8 file with a byte-order mark
+    bom = tmp_path / "bom.cfg"
+    with open(SCENARIO_FILE, "rb") as fh:
+        bom.write_bytes(codecs.BOM_UTF8 + fh.read())
+    sc = load_scenario(SCENARIO_FILE)
+    assert load_scenario(bom) == sc
+    assert load_run_settings(bom) == load_run_settings(SCENARIO_FILE)
+    assert scenario_hash(load_scenario(bom)) == scenario_hash(sc)
+    outcomes = []
+    for path in (SCENARIO_FILE, bom):
+        code = cli_dispatch(["analyze", "--config", str(path)])
+        outcomes.append((code, json.loads(capsys.readouterr().out)))
+    assert outcomes[0][0] == 1
+    assert outcomes[1] == outcomes[0]
 
 
 def test_nonidealities_enabled_flag(tmp_path):

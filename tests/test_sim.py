@@ -272,27 +272,58 @@ def test_trace_bits_match_pinned_digests(oracle_traces):
     assert digests == _PINNED_DIGESTS
 
 
-def test_run_scenario_matches_the_stagewise_oracle(reference_scenario, oracle_traces, caplog):
+def _assert_matches_the_oracle(got, want, name):
     # the transition maps change only rounding: the same rows, events and
     # divergence time, the same non-finite entries, and every finite entry
     # within 1e-9 of its column's largest finite magnitude (about 3e-11 is
     # seen, on fine_period_nonideal)
+    assert len(got.t) == len(want.t), name
+    assert got.divergence_time == want.divergence_time, name
+    for events in ("sample_events", "hold_events_m", "hold_events_s"):
+        assert np.array_equal(getattr(got, events), getattr(want, events)), (name, events)
+    for col in _COLUMNS:
+        a, b = getattr(got, col), getattr(want, col)
+        finite = np.isfinite(b)
+        assert np.array_equal(np.isfinite(a), finite), (name, col)
+        scale = np.abs(b[finite]).max(initial=0.0)
+        assert np.abs(a[finite] - b[finite]).max(initial=0.0) <= 1e-9 * scale, (name, col)
+
+
+def test_run_scenario_matches_the_stagewise_oracle(reference_scenario, oracle_traces, caplog):
     caplog.set_level(logging.WARNING, logger="teleopstab")
     for name, (sc, seed, mode) in _pinned_cases(reference_scenario).items():
-        want = oracle_traces[name]
         got = run_scenario(sc, seed=seed, controller_mode=mode)
-        assert len(got.t) == len(want.t), name
-        assert got.divergence_time == want.divergence_time, name
-        for events in ("sample_events", "hold_events_m", "hold_events_s"):
-            assert np.array_equal(getattr(got, events), getattr(want, events)), (name, events)
-        for col in _COLUMNS:
-            a, b = getattr(got, col), getattr(want, col)
-            finite = np.isfinite(b)
-            assert np.array_equal(np.isfinite(a), finite), (name, col)
-            scale = np.abs(b[finite]).max(initial=0.0)
-            assert np.abs(a[finite] - b[finite]).max(initial=0.0) <= 1e-9 * scale, (name, col)
+        _assert_matches_the_oracle(got, oracle_traces[name], name)
     # no pinned case has a decaying mode that RK4 amplifies
     assert not caplog.records
+
+
+# a pulse edge as (substep, fraction of it): on the grid row or inside
+_EDGE_FRACTION = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.tuples(st.integers(0, 120), _EDGE_FRACTION),
+    length=st.tuples(st.integers(0, 180), _EDGE_FRACTION),
+)
+def test_pulse_edges_match_the_stagewise_oracle(reference_scenario, start, length):
+    # h = 5 ms and the wall at 0.2 rad, as in pulse_edge_inside_contact: a
+    # pulse that lasts about 0.3 s presses the slave into the wall, so edges
+    # fall in free flight, in contact, on a grid row, or both in one substep
+    # (a length of 0 substeps and a fraction)
+    h = 0.005
+    edges = sorted([(start[0] + start[1]) * h, (start[0] + length[0] + length[1]) * h])
+    sc = _short(
+        reference_scenario,
+        wall=WallModel(position=0.2),
+        channel=dataclasses.replace(reference_scenario.channel, T=0.02, eps_min=0.02),
+        integrator_substeps=4,
+        duration=1.5,
+        operator_force=OperatorForce(*edges, 20.0),
+    )
+    got = run_scenario(sc, seed=0)
+    _assert_matches_the_oracle(got, stagewise_run_scenario(sc, seed=0), edges)
 
 
 def test_controller_outputs_constant_between_holds(reference_scenario):
@@ -760,6 +791,29 @@ def test_divergence_inside_a_run_of_plain_substeps(reference_scenario, caplog):
     assert np.isfinite(state[:-1]).all()
     assert not np.isfinite(state[-1]).all()
     assert tr.divergence_time == tr.t[-1]
+
+
+@pytest.mark.parametrize(
+    "part, change",
+    [("master", RobotParams(mass=1e-300, damping=1.0)), ("human", ImpedanceModel(damping=1e300))],
+    ids=["master_mass", "human_damping"],
+)
+def test_rk4_warning_counts_an_overflowing_mode(reference_scenario, caplog, part, change):
+    # the master's mode is so fast that R(h*lambda) overflows to a NaN, and
+    # its transition maps overflow too: the mode counts as amplified, and the
+    # overflow raises no numpy warning (the suite turns warnings into errors)
+    sc = _short(
+        reference_scenario,
+        duration=1.0,
+        operator_force=OperatorForce(0.2, 0.5, 50.0),
+        **{part: change},
+    )
+    with caplog.at_level(logging.WARNING, logger="teleopstab"):
+        tr = run_scenario(sc, seed=0)
+    (record,) = caplog.records
+    assert record.name == "teleopstab" and record.levelno == logging.WARNING
+    assert "master with the operator" in record.getMessage()
+    assert tr.divergence_time is not None
 
 
 def test_side_with_no_hold_keeps_the_startup_latch(reference_scenario):
