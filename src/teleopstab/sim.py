@@ -11,20 +11,25 @@ only through the held torques, so over a substep each is its own 2-state
 system: the operator pulse acts on the master only, the wall on the slave
 only.
 
-The substep loop only integrates: it runs from one event (a sample, a hold,
-a substep near a pulse edge) to the next and writes only the state.  The
-held torques and the terminations' forces are derived from the holds and the
-state columns after it, with the per-row formulas' bits.
+The substep loop only integrates: it walks a schedule of the rows on which
+an event (a sample, a hold, a substep near a pulse edge) starts a run of
+substeps, and writes only the state.  The held torques and the
+terminations' forces are derived from the holds and the state columns after
+it, with the per-row formulas' bits.
 
 Between events each robot is linear with a constant input, and one RK4
 substep of it is exactly the map y <- M y + N u of its transition matrices
-(``_rk4_map``).  The master always steps by its map, at the width of each
-piece the substep is cut into.  The slave steps by its map when every RK4
-stage keeps it short of the wall; in or near wall contact, or in a substep
-holding a pulse edge, it evaluates RK4's stages (``_stage_rk4``), and the
-pieces it bisects at wall branch changes are the master's pieces too.  The
-two forms differ only in rounding: traces agree with the coupled all-stage
-loop (kept as the test oracle) to 1e-9 of each column's scale.
+(``_rk4_map``), so k substeps are the k-step map y <- P_k y + Q_k u
+(``_rk4_runs``).  When a bound shows that no RK4 stage of a run takes the
+slave past the wall (``_slave_run_reach``), the loop jumps the whole run in
+one step and its inner rows are written after the loop.  Any other run goes
+a substep at a time: the master by its map, at the width of each piece the
+substep is cut into; the slave by its map when every RK4 stage keeps it
+short of the wall, and otherwise (in or near wall contact, or in a substep
+holding a pulse edge) by RK4's stages (``_stage_rk4``), the pieces it
+bisects at wall branch changes being the master's pieces too.  The forms
+differ only in rounding: traces agree with the coupled all-stage loop (kept
+as the test oracle) to 1e-9 of each column's scale.
 
 Identical scenario + seed reproduces bit-identical traces.
 """
@@ -32,16 +37,16 @@ Identical scenario + seed reproduces bit-identical traces.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
+from ._g17 import _g17_csv
 from .control import ControllerGains, control_continuous
 from .plants import FREE, ImpedanceModel, RobotParams, WallModel, _robot_blocks, wall_force
 from .stability import ChannelConfig, StabilityReport, TeleopSystem, small_gain_at_period
@@ -74,6 +79,12 @@ TRACE_BUDGET_BYTES = 2 * 1024**3
 # is done; they bound the temporaries at a few tens of KiB
 _BLOCK_ROWS = 512
 _BLOCK_HOLDS = 128
+# samples per window of run_scenario's event schedule, and rows that bound
+# a window when substeps are many: its temporaries stay a few tens of KiB
+_WINDOW_SAMPLES = 256
+_WINDOW_ROWS = 4096
+# marks of a schedule row: the events at it, and a substep near a pulse edge
+_SAMPLE, _HOLD_S, _HOLD_M, _CONTROL, _EDGE = 1, 2, 4, 8, 16
 
 
 @dataclass(frozen=True)
@@ -349,6 +360,56 @@ def _slave_reach(a: np.ndarray, b: np.ndarray, h: float) -> tuple[float, float]:
     return c_v, c_v * h * b[1]
 
 
+def _rk4_runs(m, n, runs: int) -> list[tuple[float, float, float, float, float, float]]:
+    """k steps of the map y <- M y + N u as one, y <- P_k y + Q_k u with
+    P_k = M^k and Q_k = sum_{i<k} M^i N, for k = 0 .. runs: entry k is
+    (P_k[0][0], P_k[0][1], P_k[1][0], P_k[1][1], Q_k[0], Q_k[1]).
+
+    P_1 = M and Q_1 = N exactly; then P_k = M P_{k-1} and Q_k = M Q_{k-1}
+    + N, in Python floats, so a map that overflows gives inf or NaN entries
+    and no warning.
+    """
+    (m00, m01), (m10, m11) = m
+    n0, n1 = n
+    tables = [(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)]
+    p00, p01, p10, p11, q0, q1 = m00, m01, m10, m11, n0, n1
+    for _ in range(runs):
+        tables.append((p00, p01, p10, p11, q0, q1))
+        p00, p01, p10, p11 = (
+            m00 * p00 + m01 * p10, m00 * p01 + m01 * p11,
+            m10 * p00 + m11 * p10, m10 * p01 + m11 * p11,
+        )
+        q0, q1 = m00 * q0 + m01 * q1 + n0, m10 * q0 + m11 * q1 + n1
+    return tables
+
+
+def _slave_run_reach(a: np.ndarray, b: np.ndarray, h: float, runs: int):
+    """(c_v, c_f, gain): lists over k = 0 .. runs and a scalar such that no
+    RK4 stage position of a run of k substeps of width h of the free slave,
+    nor any substep's end position, exceeds x_s + c_v[k]*V + c_f[k]*|F_s|
+    for a start state (x_s, v_s) and torque F_s, where V = |v_s| when k = 1
+    and V = max(|v_s|, |gain*F_s|) when k > 1.
+
+    A substep maps v_s to s11*v_s + n_s1*F_s (``_rk4_map``), whose fixed
+    point is v* = gain*F_s with gain = n_s1/(1 - s11).  While 0 <= s11 < 1
+    each velocity iterate lies between v_s and v*, so within V of zero, and
+    each substep moves the position by s01*v + n_s0*F_s, at most
+    |s01|*V + |n_s0|*|F_s|.  Substep i < k so starts at most i such moves
+    past x_s, and _slave_reach bounds its stages from there: c_v[k] =
+    (k - 1)*|s01| + c_v and c_f[k] = (k - 1)*|n_s0| + c_f, which are
+    _slave_reach's constants bit for bit at k = 1.  With s11 outside
+    [0, 1), c_v[k] is inf for every k > 1, and no such run is admitted.
+    Entry 0 is NaN, which bounds nothing.
+    """
+    reach_v, reach_f = _slave_reach(a, b, h)
+    ((_, s01), (_, s11)), (n_s0, n_s1) = _rk4_map(a, b, h)
+    step_v = abs(s01) if 0.0 <= s11 < 1.0 else math.inf
+    gain = n_s1 / (1.0 - s11) if 0.0 <= s11 < 1.0 else 0.0
+    c_v = [math.nan, reach_v, *((k - 1) * step_v + reach_v for k in range(2, runs + 1))]
+    c_f = [math.nan, reach_f, *((k - 1) * abs(n_s0) + reach_f for k in range(2, runs + 1))]
+    return c_v, c_f, gain
+
+
 def _stage_rk4(sc: SimScenario):
     """Classical RK4 over width dt of the slave against the wall of ``sc``,
     stage by stage: ``rk4(xs, vs, dt, fs)`` returns the new (xs, vs)."""
@@ -401,15 +462,21 @@ def run_scenario(
     carries its time as divergence_time.
 
     The loop integrates and writes only x_m, v_m, x_s and v_s, a run of
-    substeps at a time between events.  t is the grid j*h; F_m, F_s, F_h
-    and F_e are derived from the holds and the state columns after the
-    loop, bit for bit the values a row-at-a-time loop writes, within the
-    same nine columns of memory.
+    substeps at a time between events.  It walks a schedule of the rows
+    that start a run, built a window of samples at a time: each row gets an
+    integer of event marks, and the marked rows are the runs' starts.  t is
+    the grid j*h; F_m, F_s, F_h and F_e are derived from the holds and the
+    state columns after the loop, bit for bit the values a row-at-a-time
+    loop writes, within the same nine columns of memory.
 
-    The master steps by RK4's transition map over each smooth piece.  A
-    plain substep (no pulse edge inside it) steps the slave by its map too
-    when a bound shows that none of RK4's stages takes it past the wall.
-    Every other substep takes one slow path: it is cut at any pulse edge
+    A run of k plain substeps (no pulse edge inside) is one jump by RK4's
+    k-step maps when ``_slave_run_reach`` shows that none of RK4's stages
+    takes the slave past the wall; the loop writes its end row, and its
+    inner rows are filled in blocks after the loop (``_fill_jumps``).  A
+    jump that ends non-finite, and any run the bound rejects, goes a
+    substep at a time.  Such a substep steps the master by RK4's
+    transition map, and the slave too when the one-substep bound holds;
+    every other substep takes one slow path: it is cut at any pulse edge
     inside it, the slave evaluates RK4's four stages over each piece, with
     the wall-branch check and bisection, and the master takes the map at
     each of the slave's piece widths.  The trace is bit-identical for a
@@ -451,14 +518,18 @@ def run_scenario(
     f_mag = sc.operator_force.magnitude
     isfinite = math.isfinite
 
-    # RK4's transition maps at width h: the master with the operator (input
+    # RK4's k-step maps for k = 0 .. nsub, no run of substeps between events
+    # being longer than a period: the master with the operator (input
     # fstar + F_m) and the free slave (input F_s), whose first column is
     # (1, 0) exactly, as it has no spring
     master = _robot_blocks(sc.master, sc.human)
     slave = _robot_blocks(sc.slave, FREE)
-    ((m00, m01), (m10, m11)), (n_m0, n_m1) = _rk4_map(*master, h)
-    ((_, s01), (_, s11)), (n_s0, n_s1) = _rk4_map(*slave, h)
-    reach_v, reach_f = _slave_reach(*slave, h)
+    master_runs = _rk4_runs(*_rk4_map(*master, h), nsub)
+    slave_runs = _rk4_runs(*_rk4_map(*slave, h), nsub)
+    m00, m01, m10, m11, n_m0, n_m1 = master_runs[1]
+    _, s01, _, s11, n_s0, n_s1 = slave_runs[1]
+    run_v, run_f, v_gain = _slave_run_reach(*slave, h, nsub)
+    reach_v, reach_f = run_v[1], run_f[1]
     # a decaying mode that RK4 amplifies makes the run diverge on its own
     pressed = ImpedanceModel(damping=wall.damping, stiffness=wall.stiffness)
     modes = (
@@ -518,6 +589,7 @@ def run_scenario(
 
     # sampling machinery
     sampled = controller_mode == "sampled"
+    jittered = sampled and sc.jitter_sampling
     cfg = sc.nonidealities
     # the actuator's largest |F|, taken once a run; unbounded without hardware
     lim = math.inf if cfg is None else clamp_force(math.inf, cfg)
@@ -527,32 +599,64 @@ def run_scenario(
         pipe_m = _SensorPipeline(cfg, T, np.random.default_rng([seed, 0]))
         pipe_s = _SensorPipeline(cfg, T, np.random.default_rng([seed, 1]))
 
-    # (substep, time) of each sample; jittered intervals are drawn as needed
-    if sampled and sc.jitter_sampling:
-        intervals = _draws(np.random.default_rng([seed, 2]).uniform, ch.eps_min, T)
-        min_sub = max(1, math.ceil(ch.eps_min / h - 1e-9))
-
-        def jittered():
-            j = 0
-            while True:
-                yield j, j * h
-                u = next(intervals)
-                j += min(nsub, max(min_sub, int(round(u / h))))
-
-        instants = jittered()
-    else:
-        instants = ((k * nsub, k * T) for k in itertools.count())
-
     d1_sub = ch.d1 * nsub
     d2_sub = ch.d2 * nsub
 
-    # runs of plain substeps stop at the substeps within two of each pulse
-    # edge, which go one at a time: the one holding the edge is cut there,
-    # and the pulse value a plain substep takes at its midpoint changes only
-    # next to it
+    # the substeps within two of each pulse edge start runs of their own:
+    # the one holding the edge is cut there, and the pulse value a plain
+    # substep takes at its midpoint changes only next to it
     near_edges = sorted({
         j for e in (f_start, f_stop) for j in range(math.floor(e / h) - 2, math.floor(e / h) + 3)
     })
+
+    # the row of each sample, ascending; a hold is its sample's row plus the
+    # channel delay, as each side's holds deliver the samples in order
+    sample_rows = array("q")
+
+    def schedule():
+        # zips of (j, stop, marks) for each row j that starts a run: the run
+        # is substeps j .. stop - 1, and marks flags the events at j.  A
+        # sampled run is scheduled a window of samples at a time, from its
+        # first sample to the next window's: each row of the window gets an
+        # int64 of marks, and np.flatnonzero lists the marked rows in order,
+        # with no sort (int64, not uint8: numpy's uint8 arithmetic is code
+        # no other step runs, 64 KiB more to map)
+        if not sampled:  # the control law acts on every row
+            yield zip(range(n_total), range(1, n_total + 1), itertools.repeat(_CONTROL | _EDGE))
+            return
+        per_window = min(_WINDOW_SAMPLES, max(1, _WINDOW_ROWS // nsub))
+        if jittered:
+            # an interval u, drawn as needed, is min(nsub, max(min_sub,
+            # round(u/h))) substeps
+            uniform = np.random.default_rng([seed, 2]).uniform
+            min_sub = max(1, math.ceil(ch.eps_min / h - 1e-9))
+        a = 0
+        while a < n_total:
+            if jittered:
+                steps = [
+                    min(nsub, max(min_sub, int(round(u / h))))
+                    for u in uniform(ch.eps_min, T, per_window).tolist()
+                ]
+                rows = list(itertools.accumulate(steps, initial=a))
+                b = min(rows[-1], n_total)
+                rows = rows[: bisect_left(rows, b)]
+            else:
+                b = min(a + per_window * nsub, n_total)
+                rows = range(a, b, nsub)
+            sample_rows.extend(rows)
+            marks = np.zeros(b - a, np.int64)
+            marks[[j - a for j in rows]] = _SAMPLE
+            for d, mark in ((d1_sub, _HOLD_S), (d2_sub, _HOLD_M)):
+                held = sample_rows[bisect_left(sample_rows, a - d) : bisect_left(sample_rows, b - d)]
+                marks[np.frombuffer(held, np.int64) + (d - a)] += mark  # a bit of its own
+            for j in near_edges:
+                if a <= j < b:
+                    marks[j - a] += _EDGE
+            starts = np.flatnonzero(marks)
+            kinds = marks.take(starts).tolist()
+            starts = (starts + a).tolist()
+            yield zip(starts, [*starts[1:], b], kinds)
+            a = b
 
     # state; the startup latches hold the local initial condition on both
     # sides, so the first held torques see zero coordination error
@@ -560,14 +664,9 @@ def run_scenario(
     f_m_first = f_m_held = _saturate(control_continuous(g, (x_m, v_m), (x_m, v_m)), lim)
     f_s_first = f_s_held = _saturate(control_continuous(g, (x_s, v_s), (x_s, v_s)), lim)
 
-    # packets in flight, oldest first: (arrival substep, measurement); each
-    # side's holds deliver the samples in order, so a hold's time is its
-    # sample's time plus the channel delay
-    to_s: deque[tuple[int, tuple[float, float]]] = deque()
-    to_m: deque[tuple[int, tuple[float, float]]] = deque()
-    sample_times = array("d")
-    hold_m_rows = array("q")
-    hold_s_rows = array("q")
+    # measurements in flight to each side, oldest first
+    to_s: deque[tuple[float, float]] = deque()
+    to_m: deque[tuple[float, float]] = deque()
 
     n_rows = n_total + 1
     # in _TRACE_COLUMNS order: t, the state at [1:5], the torques at [5:7]
@@ -579,71 +678,84 @@ def run_scenario(
     fm_w, fs_w = map(memoryview, columns[5:7])
     xm_w[0], vm_w[0], xs_w[0], vs_w[0] = x_m, v_m, x_s, v_s
 
-    next_sample, t_sample = next(instants)
-    never = n_rows  # no event or break is due at or after the last row
-    next_event = 0
-    breaks = iter([*(j for j in near_edges if j >= 0), never])
-    next_break = next(breaks)
+    # a run of k > 1 substeps taken in one jump writes k to its first row
+    # of F_e and the master's input to that of F_h, two columns that are
+    # free until the loop is done; _fill_jumps writes its inner rows after
+    u_w, jump_w = map(memoryview, columns[7:9])
+    columns[8][:] = 0.0
+
     last = n_total  # row the run ends on; moves up when the state diverges
     divergence_time: float | None = None
-    j = 0
-    while j < last:
+    for j, stop, marks in itertools.chain.from_iterable(schedule()):
         # events at substep j set the torques held over it; the last row
         # records the state the final substep reached and starts nothing
-        if j == next_event:
-            if sampled:
-                if j == next_sample:
-                    if pipe_m is not None:
-                        own_m = pipe_m.sample(x_m, v_m)
-                        own_s = pipe_s.sample(x_s, v_s)
-                    else:
-                        own_m = (x_m, v_m)
-                        own_s = (x_s, v_s)
-                    sample_times.append(t_sample)
-                    to_s.append((j + d1_sub, own_m))
-                    to_m.append((j + d2_sub, own_s))
-                    next_sample, t_sample = next(instants)
-                if to_s and to_s[0][0] == j:
-                    remote = to_s.popleft()[1]
-                    f_s_held = _saturate(control_continuous(g, own_s, remote), lim)
-                    hold_s_rows.append(j)
-                    fs_w[j] = f_s_held
-                if to_m and to_m[0][0] == j:
-                    remote = to_m.popleft()[1]
-                    f_m_held = _saturate(control_continuous(g, own_m, remote), lim)
-                    hold_m_rows.append(j)
-                    fm_w[j] = f_m_held
-                next_event = min(
-                    next_sample,
-                    to_s[0][0] if to_s else never,
-                    to_m[0][0] if to_m else never,
-                )
+        if marks & _SAMPLE:
+            if pipe_m is not None:
+                own_m = pipe_m.sample(x_m, v_m)
+                own_s = pipe_s.sample(x_s, v_s)
             else:
-                f_m_held = _saturate(control_continuous(g, (x_m, v_m), (x_s, v_s)), lim)
-                f_s_held = _saturate(control_continuous(g, (x_s, v_s), (x_m, v_m)), lim)
-                fm_w[j] = f_m_held
-                fs_w[j] = f_s_held
-                next_event = j + 1
+                own_m = (x_m, v_m)
+                own_s = (x_s, v_s)
+            to_s.append(own_m)
+            to_m.append(own_s)
+        if marks & _HOLD_S:
+            f_s_held = _saturate(control_continuous(g, own_s, to_s.popleft()), lim)
+            fs_w[j] = f_s_held
+        if marks & _HOLD_M:
+            f_m_held = _saturate(control_continuous(g, own_m, to_m.popleft()), lim)
+            fm_w[j] = f_m_held
+        if marks & _CONTROL:
+            f_m_held = _saturate(control_continuous(g, (x_m, v_m), (x_s, v_s)), lim)
+            f_s_held = _saturate(control_continuous(g, (x_s, v_s), (x_m, v_m)), lim)
+            fm_w[j] = f_m_held
+            fs_w[j] = f_s_held
 
-        # substeps j .. stop - 1, each writing the state it reaches to the
-        # next row; a substep's width stays t1 - t0, which need not round to h
+        # substeps j .. stop - 1, each reaching the state of the next row; a
+        # substep's width stays t1 - t0, which need not round to h
         t0 = j * h
         t1 = t0 + h
-        pieces = None
-        if j == next_break:
-            next_break = next(breaks)
-            cuts = [t0, *(e for e in (f_start, f_stop) if t0 < e < t1), t1]
-            if len(cuts) > 2:
-                # a substep holding a pulse edge is a run of its own
-                # (near_edges); each piece takes its midpoint's pulse value
-                pieces = [
-                    (a, b, (f_mag if f_start <= 0.5 * (a + b) < f_stop else 0.0) + f_m_held)
-                    for a, b in zip(cuts, cuts[1:])
-                ]
-        stop = min(next_event, next_break, last)
-        # the maps' input terms, and the slave's clearance, over the run; a
-        # cut substep has none, so only the slow path takes it
         u_m = (f_mag if f_start <= 0.5 * (t0 + t1) < f_stop else 0.0) + f_m_held
+        k = stop - j
+        pieces = None
+        if marks & _EDGE and (t0 < f_start < t1 or t0 < f_stop < t1):
+            # a substep holding a pulse edge is a run of its own
+            # (near_edges); each piece takes its midpoint's pulse value
+            cuts = [t0, *(e for e in (f_start, f_stop) if t0 < e < t1), t1]
+            pieces = [
+                (a, b, (f_mag if f_start <= 0.5 * (a + b) < f_stop else 0.0) + f_m_held)
+                for a, b in zip(cuts, cuts[1:])
+            ]
+        else:
+            v_reach = abs(v_s)
+            if k > 1:
+                v_fixed = abs(v_gain * f_s_held)
+                if v_reach < v_fixed:
+                    v_reach = v_fixed
+            if x_s + run_v[k] * v_reach <= x_wall - run_f[k] * abs(f_s_held):
+                # every RK4 stage of the run keeps the slave short of the
+                # wall (_slave_run_reach): the run is one k-step jump
+                p00, p01, p10, p11, q0, q1 = master_runs[k]
+                _, r01, _, r11, r0, r1 = slave_runs[k]
+                x_m1 = p00 * x_m + p01 * v_m + q0 * u_m
+                v_m1 = p10 * x_m + p11 * v_m + q1 * u_m
+                x_s1 = x_s + r01 * v_s + r0 * f_s_held
+                v_s1 = r11 * v_s + r1 * f_s_held
+                # a sum of finite values may overflow, and a run that ends
+                # non-finite is stepped again below to find its first
+                # non-finite row; both are rare
+                if isfinite(x_m1 + v_m1 + x_s1 + v_s1):
+                    if k > 1:
+                        jump_w[j] = k
+                        u_w[j] = u_m
+                    x_m, v_m, x_s, v_s = x_m1, v_m1, x_s1, v_s1
+                    xm_w[stop] = x_m
+                    vm_w[stop] = v_m
+                    xs_w[stop] = x_s
+                    vs_w[stop] = v_s
+                    continue
+
+        # one substep at a time: the maps' input terms, and the slave's
+        # clearance; a cut substep has none, so only the slow path takes it
         u_m0, u_m1 = n_m0 * u_m, n_m1 * u_m
         u_s0, u_s1 = n_s0 * f_s_held, n_s1 * f_s_held
         x_clear = x_wall - reach_f * abs(f_s_held) if pieces is None else -math.inf
@@ -678,19 +790,32 @@ def run_scenario(
                 last += 1
             divergence_time = last * h
             break
-        j = stop
     rows = last + 1
 
     # the torque columns, from the state and the holds
     t, xm, vm, xs, vs, fm, fs, fh, fe = columns = [a[:rows] for a in columns]
-    n_m, n_s = len(hold_m_rows), len(hold_s_rows)
+    # the samples and each side's holds taken before the last row
+    taken = np.frombuffer(sample_rows, np.int64)
+    n_samples, n_s, n_m = taken.searchsorted((last, last - d1_sub, last - d2_sub)).tolist()
     if sampled:
-        _fill_held(fm, hold_m_rows, f_m_first)
-        _fill_held(fs, hold_s_rows, f_s_first)
+        _fill_held(fm, taken[:n_m] + d2_sub, f_m_first)
+        _fill_held(fs, taken[:n_s] + d1_sub, f_s_first)
     else:  # a hold on every row but the last
         fm[last] = f_m_held
         fs[last] = f_s_held
-    del hold_m_rows, hold_s_rows  # freed before the hold times are formed
+    # the inner rows of the jumped runs, from their first rows
+    tables = np.array([
+        (p00, p10, p01, p11, q0, q1, r01, r11, r0, r1)
+        for (p00, p01, p10, p11, q0, q1), (_, r01, _, r11, r0, r1) in zip(master_runs, slave_runs)
+    ]).T.copy()
+    # a jump's tables are finite when its end row is, but a state near the
+    # largest double can still overflow on an inner row
+    with np.errstate(all="ignore"):
+        for a in range(0, last, _BLOCK_ROWS):
+            _fill_jumps(columns, tables, a, min(a + _BLOCK_ROWS, last))
+    # sample times as k*T on the period grid and j*h when jittered
+    sample_events = taken[:n_samples] * h if jittered else np.arange(n_samples) * T
+    del taken, sample_rows  # freed before the hold times are formed
 
     # F_h in place, in the row formula's operation order:
     #   a_m = (fstar - k_h*x_m - b_m_tot*v_m + F_m) * inv_mm
@@ -720,7 +845,6 @@ def run_scenario(
         if (xs[a:b] > x_wall).any():
             fe[a:b] = [-wall_force(x, v, wall) for x, v in zip(xs_w[a:b], vs_w[a:b])]
 
-    sample_events = np.asarray(sample_times)
     return SimTrace(
         *columns,
         sample_events=sample_events,
@@ -748,6 +872,43 @@ def _fill_held(col: np.ndarray, rows: array, first: float) -> None:
         seg = rows[i : i + _BLOCK_HOLDS + 1]
         col[seg[0] : seg[-1]] = np.repeat(col.take(seg[:-1]), np.diff(seg))
     col[rows[-1] :] = col[rows[-1]]
+
+
+def _fill_jumps(columns, tables: np.ndarray, a: int, b: int) -> None:
+    """Write the inner rows of the runs of substeps that run_scenario's loop
+    took in one jump and that start on rows a .. b - 1.
+
+    The loop leaves k on row j of F_e, the last of ``columns``, for a run
+    of k substeps from row j, and the master's input u_m = fstar + F_m on
+    row j of F_h.  Row j + i, 0 < i < k, is then the i-step jump from row
+    j, formed as the loop forms a jump's end row: x_m = p00*x_m + p01*v_m
+    + q0*u_m, and so on.  Column k of ``tables`` holds, from ``_rk4_runs``,
+    the master's (p00, p10, p01, p11, q0, q1) and the slave's
+    (p01, p11, q0, q1); the slave's first column is (1, 0).
+    """
+    _, x_m, v_m, x_s, v_s, _, f_s, u_m, marks = columns
+    seg = marks[a:b]
+    starts = seg.nonzero()[0]
+    if not len(starts):
+        return
+    inner = seg.take(starts).astype(np.intp) - 1
+    starts += a
+    first = np.cumsum(inner) - inner  # each run's first inner row, in the block
+    i = np.arange(1, first[-1] + inner[-1] + 1) - np.repeat(first, inner)
+    rows = np.repeat(starts, inner) + i
+    # (x_m, v_m) and (x_s, v_s) in turn, each from its input's coefficients
+    p = tables[:6].take(i, axis=1)
+    y = np.array([x_m.take(starts), v_m.take(starts), u_m.take(starts)]).repeat(inner, axis=1)
+    m = p[0:2] * y[0]
+    m += p[2:4] * y[1]
+    m += p[4:6] * y[2]
+    x_m[rows], v_m[rows] = m
+    p = tables[6:].take(i, axis=1)
+    y = np.array([x_s.take(starts), v_s.take(starts), f_s.take(starts)]).repeat(inner, axis=1)
+    m = p[0:2] * y[1]
+    m[0] += y[0]
+    m += p[2:4] * y[2]
+    x_s[rows], v_s[rows] = m
 
 
 def verdict(trace: SimTrace, run: RunSettings = RunSettings()) -> SimVerdict:
@@ -816,179 +977,6 @@ def sweep_period(
         except (ArithmeticError, ValueError) as exc:  # per-row isolation
             rows.append(SweepRow(period=T, verdict=None, stability=None, error=str(exc)))
     return rows
-
-
-# ------------------------------------------------------------ %.17g in numpy
-#
-# _g17_csv writes a block of doubles as exactly the bytes "%.17g" % x gives.
-# Each value gets a 56-byte slot that holds every character any of its
-# forms can use; a keep mask, looked up by (sign, exponent class,
-# significant digits), zeroes the rest and bytes.translate drops the zeros:
-#
-#   byte  0       "-"
-#         2, 3    "0."            the 0.000ddd form, with up to three of
-#         4..6    "000"           these zeros before the digits
-#         7..23   d1 .. d17       the digits, trailing zeros included
-#         27      "."
-#         28..43  d2 .. d17       the digits again, for after a point
-#         48..52  "e+dd[d]"       the exponent, NUL-padded
-#         55      "," or "\n"
-_G17_SLOT = 56
-_G17_DIGITS = 7
-_G17_POINT = 27
-_G17_EXP = 48
-_G17_FIXED = range(-4, 17)  # exponents written without "e"; the rest are one class
-_G17_CLASSES = len(_G17_FIXED) + 1
-_G17_E_MAX = 280  # |x| in [1e-280, 1e280] takes the numpy path
-_G17_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
-_G17_BASE5 = np.array([125, 25, 5, 1])
-
-
-def _g17_kept_bytes(negative: bool, exponent: int | None, sig: int) -> list[int]:
-    """Slot bytes that spell a value with ``sig`` significant digits and
-    decimal exponent ``exponent`` (None: written with "e")."""
-    kept = [_G17_SLOT - 1, 0] if negative else [_G17_SLOT - 1]
-    # digit k (1-based) sits at _G17_DIGITS + k - 1, and from k = 2 also at
-    # _G17_POINT + k - 1, right after the point
-    if exponent is None:  # d.ddde+XX
-        kept += [_G17_DIGITS, *range(_G17_EXP, _G17_EXP + 5)]
-        if sig > 1:
-            kept += range(_G17_POINT, _G17_POINT + sig)
-    elif exponent < 0:  # 0.000ddd
-        kept += [2, 3, *range(_G17_DIGITS + 1 + exponent, _G17_DIGITS + sig)]
-    else:  # ddd.ddd, with a point only when a digit follows it
-        kept += range(_G17_DIGITS, _G17_DIGITS + exponent + 1)
-        if sig > exponent + 1:
-            kept += [_G17_POINT, *range(_G17_POINT + exponent + 1, _G17_POINT + sig)]
-    return kept
-
-
-class _G17Tables(NamedTuple):
-    pow_hi: np.ndarray  # 10**(16 - e) as a double-double, e = -281 .. 280
-    pow_lo: np.ndarray
-    ascii4: np.ndarray  # "0000" .. "9999" as uint32 words
-    zeros4: np.ndarray  # trailing zeros of "0000" .. "9999"
-    trailing_zeros: np.ndarray  # of four groups, by their zeros4 in base 5
-    exp_text: np.ndarray  # "e-281" .. "e+280" as NUL-padded uint64 words
-    keep: np.ndarray  # slot masks by key, the last one for a "%"-formatted value
-    template: np.ndarray  # the constant slot bytes, ending "," and "\n"
-
-
-@functools.cache
-def _g17_tables() -> _G17Tables:
-    """Lookup tables of _g17_csv, built on first use (under 10 ms)."""
-    exponents = range(-_G17_E_MAX - 1, _G17_E_MAX + 1)  # floor(log10|x|) on the path
-    pow_hi = np.empty(len(exponents))
-    pow_lo = np.empty(len(exponents))
-    for i, e in enumerate(exponents):
-        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
-        hi = num / den  # integer division rounds correctly
-        hi_num, hi_den = hi.as_integer_ratio()
-        pow_hi[i] = hi
-        pow_lo[i] = (num * hi_den - hi_num * den) / (den * hi_den)
-    g = np.arange(10000)
-    digits = g[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
-    ascii4 = digits.astype(np.uint8).view(np.uint32).ravel()
-    zeros4 = sum((g % 10**k == 0).astype(np.int64) for k in range(1, 5))
-    trailing_zeros = np.empty(5**4, np.int64)
-    for z in itertools.product(range(5), repeat=4):
-        text = "".join(f"{10**k % 10000:04d}" for k in z)  # groups with those zeros4
-        trailing_zeros[np.dot(z, _G17_BASE5)] = len(text) - len(text.rstrip("0"))
-    exp_text = np.array([b"e%+03d" % e for e in exponents], dtype="S8").view(np.uint64)
-    keep = np.zeros((2 * _G17_CLASSES * 17 + 1, _G17_SLOT), np.uint8)
-    for neg in (False, True):
-        for cls, e in enumerate([*_G17_FIXED, None]):
-            for sig in range(1, 18):
-                keep[(neg * _G17_CLASSES + cls) * 17 + sig - 1, _g17_kept_bytes(neg, e, sig)] = 255
-    keep[-1, :24] = 255  # the text "%" gives, at most 24 bytes
-    keep[-1, -1] = 255
-    template = np.zeros((2, _G17_SLOT), np.uint8)
-    template[:, :4] = np.frombuffer(b"-\x000.", np.uint8)
-    template[:, _G17_POINT] = ord(".")
-    template[:, -1] = np.frombuffer(b",\n", np.uint8)
-    tables = _G17Tables(
-        pow_hi, pow_lo, ascii4, zeros4, trailing_zeros, exp_text,
-        keep.view(np.uint64), template.view(np.uint64),
-    )
-    for table in tables:  # shared by every caller
-        table.flags.writeable = False
-    return tables
-
-
-def _g17_digits(x: np.ndarray):
-    """(n, e, slow) for a 1-D float64 array: n the 17 significant digits of
-    |x| as an integer, e its decimal exponent, slow where they are unproven.
-
-    For |x| in [1e-280, 1e280], y = |x|*10**(16 - floor(log10|x|)) is formed
-    with Dekker's exact product against a double-double power of ten, to
-    within 1e-14; n is y rounded to nearest.  A value is slow when it is
-    zero, non-finite or outside that range, when the fraction of y lies
-    within 2**-30 of one half (every exact tie does), or when y or n is not
-    a 17-digit number (the exponent guess was off by one, or n carried).
-    """
-    tables = _g17_tables()
-    a = np.abs(x)
-    fast = (a >= 1e-280) & (a <= 1e280)
-    a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int64)
-    i = e + (_G17_E_MAX + 1)
-    hi = tables.pow_hi.take(i)
-    c = a * _G17_SPLIT
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = hi * _G17_SPLIT
-    h_hi = c - (c - hi)
-    h_lo = hi - h_hi
-    p = a * hi  # y rounded; above 2**53 on the path, so an integer
-    r = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo + a * tables.pow_lo.take(i)
-    floor_r = np.floor(r)
-    frac = r - floor_r
-    whole = p.astype(np.int64) + floor_r.astype(np.int64)
-    n = whole + (frac > 0.5)
-    slow = ~fast | (np.abs(frac - 0.5) < 2.0**-30) | (whole < 10**16) | (n >= 10**17)
-    return n, e, slow
-
-
-def _g17_csv(block: np.ndarray) -> bytes:
-    """The rows of a 2-D float64 block as CSV text, every field byte for
-    byte ``b"%.17g" % x``.
-
-    Zeros are written directly; a value that ``_g17_digits`` calls slow is
-    formatted by CPython's ``%``.
-    """
-    tables = _g17_tables()
-    rows, cols = block.shape
-    x = block.ravel()
-    n, e, slow = _g17_digits(x)
-    zero = x == 0.0
-    slow &= ~zero
-    n[zero] = 0
-
-    # n as its first digit and four 4-digit groups
-    top, low = np.divmod(n, 10**8)
-    first, mid = np.divmod(top, 10**8)
-    groups = np.empty((len(x), 4), np.int64)
-    np.divmod(mid, 10**4, out=(groups[:, 0], groups[:, 1]))
-    np.divmod(low, 10**4, out=(groups[:, 2], groups[:, 3]))
-    sig = 17 - tables.trailing_zeros.take(tables.zeros4.take(groups) @ _G17_BASE5)
-    fixed = (e >= _G17_FIXED.start) & (e < _G17_FIXED.stop)
-    cls = np.where(fixed, e - _G17_FIXED.start, _G17_CLASSES - 1)
-    key = (np.signbit(x) * _G17_CLASSES + cls) * 17 + (sig - 1)
-
-    slots = np.empty((rows, cols, _G17_SLOT // 8), np.uint64)
-    slots[:] = tables.template[[0] * (cols - 1) + [1]]
-    slots = slots.reshape(-1, _G17_SLOT // 8)
-    slots[:, _G17_EXP // 8] |= tables.exp_text.take(e + (_G17_E_MAX + 1))
-    words = slots.view(np.uint32)
-    words[:, 1] = tables.ascii4.take(first)  # "000" d1 at bytes 4..7
-    words[:, 2:6] = words[:, 7:11] = tables.ascii4.take(groups)
-    if slow.any():
-        where = np.flatnonzero(slow)
-        text = np.array([b"%.17g" % v for v in x[where].tolist()], dtype="S24")
-        slots[where, :3] = text.view(np.uint64).reshape(-1, 3)
-        key[where] = len(tables.keep) - 1
-    slots &= tables.keep.take(key, axis=0)
-    return slots.tobytes().translate(None, b"\0")
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from teleopstab import plants, sim
+from teleopstab import _g17, plants, sim
 from teleopstab import (
     FREE,
     ChannelConfig,
@@ -613,39 +613,86 @@ def test_run_determinism_and_hold_timing_property(
         assert np.array_equal(holds, a.sample_events[:n] + delay * T)
 
 
-def test_sample_bookkeeping_memory_is_bounded(reference_scenario):
-    # a fine period makes samples dense; only the packets still in flight and
-    # the three event arrays may grow with the run, not every measurement
-    ch = dataclasses.replace(reference_scenario.channel, T=1e-3, eps_min=1e-3, d1=2, d2=2)
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    d1=st.integers(0, 3),
+    d2=st.integers(0, 3),
+    jitter=st.booleans(),
+    noise=st.none() | st.floats(0.0, 0.05),
+    substeps=st.sampled_from([4, 200]),
+)
+def test_event_schedule_matches_the_stagewise_oracle(
+    reference_scenario, seed, d1, d2, jitter, noise, substeps
+):
+    # the drawn scenarios of test_run_determinism_and_hold_timing_property,
+    # with the wall close enough that the pulse presses the slave into it:
+    # the schedule's samples and holds are the oracle's row for row, and
+    # the runs between them, jumped or stepped, agree to rounding.  At 200
+    # substeps a window of the schedule holds 20 samples, so the 50 or more
+    # samples span three windows or more, and holds cross their edges
+    T = reference_scenario.channel.T
+    ch = dataclasses.replace(reference_scenario.channel, d1=d1, d2=d2, eps_min=T / 2)
     sc = _short(
         reference_scenario,
         channel=ch,
-        duration=1.0,
-        integrator_substeps=4,
-        operator_force=OperatorForce(0.1, 0.5, 5.0),
-        nonidealities=NonidealityConfig(noise_std=0.001),
+        duration=0.3,
+        integrator_substeps=substeps,
+        operator_force=OperatorForce(0.05, 0.2, 5.0),
+        jitter_sampling=jitter,
+        nonidealities=None if noise is None else NonidealityConfig(noise_std=noise),
+        wall=WallModel(position=0.02),
     )
+    want = stagewise_run_scenario(sc, seed=seed)
+    assert (want.x_s > 0.02).any()
+    got = run_scenario(sc, seed=seed)
+    _assert_matches_the_oracle(got, want, (seed, d1, d2, jitter, noise, substeps))
 
-    def run_peak(mode):
-        tracemalloc.start()
-        try:
-            tr = run_scenario(sc, seed=0, controller_mode=mode)
-            return tr, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    tr, peak = run_peak("sampled")
-    n_samples = len(tr.sample_events)
-    assert n_samples == 1000
-    extra_per_sample = (peak - 9 * 8 * len(tr.t)) / n_samples
-    # three float64 event arrays are 24 B a sample; keeping every measurement
-    # and instant cost about 370 B a sample
-    assert extra_per_sample < 150.0
-    # continuous mode holds anew on every row, so it may keep nothing per
-    # hold beyond the row's own torques: a (row, torque) record per hold and
-    # side would add 32 B a row
-    tr, peak = run_peak("continuous")
-    assert (peak - 9 * 8 * len(tr.t)) / len(tr.t) < 8.0
+def test_sample_bookkeeping_memory_is_bounded(reference_scenario):
+    # a fine period makes samples dense; only the packets still in flight and
+    # the three event arrays may grow with the run, not every measurement.
+    # Periodic sampling with equal delays, then jittered intervals drawn as
+    # the schedule needs them, with unequal delays that put each side's
+    # holds on rows of their own
+    T = 1e-3
+    for jitter, d1, d2 in ((False, 2, 2), (True, 1, 3)):
+        ch = dataclasses.replace(
+            reference_scenario.channel, T=T, eps_min=T / 2 if jitter else T, d1=d1, d2=d2
+        )
+        sc = _short(
+            reference_scenario,
+            channel=ch,
+            duration=1.0,
+            integrator_substeps=4,
+            operator_force=OperatorForce(0.1, 0.5, 5.0),
+            nonidealities=NonidealityConfig(noise_std=0.001),
+            jitter_sampling=jitter,
+        )
+
+        def run_peak(mode):
+            tracemalloc.start()
+            try:
+                tr = run_scenario(sc, seed=0, controller_mode=mode)
+                return tr, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        tr, peak = run_peak("sampled")
+        n_samples = len(tr.sample_events)
+        if jitter:  # intervals between T/2 and T
+            assert 1000 < n_samples <= 2000
+        else:
+            assert n_samples == 1000
+        extra_per_sample = (peak - 9 * 8 * len(tr.t)) / n_samples
+        # three float64 event arrays are 24 B a sample; keeping every
+        # measurement and instant cost about 370 B a sample
+        assert extra_per_sample < 150.0, (jitter, extra_per_sample)
+        # continuous mode holds anew on every row, so it may keep nothing per
+        # hold beyond the row's own torques: a (row, torque) record per hold
+        # and side would add 32 B a row
+        tr, peak = run_peak("continuous")
+        assert (peak - 9 * 8 * len(tr.t)) / len(tr.t) < 8.0
 
 
 def test_scenario_validation():
@@ -891,6 +938,18 @@ def test_one_map_step_is_one_rk4_step(reference_scenario, m, b, k, h, state, for
         assert np.all(np.abs(np.subtract(mapped, staged[2 * side : 2 * side + 2])) <= bound)
 
 
+def _free_stages(m, b, h, xs, vs, fs):
+    """The four stage positions of one RK4 substep of the slave short of the
+    wall, as rk4 forms them (the wall's reaction being 0.0 there)."""
+    inv_ms = 1.0 / m
+    h2 = 0.5 * h
+    k1u = (-0.0 - b * vs + fs) * inv_ms
+    v2s = vs + h2 * k1u
+    k2u = (-0.0 - b * v2s + fs) * inv_ms
+    v3s = vs + h2 * k2u
+    return xs, xs + h2 * vs, xs + h2 * v2s, xs + h * v3s
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     m=_MASS, b=_DAMPING, h=_SUBSTEP, xs=_STATE, vs=st.floats(-100.0, 100.0), fs=_FORCE,
@@ -906,20 +965,80 @@ def test_wall_bound_keeps_every_rk4_stage_short_of_the_wall(
     reach_v, reach_f = sim._slave_reach(*slave, h)
     x_wall = xs + gap * (reach_v * abs(vs) + reach_f * abs(fs))
     assume(xs + reach_v * abs(vs) <= x_wall - reach_f * abs(fs))
-    inv_ms = 1.0 / m
-    h2 = 0.5 * h
-    k1u = (-0.0 - b * vs + fs) * inv_ms
-    v2s = vs + h2 * k1u
-    k2u = (-0.0 - b * v2s + fs) * inv_ms
-    v3s = vs + h2 * k2u
-    for x in (xs, xs + h2 * vs, xs + h2 * v2s, xs + h * v3s):
-        assert x <= x_wall
+    assert max(_free_stages(m, b, h, xs, vs, fs)) <= x_wall
     # the wall never engaged: rk4 gives the bits it gives with no wall
     walled = sim._stage_rk4(_robots(reference_scenario, m, b, 0.0, wall=x_wall))
     free = sim._stage_rk4(_robots(reference_scenario, m, b, 0.0))
     end = walled(xs, vs, h, fs)
     assert end == free(xs, vs, h, fs)
     assert end[0] <= x_wall
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=_MASS, b=_DAMPING, h=_SUBSTEP, k=st.integers(1, 16), xs=_STATE,
+    vs=st.floats(-100.0, 100.0), fs=_FORCE, gap=st.floats(0.0, 3.0),
+)
+def test_run_bound_keeps_every_rk4_stage_of_the_run_short_of_the_wall(
+    reference_scenario, m, b, h, k, xs, vs, fs, gap
+):
+    # the loop jumps a run of k substeps when x_s + c_v[k]*V <= x_wall -
+    # c_f[k]*|F_s|, V being |v_s| at k = 1 and max(|v_s|, |gain*F_s|) after;
+    # with a wall placed near that reach, wherever the test admits the run,
+    # every stage and end position of each substep, stepped one at a time
+    # by the oracle's stages, stays at or short of the wall
+    slave = plants._robot_blocks(RobotParams(mass=m, damping=b), FREE)
+    run_v, run_f, gain = sim._slave_run_reach(*slave, h, 16)
+    # at k = 1 the test is the one-substep test, bit for bit
+    assert (run_v[1], run_f[1]) == sim._slave_reach(*slave, h)
+    v = abs(vs) if k == 1 else max(abs(vs), abs(gain * fs))
+    x_wall = xs + gap * (run_v[k] * v + run_f[k] * abs(fs))
+    assume(xs + run_v[k] * v <= x_wall - run_f[k] * abs(fs))
+    walled = stage_rk4(_robots(reference_scenario, m, b, 0.0, wall=x_wall))
+    free = stage_rk4(_robots(reference_scenario, m, b, 0.0))
+    x, v = xs, vs
+    for _ in range(k):
+        assert max(_free_stages(m, b, h, x, v, fs)) <= x_wall
+        # the wall never engaged: the oracle's bits with no wall
+        end = walled(0.0, 0.0, x, v, h, 0.0, 0.0, fs)
+        assert end == free(0.0, 0.0, x, v, h, 0.0, 0.0, fs)
+        x, v = end[2:]
+        assert x <= x_wall
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=_MASS, b=_DAMPING, k=_STIFFNESS, h=_SUBSTEP,
+    state=st.tuples(_STATE, _STATE), u=_FORCE,
+)
+def test_k_step_tables_are_k_map_steps(reference_scenario, m, b, k, h, state, u):
+    # one jump P_k y + Q_k u against k steps of the map, for each robot: the
+    # same series in another order, so they differ by rounding only, at most
+    # 16*k ulps of the k-step series with every term made positive, and as
+    # many of the smallest subnormal, the rounding unit below the normal
+    # range; a one-step jump is the map step bit for bit
+    sc = _robots(reference_scenario, m, b, k)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    for a, bb in (plants._robot_blocks(sc.master, sc.human), plants._robot_blocks(sc.slave, FREE)):
+        mm, nn = sim._rk4_map(a, bb, h)
+        tables = sim._rk4_runs(mm, nn, 16)
+        assert tables[0] == (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+        (m00, m01), (m10, m11) = mm
+        n0, n1 = nn
+        m_abs, n_abs = _abs_rk4_map(a, bb, h)
+        a_k, b_k = np.eye(2), np.zeros(2)
+        x, v = state
+        for steps, (p00, p01, p10, p11, q0, q1) in enumerate(tables[1:], 1):
+            x, v = m00 * x + m01 * v + n0 * u, m10 * x + m11 * v + n1 * u
+            a_k, b_k = m_abs @ a_k, m_abs @ b_k + n_abs
+            jump = (p00 * state[0] + p01 * state[1] + q0 * u, p10 * state[0] + p11 * state[1] + q1 * u)
+            if steps == 1:
+                assert jump == (x, v)
+            bound = 16 * steps * (eps * (a_k @ np.abs(state) + b_k * abs(u)) + tiny)
+            assert np.all(np.abs(np.subtract(jump, (x, v))) <= bound), steps
+    # the free slave's first column stays (1, 0) exactly, which the loop's
+    # slave jump x_s + p01*v_s + q0*F_s takes for granted
+    assert all(t[0] == 1.0 and t[2] == 0.0 for t in tables)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1137,9 +1256,9 @@ def test_events_csv_bytes_match_tuple_sort(tmp_path, events):
 
 
 def _g17_lines(values):
-    """``sim._g17_csv`` on a 1-D array, one field a line, a chunk at a time."""
+    """``_g17._g17_csv`` on a 1-D array, one field a line, a chunk at a time."""
     step = sim._CSV_CHUNK_FIELDS
-    text = b"".join(sim._g17_csv(values[a : a + step, None]) for a in range(0, len(values), step))
+    text = b"".join(_g17._g17_csv(values[a : a + step, None]) for a in range(0, len(values), step))
     return text.split(b"\n")[:-1]
 
 
@@ -1232,7 +1351,7 @@ def test_trace_csv_memory_is_bounded(tmp_path):
     n_rows = 100_000
     columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 8, n_rows) for _ in _COLUMNS]
     tr = SimTrace(*columns, np.empty(0), np.empty(0), np.empty(0), period=0.006, substep=0.0006)
-    sim._g17_tables()  # built once per process, not per write
+    _g17._g17_tables()  # built once per process, not per write
     tracemalloc.start()
     try:
         write_trace_csv(tr, tmp_path / "trace.csv")
@@ -1248,7 +1367,7 @@ def test_events_csv_memory_is_bounded(tmp_path):
     # whole-run sorted copy, kind list and prefix list cost about 52 B an
     # event, this writer about 31
     tr = _synthetic_trace(1, np.random.default_rng(3), (20_000, 20_000, 20_000))
-    sim._g17_tables()  # built once per process, not per write
+    _g17._g17_tables()  # built once per process, not per write
     tracemalloc.start()
     try:
         write_events_csv(tr, tmp_path / "events.csv")
