@@ -22,12 +22,11 @@ substep of it is exactly the map y <- M y + N u of its transition matrices
 (``_rk4_map``), so k substeps are the k-step map y <- P_k y + Q_k u
 (``_rk4_runs``).  When a bound shows that no RK4 stage of a run takes the
 slave past the wall (``_slave_run_reach``), the loop jumps the whole run in
-one step and its inner rows are written after the loop.  Any other run goes
-a substep at a time: the master by its map, at the width of each piece the
-substep is cut into; the slave by its map when every RK4 stage keeps it
-short of the wall, and otherwise (in or near wall contact, or in a substep
-holding a pulse edge) by RK4's stages (``_stage_rk4``), the pieces it
-bisects at wall branch changes being the master's pieces too.  The forms
+one step and its inner rows are written after the loop.  A run the bound
+rejects (in or near wall contact), and a substep holding a pulse edge, take
+the slow path a substep at a time: the slave by RK4's stages
+(``_stage_rk4``), bisecting wall branch changes, and the master by its map
+at the width of each piece the slave's substep is cut into.  The forms
 differ only in rounding: traces agree with the coupled all-stage loop (kept
 as the test oracle) to 1e-9 of each column's scale.
 
@@ -339,27 +338,6 @@ def _rk4_gain(a: np.ndarray, h: float) -> float:
     return max((math.inf if r != r else math.hypot(r.real, r.imag) for r in rs), default=0.0)
 
 
-def _slave_reach(a: np.ndarray, b: np.ndarray, h: float) -> tuple[float, float]:
-    """(c_v, c_f) such that no RK4 stage position of a substep of width h of
-    the free slave, nor its end position, exceeds
-    x_s + c_v*|v_s| + c_f*|F_s| for a start state (x_s, v_s) and torque F_s.
-
-    With c = -a[1][1] (damping over mass) and beta = b[1], short of the wall
-    every stage velocity is v_s + w*(beta*F_s - c*v_prev) for a w in [0, h];
-    so when h*c < 1 each is within V = (|v_s| + h*beta*|F_s|)/(1 - h*c) of
-    zero, and each stage position and the end position lie within h*V of
-    x_s.  The bound returned is twice h*V, which covers the rounding of the
-    stages and of the test itself.  When h*c >= 1 both are inf: the test
-    x_s + c_v*|v_s| <= x_wall - c_f*|F_s| then compares against -inf or a
-    NaN, and never holds.
-    """
-    hc = -h * a[1][1]
-    if not hc < 1.0:
-        return math.inf, math.inf
-    c_v = 2.0 * h / (1.0 - hc)
-    return c_v, c_v * h * b[1]
-
-
 def _rk4_runs(m, n, runs: int) -> list[tuple[float, float, float, float, float, float]]:
     """k steps of the map y <- M y + N u as one, y <- P_k y + Q_k u with
     P_k = M^k and Q_k = sum_{i<k} M^i N, for k = 0 .. runs: entry k is
@@ -390,18 +368,32 @@ def _slave_run_reach(a: np.ndarray, b: np.ndarray, h: float, runs: int):
     for a start state (x_s, v_s) and torque F_s, where V = |v_s| when k = 1
     and V = max(|v_s|, |gain*F_s|) when k > 1.
 
+    One substep, k = 1: with c = -a[1][1] (damping over mass) and beta =
+    b[1], short of the wall every stage velocity is v_s + w*(beta*F_s -
+    c*v_prev) for a w in [0, h]; so when h*c < 1 each is within V' = (|v_s|
+    + h*beta*|F_s|)/(1 - h*c) of zero, and each stage position and the end
+    position lie within h*V' of x_s.  c_v[1] = 2h/(1 - h*c) and c_f[1] =
+    c_v[1]*h*beta are twice h*V', which covers the rounding of the stages and
+    of the test itself.  When h*c >= 1 every entry from k = 1 on is a Python
+    inf: the test x_s + c_v[k]*V <= x_wall - c_f[k]*|F_s| then compares
+    against -inf or a NaN, never holds, and raises no numpy warning.
+
     A substep maps v_s to s11*v_s + n_s1*F_s (``_rk4_map``), whose fixed
     point is v* = gain*F_s with gain = n_s1/(1 - s11).  While 0 <= s11 < 1
     each velocity iterate lies between v_s and v*, so within V of zero, and
     each substep moves the position by s01*v + n_s0*F_s, at most
     |s01|*V + |n_s0|*|F_s|.  Substep i < k so starts at most i such moves
-    past x_s, and _slave_reach bounds its stages from there: c_v[k] =
-    (k - 1)*|s01| + c_v and c_f[k] = (k - 1)*|n_s0| + c_f, which are
-    _slave_reach's constants bit for bit at k = 1.  With s11 outside
-    [0, 1), c_v[k] is inf for every k > 1, and no such run is admitted.
-    Entry 0 is NaN, which bounds nothing.
+    past x_s, and the one-substep bound covers its stages from there:
+    c_v[k] = (k - 1)*|s01| + c_v[1] and c_f[k] = (k - 1)*|n_s0| + c_f[1].
+    With s11 outside [0, 1), c_v[k] is inf for every k > 1, and no such run
+    is admitted.  Entry 0 is NaN, which bounds nothing.
     """
-    reach_v, reach_f = _slave_reach(a, b, h)
+    hc = -h * a[1][1]
+    if hc < 1.0:
+        reach_v = 2.0 * h / (1.0 - hc)
+        reach_f = reach_v * h * b[1]
+    else:  # Python floats: a numpy inf times a zero torque warns
+        reach_v = reach_f = math.inf
     ((_, s01), (_, s11)), (n_s0, n_s1) = _rk4_map(a, b, h)
     step_v = abs(s01) if 0.0 <= s11 < 1.0 else math.inf
     gain = n_s1 / (1.0 - s11) if 0.0 <= s11 < 1.0 else 0.0
@@ -473,17 +465,16 @@ def run_scenario(
     k-step maps when ``_slave_run_reach`` shows that none of RK4's stages
     takes the slave past the wall; the loop writes its end row, and its
     inner rows are filled in blocks after the loop (``_fill_jumps``).  A
-    jump that ends non-finite, and any run the bound rejects, goes a
-    substep at a time.  Such a substep steps the master by RK4's
-    transition map, and the slave too when the one-substep bound holds;
-    every other substep takes one slow path: it is cut at any pulse edge
+    jump that ends non-finite, and any run the bound rejects, takes the
+    slow path a substep at a time: a substep is cut at any pulse edge
     inside it, the slave evaluates RK4's four stages over each piece, with
-    the wall-branch check and bisection, and the master takes the map at
-    each of the slave's piece widths.  The trace is bit-identical for a
-    scenario and seed, and agrees with the all-stage loop to 1e-9 of each
-    column's largest finite magnitude.  A decaying mode that RK4 amplifies
-    at this substep (master with the operator, slave against the wall) is
-    logged as a WARNING on the "teleopstab" logger.
+    the wall-branch check and bisection, and the master takes RK4's
+    transition map at each of the slave's piece widths.  The trace is
+    bit-identical for a scenario and seed, and agrees with the all-stage
+    loop to 1e-9 of each column's largest finite magnitude.  A decaying
+    mode that RK4 amplifies at this substep (master with the operator,
+    slave against the wall) is logged as a WARNING on the "teleopstab"
+    logger.
 
     Raises ValueError, before allocating, when the nine trace columns would
     exceed TRACE_BUDGET_BYTES.
@@ -527,9 +518,7 @@ def run_scenario(
     master_runs = _rk4_runs(*_rk4_map(*master, h), nsub)
     slave_runs = _rk4_runs(*_rk4_map(*slave, h), nsub)
     m00, m01, m10, m11, n_m0, n_m1 = master_runs[1]
-    _, s01, _, s11, n_s0, n_s1 = slave_runs[1]
     run_v, run_f, v_gain = _slave_run_reach(*slave, h, nsub)
-    reach_v, reach_f = run_v[1], run_f[1]
     # a decaying mode that RK4 amplifies makes the run diverge on its own
     pressed = ImpedanceModel(damping=wall.damping, stiffness=wall.stiffness)
     modes = (
@@ -754,29 +743,20 @@ def run_scenario(
                     vs_w[stop] = v_s
                     continue
 
-        # one substep at a time: the maps' input terms, and the slave's
-        # clearance; a cut substep has none, so only the slow path takes it
+        # one substep at a time, by the slow path: the slave evaluates RK4's
+        # stages over each piece, bisecting wall branch changes, and the
+        # master takes the slave's pieces
         u_m0, u_m1 = n_m0 * u_m, n_m1 * u_m
-        u_s0, u_s1 = n_s0 * f_s_held, n_s1 * f_s_held
-        x_clear = x_wall - reach_f * abs(f_s_held) if pieces is None else -math.inf
         for i in range(j, stop):
-            if x_s + reach_v * abs(v_s) <= x_clear:
-                # every RK4 stage keeps the slave short of the wall
-                # (_slave_reach), so the substep is the linear step
-                x_m, v_m = m00 * x_m + m01 * v_m + u_m0, m10 * x_m + m11 * v_m + u_m1
-                x_s, v_s = x_s + s01 * v_s + u_s0, s11 * v_s + u_s1
-            else:
-                # the slave evaluates RK4's stages over each piece, bisecting
-                # wall branch changes, and the master takes the slave's pieces
-                t0 = i * h
-                for a, b, u in pieces or ((t0, t0 + h, u_m),):
-                    x_s, v_s, widths = advance_slave(a, b, x_s, v_s, f_s_held)
-                    if len(widths) == 1 and pieces is None:  # the whole substep
-                        x_m, v_m = m00 * x_m + m01 * v_m + u_m0, m10 * x_m + m11 * v_m + u_m1
-                    else:
-                        for w in widths:
-                            ((m0, m1), (m2, m3)), (n0, n1) = _rk4_map(*master, w)
-                            x_m, v_m = m0 * x_m + m1 * v_m + n0 * u, m2 * x_m + m3 * v_m + n1 * u
+            t0 = i * h
+            for a, b, u in pieces or ((t0, t0 + h, u_m),):
+                x_s, v_s, widths = advance_slave(a, b, x_s, v_s, f_s_held)
+                if len(widths) == 1 and pieces is None:  # the whole substep
+                    x_m, v_m = m00 * x_m + m01 * v_m + u_m0, m10 * x_m + m11 * v_m + u_m1
+                else:
+                    for w in widths:
+                        ((m0, m1), (m2, m3)), (n0, n1) = _rk4_map(*master, w)
+                        x_m, v_m = m0 * x_m + m1 * v_m + n0 * u, m2 * x_m + m3 * v_m + n1 * u
             i += 1
             xm_w[i] = x_m
             vm_w[i] = v_m

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from teleopstab import _g17, plants, sim
@@ -150,6 +150,8 @@ _PINNED_DIGESTS = {
     "pulse_inside_one_substep": "4ad15c0b537ee2a5f8cf5cb9a78e1f3d7347b9d1fedb49d624642c1f0b683fcc",
     "diverging_jittered": "680f6e266a05bb2c96d9d9ead9c7c903387aff76b0b72c718bae384184d3dc68",
     "pulse_edge_inside_contact": "66a07695dd88973535e70681cc49010f01c042e942205fd0588d6e43b94d4dc3",
+    "fast_slave_free": "c08bba709fad28ed1db912e2d5f00b4c650c552033589bcc654394b4d5128f17",
+    "fast_slave_in_contact": "7cbe94896a79cc6fa282ea060e53c2d3b9d30ecbaaf626fe2de93e3d69b5fd21",
 }
 
 
@@ -157,6 +159,8 @@ def _pinned_cases(ref):
     ch = ref.channel
     fine = dataclasses.replace(ch, T=2e-4, eps_min=2e-4, d1=1, d2=2)
     wall_near = WallModel(position=0.2)
+    h = ch.T / ref.integrator_substeps
+    fast_slave = RobotParams(mass=0.01, damping=1.2 * 0.01 / h)
     return {
         "reference": (_short(ref), 0, "sampled"),
         "continuous": (_short(ref), 0, "continuous"),
@@ -240,6 +244,15 @@ def _pinned_cases(ref):
             0,
             "sampled",
         ),
+        # a slave so fast against its substep (damping over mass 1.2/h at h =
+        # 6e-4 s) that the run bound admits no run: every substep takes the
+        # slow path, free and pressing the wall
+        "fast_slave_free": (_short(ref, slave=fast_slave, wall=wall_near), 0, "sampled"),
+        "fast_slave_in_contact": (
+            _short(ref, slave=fast_slave, wall=WallModel(position=0.05)),
+            0,
+            "sampled",
+        ),
     }
 
 
@@ -296,6 +309,24 @@ def test_run_scenario_matches_the_stagewise_oracle(reference_scenario, oracle_tr
         _assert_matches_the_oracle(got, oracle_traces[name], name)
     # no pinned case has a decaying mode that RK4 amplifies
     assert not caplog.records
+
+
+def test_run_bound_admits_no_run_of_a_slave_with_h_c_over_1(reference_scenario, oracle_traces):
+    # at h*c >= 1 every bound from k = 1 on is a Python inf, never a numpy
+    # one: the loop's reach test multiplies it by |F_s|, which is 0.0 on
+    # the startup latch, and a numpy inf times 0.0 warns (an error here)
+    sc = _pinned_cases(reference_scenario)["fast_slave_free"][0]
+    h = sc.channel.T / sc.integrator_substeps
+    a, b = plants._robot_blocks(sc.slave, FREE)
+    assert -h * a[1, 1] >= 1.0
+    run_v, run_f, _ = sim._slave_run_reach(a, b, h, sc.integrator_substeps)
+    for c in (*run_v[1:], *run_f[1:]):
+        assert type(c) is float and c == math.inf
+    # the two pinned cases run free and pressing the wall (1010 rows of
+    # wall force); test_run_scenario_matches_the_stagewise_oracle holds them
+    # to the oracle
+    assert not oracle_traces["fast_slave_free"].f_e.any()
+    assert np.count_nonzero(oracle_traces["fast_slave_in_contact"].f_e) > 1000
 
 
 # a pulse edge as (substep, fraction of it): on the grid row or inside
@@ -916,10 +947,16 @@ def _abs_rk4_map(a, b, h):
     state=st.tuples(_STATE, _STATE, _STATE, _STATE),
     forces=st.tuples(_FORCE, _FORCE, _FORCE),
 )
+# the slave's position differs by one subnormal, 5e-324, where the relative
+# term of the bound underflows to 0.0
+@example(
+    m=0.5, b=0.5, k=0.0, h=2**-7, state=(0.0, 0.0, 0.0, -1.11e-308), forces=(0.0, 0.0, 2.23e-308)
+)
 def test_one_map_step_is_one_rk4_step(reference_scenario, m, b, k, h, state, forces):
     # the map and the oracle's four stages evaluate the same polynomial in
     # h*A in different orders, so they differ by rounding only: at most 64
-    # ulps of the series with every term made positive
+    # ulps of the series with every term made positive, and as many of the
+    # smallest subnormal, the rounding unit below the normal range
     sc = _robots(reference_scenario, m, b, k)
     xm, vm, xs, vs = state
     fstar, fm, fs = forces
@@ -930,11 +967,12 @@ def test_one_map_step_is_one_rk4_step(reference_scenario, m, b, k, h, state, for
         (plants._robot_blocks(sc.master, sc.human), (xm, vm), fstar + fm, abs(fstar) + abs(fm)),
         (plants._robot_blocks(sc.slave, FREE), (xs, vs), fs, abs(fs)),
     )
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     for side, ((a, bb), y, u, u_abs) in enumerate(sides):
         mm, nn = sim._rk4_map(a, bb, h)
         mapped = [row[0] * y[0] + row[1] * y[1] + n * u for row, n in zip(mm, nn)]
         m_abs, n_abs = _abs_rk4_map(a, bb, h)
-        bound = 64 * np.finfo(float).eps * (m_abs @ np.abs(y) + n_abs * u_abs)
+        bound = 64 * (eps * (m_abs @ np.abs(y) + n_abs * u_abs) + tiny)
         assert np.all(np.abs(np.subtract(mapped, staged[2 * side : 2 * side + 2])) <= bound)
 
 
@@ -962,7 +1000,7 @@ def test_wall_bound_keeps_every_rk4_stage_short_of_the_wall(
     # substep, each stage position (as rk4 forms it, the wall's reaction
     # being 0.0 short of it) and the end position stay at or short of it
     slave = plants._robot_blocks(RobotParams(mass=m, damping=b), FREE)
-    reach_v, reach_f = sim._slave_reach(*slave, h)
+    (_, reach_v), (_, reach_f), _ = sim._slave_run_reach(*slave, h, 1)
     x_wall = xs + gap * (reach_v * abs(vs) + reach_f * abs(fs))
     assume(xs + reach_v * abs(vs) <= x_wall - reach_f * abs(fs))
     assert max(_free_stages(m, b, h, xs, vs, fs)) <= x_wall
@@ -989,8 +1027,14 @@ def test_run_bound_keeps_every_rk4_stage_of_the_run_short_of_the_wall(
     # by the oracle's stages, stays at or short of the wall
     slave = plants._robot_blocks(RobotParams(mass=m, damping=b), FREE)
     run_v, run_f, gain = sim._slave_run_reach(*slave, h, 16)
-    # at k = 1 the test is the one-substep test, bit for bit
-    assert (run_v[1], run_f[1]) == sim._slave_reach(*slave, h)
+    # at k = 1 the bound is the one-substep closed form c_v = 2h/(1 - h*c),
+    # c_f = c_v*h*beta, and inf from h*c = 1 on (h = 1e-2, c = 100)
+    hc = h * -slave[0][1, 1]
+    if hc < 1.0:
+        assert run_v[1] == 2.0 * h / (1.0 - hc)
+        assert run_f[1] == run_v[1] * h * slave[1][1]
+    else:
+        assert run_v[1] == run_f[1] == math.inf
     v = abs(vs) if k == 1 else max(abs(vs), abs(gain * fs))
     x_wall = xs + gap * (run_v[k] * v + run_f[k] * abs(fs))
     assume(xs + run_v[k] * v <= x_wall - run_f[k] * abs(fs))
