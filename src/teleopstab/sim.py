@@ -12,10 +12,10 @@ system: the operator pulse acts on the master only, the wall on the slave
 only.
 
 The substep loop only integrates: it walks a schedule of the rows on which
-an event (a sample, a hold, a substep near a pulse edge) starts a run of
-substeps, and writes only the state.  The held torques and the
-terminations' forces are derived from the holds and the state columns after
-it, with the per-row formulas' bits.
+a channel event (a sample or a hold) starts a run of substeps, and writes
+only the state.  The held torques and the terminations' forces are derived
+from the holds and the state columns after it, with the per-row formulas'
+bits.
 
 Between events each robot is linear with a constant input, and one RK4
 substep of it is exactly the map y <- M y + N u of its transition matrices
@@ -23,8 +23,8 @@ substep of it is exactly the map y <- M y + N u of its transition matrices
 (``_rk4_runs``).  When a bound shows that no RK4 stage of a run takes the
 slave past the wall (``_slave_run_reach``), the loop jumps the whole run in
 one step and its inner rows are written after the loop.  A run the bound
-rejects (in or near wall contact), and a substep holding a pulse edge, take
-the slow path a substep at a time: the slave by RK4's stages
+rejects (in or near wall contact), and a run within a substep of a pulse
+edge, take the slow path a substep at a time: the slave by RK4's stages
 (``_stage_rk4``), bisecting wall branch changes, and the master by its map
 at the width of each piece the slave's substep is cut into.  The forms
 differ only in rounding: traces agree with the coupled all-stage loop (kept
@@ -82,8 +82,8 @@ _BLOCK_HOLDS = 128
 # a window when substeps are many: its temporaries stay a few tens of KiB
 _WINDOW_SAMPLES = 256
 _WINDOW_ROWS = 4096
-# marks of a schedule row: the events at it, and a substep near a pulse edge
-_SAMPLE, _HOLD_S, _HOLD_M, _CONTROL, _EDGE = 1, 2, 4, 8, 16
+# marks of a schedule row: the channel events at it
+_SAMPLE, _HOLD_S, _HOLD_M, _CONTROL = 1, 2, 4, 8
 
 
 @dataclass(frozen=True)
@@ -388,10 +388,10 @@ def _slave_run_reach(a: np.ndarray, b: np.ndarray, h: float, runs: int):
     With s11 outside [0, 1), c_v[k] is inf for every k > 1, and no such run
     is admitted.  Entry 0 is NaN, which bounds nothing.
     """
-    hc = -h * a[1][1]
+    hc = -h * float(a[1][1])  # Python floats: numpy's make the reach test slow
     if hc < 1.0:
         reach_v = 2.0 * h / (1.0 - hc)
-        reach_f = reach_v * h * b[1]
+        reach_f = reach_v * h * float(b[1])
     else:  # Python floats: a numpy inf times a zero torque warns
         reach_v = reach_f = math.inf
     ((_, s01), (_, s11)), (n_s0, n_s1) = _rk4_map(a, b, h)
@@ -461,15 +461,16 @@ def run_scenario(
     state columns after the loop, bit for bit the values a row-at-a-time
     loop writes, within the same nine columns of memory.
 
-    A run of k plain substeps (no pulse edge inside) is one jump by RK4's
-    k-step maps when ``_slave_run_reach`` shows that none of RK4's stages
-    takes the slave past the wall; the loop writes its end row, and its
-    inner rows are filled in blocks after the loop (``_fill_jumps``).  A
-    jump that ends non-finite, and any run the bound rejects, takes the
-    slow path a substep at a time: a substep is cut at any pulse edge
-    inside it, the slave evaluates RK4's four stages over each piece, with
-    the wall-branch check and bisection, and the master takes RK4's
-    transition map at each of the slave's piece widths.  The trace is
+    A run of k substeps with no operator-force edge within a substep of it
+    is one jump by RK4's k-step maps when ``_slave_run_reach`` shows that
+    none of RK4's stages takes the slave past the wall; the loop writes its
+    end row, and its inner rows are filled in blocks after the loop
+    (``_fill_jumps``).  A jump that ends non-finite, a run near an edge and
+    any run the bound rejects take the slow path a substep at a time: a
+    substep is cut at any edge strictly inside it, each piece taking its
+    midpoint's pulse value, the slave evaluates RK4's four stages over each
+    piece, with the wall-branch check and bisection, and the master takes
+    RK4's transition map at each of the slave's piece widths.  The trace is
     bit-identical for a scenario and seed, and agrees with the all-stage
     loop to 1e-9 of each column's largest finite magnitude.  A decaying
     mode that RK4 amplifies at this substep (master with the operator,
@@ -591,13 +592,6 @@ def run_scenario(
     d1_sub = ch.d1 * nsub
     d2_sub = ch.d2 * nsub
 
-    # the substeps within two of each pulse edge start runs of their own:
-    # the one holding the edge is cut there, and the pulse value a plain
-    # substep takes at its midpoint changes only next to it
-    near_edges = sorted({
-        j for e in (f_start, f_stop) for j in range(math.floor(e / h) - 2, math.floor(e / h) + 3)
-    })
-
     # the row of each sample, ascending; a hold is its sample's row plus the
     # channel delay, as each side's holds deliver the samples in order
     sample_rows = array("q")
@@ -611,36 +605,30 @@ def run_scenario(
         # with no sort (int64, not uint8: numpy's uint8 arithmetic is code
         # no other step runs, 64 KiB more to map)
         if not sampled:  # the control law acts on every row
-            yield zip(range(n_total), range(1, n_total + 1), itertools.repeat(_CONTROL | _EDGE))
+            yield zip(range(n_total), range(1, n_total + 1), itertools.repeat(_CONTROL))
             return
         per_window = min(_WINDOW_SAMPLES, max(1, _WINDOW_ROWS // nsub))
+        steps = np.full(per_window, nsub, np.int64)
         if jittered:
-            # an interval u, drawn as needed, is min(nsub, max(min_sub,
-            # round(u/h))) substeps
+            # an interval u is rint(u/h) substeps, clipped to [min_sub, nsub];
+            # only a jittered run loads numpy.random
             uniform = np.random.default_rng([seed, 2]).uniform
             min_sub = max(1, math.ceil(ch.eps_min / h - 1e-9))
         a = 0
         while a < n_total:
             if jittered:
-                steps = [
-                    min(nsub, max(min_sub, int(round(u / h))))
-                    for u in uniform(ch.eps_min, T, per_window).tolist()
-                ]
-                rows = list(itertools.accumulate(steps, initial=a))
-                b = min(rows[-1], n_total)
-                rows = rows[: bisect_left(rows, b)]
-            else:
-                b = min(a + per_window * nsub, n_total)
-                rows = range(a, b, nsub)
-            sample_rows.extend(rows)
+                u = uniform(ch.eps_min, T, per_window)
+                steps = np.rint(u / h).clip(min_sub, nsub).astype(np.int64)
+            ends = steps.cumsum() + a
+            b = min(int(ends[-1]), n_total)
+            rows = ends - steps  # the row each interval starts on
+            rows = rows[: rows.searchsorted(b)]
+            sample_rows.frombytes(rows.tobytes())
             marks = np.zeros(b - a, np.int64)
-            marks[[j - a for j in rows]] = _SAMPLE
+            marks[rows - a] = _SAMPLE
             for d, mark in ((d1_sub, _HOLD_S), (d2_sub, _HOLD_M)):
                 held = sample_rows[bisect_left(sample_rows, a - d) : bisect_left(sample_rows, b - d)]
                 marks[np.frombuffer(held, np.int64) + (d - a)] += mark  # a bit of its own
-            for j in near_edges:
-                if a <= j < b:
-                    marks[j - a] += _EDGE
             starts = np.flatnonzero(marks)
             kinds = marks.take(starts).tolist()
             starts = (starts + a).tolist()
@@ -705,16 +693,11 @@ def run_scenario(
         t1 = t0 + h
         u_m = (f_mag if f_start <= 0.5 * (t0 + t1) < f_stop else 0.0) + f_m_held
         k = stop - j
-        pieces = None
-        if marks & _EDGE and (t0 < f_start < t1 or t0 < f_stop < t1):
-            # a substep holding a pulse edge is a run of its own
-            # (near_edges); each piece takes its midpoint's pulse value
-            cuts = [t0, *(e for e in (f_start, f_stop) if t0 < e < t1), t1]
-            pieces = [
-                (a, b, (f_mag if f_start <= 0.5 * (a + b) < f_stop else 0.0) + f_m_held)
-                for a, b in zip(cuts, cuts[1:])
-            ]
-        else:
+        # a pulse edge inside the run, or within a substep of it, where a
+        # midpoint may round across it, refuses the jump
+        t_end = (stop + 1) * h
+        edged = t0 - h < f_start < t_end or t0 - h < f_stop < t_end
+        if not edged:
             v_reach = abs(v_s)
             if k > 1:
                 v_fixed = abs(v_gain * f_s_held)
@@ -743,16 +726,24 @@ def run_scenario(
                     vs_w[stop] = v_s
                     continue
 
-        # one substep at a time, by the slow path: the slave evaluates RK4's
-        # stages over each piece, bisecting wall branch changes, and the
-        # master takes the slave's pieces
-        u_m0, u_m1 = n_m0 * u_m, n_m1 * u_m
+        # one substep at a time, by the slow path: near an edge a substep is
+        # cut at the edges inside it, each piece taking its midpoint's pulse
+        # value; the slave evaluates RK4's stages over each piece, bisecting
+        # wall branch changes, and the master takes the slave's pieces
         for i in range(j, stop):
             t0 = i * h
-            for a, b, u in pieces or ((t0, t0 + h, u_m),):
+            t1 = t0 + h
+            pieces = ((t0, t1, u_m),)
+            if edged:
+                cuts = [t0, *(e for e in (f_start, f_stop) if t0 < e < t1), t1]
+                pieces = [
+                    (a, b, (f_mag if f_start <= 0.5 * (a + b) < f_stop else 0.0) + f_m_held)
+                    for a, b in zip(cuts, cuts[1:])
+                ]
+            for a, b, u in pieces:
                 x_s, v_s, widths = advance_slave(a, b, x_s, v_s, f_s_held)
-                if len(widths) == 1 and pieces is None:  # the whole substep
-                    x_m, v_m = m00 * x_m + m01 * v_m + u_m0, m10 * x_m + m11 * v_m + u_m1
+                if len(widths) == 1 and len(pieces) == 1:  # the whole substep
+                    x_m, v_m = m00 * x_m + m01 * v_m + n_m0 * u, m10 * x_m + m11 * v_m + n_m1 * u
                 else:
                     for w in widths:
                         ((m0, m1), (m2, m3)), (n0, n1) = _rk4_map(*master, w)

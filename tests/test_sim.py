@@ -152,6 +152,7 @@ _PINNED_DIGESTS = {
     "pulse_edge_inside_contact": "66a07695dd88973535e70681cc49010f01c042e942205fd0588d6e43b94d4dc3",
     "fast_slave_free": "c08bba709fad28ed1db912e2d5f00b4c650c552033589bcc654394b4d5128f17",
     "fast_slave_in_contact": "7cbe94896a79cc6fa282ea060e53c2d3b9d30ecbaaf626fe2de93e3d69b5fd21",
+    "pulse_edge_inside_jittered_run": "a9ff23432a4957b39dc877ae2ded84b308ea1dffbb7790d106029b9a2ece6f81",
 }
 
 
@@ -253,6 +254,21 @@ def _pinned_cases(ref):
             0,
             "sampled",
         ),
+        # the hardware sweep's shape: jittered sampling (5 to 10 substeps an
+        # interval), delays of 1 and 2 periods and noise; the pulse starts
+        # 0.85 of the way into substep 833, inside the run of rows 831-835,
+        # and stops 0.28 of the way into substep 2000, its run's last
+        "pulse_edge_inside_jittered_run": (
+            _short(
+                ref,
+                channel=dataclasses.replace(ch, d1=1, d2=2, eps_min=0.003),
+                jitter_sampling=True,
+                nonidealities=NonidealityConfig(noise_std=0.002),
+                operator_force=OperatorForce(0.50031, 1.20017, 5.0),
+            ),
+            11,
+            "sampled",
+        ),
     }
 
 
@@ -338,6 +354,8 @@ _EDGE_FRACTION = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, e
     start=st.tuples(st.integers(0, 120), _EDGE_FRACTION),
     length=st.tuples(st.integers(0, 180), _EDGE_FRACTION),
 )
+@example(start=(0, 0.0), length=(60, 0.5))  # an edge at t = 0
+@example(start=(37, 0.4), length=(0, 0.4))  # a zero-length pulse inside a substep
 def test_pulse_edges_match_the_stagewise_oracle(reference_scenario, start, length):
     # h = 5 ms and the wall at 0.2 rad, as in pulse_edge_inside_contact: a
     # pulse that lasts about 0.3 s presses the slave into the wall, so edges
@@ -1027,6 +1045,8 @@ def test_run_bound_keeps_every_rk4_stage_of_the_run_short_of_the_wall(
     # by the oracle's stages, stays at or short of the wall
     slave = plants._robot_blocks(RobotParams(mass=m, damping=b), FREE)
     run_v, run_f, gain = sim._slave_run_reach(*slave, h, 16)
+    # Python floats, which the loop's reach test takes faster than numpy's
+    assert all(type(c) is float for c in (*run_v[1:], *run_f[1:]))
     # at k = 1 the bound is the one-substep closed form c_v = 2h/(1 - h*c),
     # c_f = c_v*h*beta, and inf from h*c = 1 on (h = 1e-2, c = 100)
     hc = h * -slave[0][1, 1]
