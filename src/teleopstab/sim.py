@@ -11,18 +11,20 @@ only through the held torques, so over a substep each is its own 2-state
 system: the operator pulse acts on the master only, the wall on the slave
 only.
 
-The substep loop only integrates: it walks a schedule of the rows on which
-a channel event (a sample or a hold) starts a run of substeps, and writes
-only the state.  The held torques and the terminations' forces are derived
-from the holds and the state columns after it, with the per-row formulas'
+The simulator has two halves.  ``run_scenario``, the channel's event loop,
+walks a schedule of the rows on which a sample or a hold starts a run of
+substeps and hands each run to ``_propagator``'s ``advance``, which returns
+the state on the run's last row; its ``fill`` writes the jumped runs' inner
+rows after the loop.  The held torques and the terminations' forces are
+derived from the holds and the state columns, with the per-row formulas'
 bits.
 
 Between events each robot is linear with a constant input, and one RK4
 substep of it is exactly the map y <- M y + N u of its transition matrices
 (``_rk4_map``), so k substeps are the k-step map y <- P_k y + Q_k u
 (``_rk4_runs``).  When a bound shows that no RK4 stage of a run takes the
-slave past the wall (``_slave_run_reach``), the loop jumps the whole run in
-one step and its inner rows are written after the loop.  A run the bound
+slave past the wall (``_slave_run_reach``), the propagator jumps the whole
+run in one step and fills its inner rows after the loop.  A run the bound
 rejects (in or near wall contact), and a run within a substep of a pulse
 edge, take the slow path a substep at a time: the slave by RK4's stages
 (``_stage_rk4``), bisecting wall branch changes, and the master by its map
@@ -41,7 +43,7 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -71,9 +73,11 @@ __all__ = [
 # it works, so a block stays near 600 KiB
 _CSV_CHUNK_FIELDS = 2304
 
-# Largest trace run_scenario will allocate: nine float64 columns of one row
-# per substep.  A longer run is rejected before anything is allocated.
+# Most run_scenario will allocate: nine float64 columns of a row a substep,
+# and _propagator's tables, which tracemalloc puts at up to 684 bytes a
+# substep of a period (charged as 720).  A larger run is refused up front.
 TRACE_BUDGET_BYTES = 2 * 1024**3
+_TABLE_BYTES_PER_SUBSTEP = 720
 # rows per block of F_e, and holds per block of F_m and F_s, when the loop
 # is done; they bound the temporaries at a few tens of KiB
 _BLOCK_ROWS = 512
@@ -442,83 +446,51 @@ def _stage_rk4(sc: SimScenario):
     return rk4
 
 
-def run_scenario(
-    sc: SimScenario, seed: int = 0, controller_mode: str = "sampled"
-) -> SimTrace:
-    """Integrate one scenario and return the substep-resolution trace.
+def _propagator(sc: SimScenario, h: float, columns):
+    """``(advance, fill)``: RK4 between events at substep h, writing the
+    state into the trace ``columns`` (in _TRACE_COLUMNS order).
 
-    controller_mode "sampled" (default) runs the full sampler/delay/hold
-    machinery; "continuous" recomputes the control law from the true state at
-    every substep (reference loop for consistency checks).  A non-finite
-    state aborts the run; the trace ends at the first non-finite row and
-    carries its time as divergence_time.
-
-    The loop integrates and writes only x_m, v_m, x_s and v_s, a run of
-    substeps at a time between events.  It walks a schedule of the rows
-    that start a run, built a window of samples at a time: each row gets an
-    integer of event marks, and the marked rows are the runs' starts.  t is
-    the grid j*h; F_m, F_s, F_h and F_e are derived from the holds and the
-    state columns after the loop, bit for bit the values a row-at-a-time
-    loop writes, within the same nine columns of memory.
+    ``advance(j, stop, x_m, v_m, x_s, v_s, f_m, f_s)`` takes substeps j ..
+    stop - 1 at the held torques f_m and f_s, writes the state on the rows
+    it reaches and returns the state on row stop, which is non-finite when
+    the run diverged.  ``fill(last)`` writes the inner rows of the runs it
+    jumped before row last, reading F_s: the holds must be filled in first.
 
     A run of k substeps with no operator-force edge within a substep of it
     is one jump by RK4's k-step maps when ``_slave_run_reach`` shows that
-    none of RK4's stages takes the slave past the wall; the loop writes its
-    end row, and its inner rows are filled in blocks after the loop
-    (``_fill_jumps``).  A jump that ends non-finite, a run near an edge and
-    any run the bound rejects take the slow path a substep at a time: a
-    substep is cut at any edge strictly inside it, each piece taking its
-    midpoint's pulse value, the slave evaluates RK4's four stages over each
-    piece, with the wall-branch check and bisection, and the master takes
-    RK4's transition map at each of the slave's piece widths.  The trace is
-    bit-identical for a scenario and seed, and agrees with the all-stage
-    loop to 1e-9 of each column's largest finite magnitude.  A decaying
-    mode that RK4 amplifies at this substep (master with the operator,
-    slave against the wall) is logged as a WARNING on the "teleopstab"
-    logger.
-
-    Raises ValueError, before allocating, when the nine trace columns would
-    exceed TRACE_BUDGET_BYTES.
+    none of RK4's stages takes the slave past the wall; advance writes its
+    end row, and fill its inner rows in blocks (``_fill_jumps``).  A jump
+    that ends non-finite, a run near an edge and any run the bound rejects
+    take the slow path a substep at a time: a substep is cut at any edge
+    strictly inside it, each piece taking its midpoint's pulse value, the
+    slave evaluates RK4's four stages over each piece, with the wall-branch
+    check and bisection, and the master takes RK4's transition map at each
+    of the slave's piece widths.  The trace is bit-identical for a scenario
+    and seed, and agrees with the all-stage loop to 1e-9 of each column's
+    largest finite magnitude.  A decaying mode that RK4 amplifies at this
+    substep (master with the operator, slave against the wall) is logged as
+    a WARNING on the "teleopstab" logger.
     """
-    if controller_mode not in ("sampled", "continuous"):
-        raise ValueError(f"unknown controller_mode {controller_mode!r}")
-    g = sc.gains
-    ch = sc.channel
-    T = ch.T
-    nsub = sc.integrator_substeps
-    h = T / nsub
-    n_periods = math.ceil(sc.duration / T - 1e-9)
-    n_total = n_periods * nsub
-    trace_bytes = 9 * 8 * (n_total + 1)
-    if trace_bytes > TRACE_BUDGET_BYTES:
-        raise ValueError(
-            f"trace of {n_total + 1} rows needs {trace_bytes} bytes, over the "
-            f"{TRACE_BUDGET_BYTES}-byte budget; shorten duration or raise the period"
-        )
-
     rk4 = _stage_rk4(sc)
-    # F_h's constants, formed as _robot_blocks forms the master's block
-    inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
-    b_m_tot = sc.master.damping + sc.human.damping
-    k_h = sc.human.stiffness
-    m_h = sc.human.mass
-    b_h = sc.human.damping
+    nsub = sc.integrator_substeps
     wall = sc.wall
     x_wall = wall.position
-    f_start = sc.operator_force.start
-    f_stop = sc.operator_force.stop
-    f_mag = sc.operator_force.magnitude
+    f_start, f_stop, f_mag = astuple(sc.operator_force)
     isfinite = math.isfinite
 
     # RK4's k-step maps for k = 0 .. nsub, no run of substeps between events
-    # being longer than a period: the master with the operator (input
-    # fstar + F_m) and the free slave (input F_s), whose first column is
-    # (1, 0) exactly, as it has no spring
+    # being longer than a period, as one row: the master's with the operator
+    # (input fstar + F_m), then the free slave's (input F_s) less its first
+    # column, which is (1, 0) exactly, as it has no spring
     master = _robot_blocks(sc.master, sc.human)
     slave = _robot_blocks(sc.slave, FREE)
-    master_runs = _rk4_runs(*_rk4_map(*master, h), nsub)
-    slave_runs = _rk4_runs(*_rk4_map(*slave, h), nsub)
-    m00, m01, m10, m11, n_m0, n_m1 = master_runs[1]
+    tables = [
+        (p00, p10, p01, p11, q0, q1, r01, r11, r0, r1)
+        for (p00, p01, p10, p11, q0, q1), (_, r01, _, r11, r0, r1) in zip(
+            _rk4_runs(*_rk4_map(*master, h), nsub), _rk4_runs(*_rk4_map(*slave, h), nsub)
+        )
+    ]
+    m00, m10, m01, m11, n_m0, n_m1 = tables[1][:6]
     run_v, run_f, v_gain = _slave_run_reach(*slave, h, nsub)
     # a decaying mode that RK4 amplifies makes the run diverge on its own
     pressed = ImpedanceModel(damping=wall.damping, stiffness=wall.stiffness)
@@ -539,6 +511,12 @@ def run_scenario(
                 "does not: raise [run] substeps",
                 h, mode, gain,
             )
+
+    # a run of k > 1 substeps taken in one jump writes k to its first row
+    # of F_e and the master's input to that of F_h, two columns that are
+    # free until the loop is done
+    xm_w, vm_w, xs_w, vs_w, _, _, u_w, jump_w = map(memoryview, columns[1:])
+    columns[8][:] = 0.0
 
     def wall_branch(xs, vs):
         # 0 free flight, 1 pushing contact, 2 clamped (spring+damper pulls)
@@ -577,6 +555,123 @@ def run_scenario(
         widths.append(t1 - t0)
         return *rk4(xs, vs, t1 - t0, fs), widths
 
+    def advance(j, stop, x_m, v_m, x_s, v_s, f_m, f_s):
+        # substeps j .. stop - 1, each reaching the state of the next row; a
+        # substep's width stays t1 - t0, which need not round to h
+        t0 = j * h
+        t1 = t0 + h
+        u_m = (f_mag if f_start <= 0.5 * (t0 + t1) < f_stop else 0.0) + f_m
+        k = stop - j
+        # a pulse edge inside the run, or within a substep of it, where a
+        # midpoint may round across it, refuses the jump
+        t_end = (stop + 1) * h
+        edged = t0 - h < f_start < t_end or t0 - h < f_stop < t_end
+        if not edged:
+            v_reach = abs(v_s)
+            if k > 1:
+                v_fixed = abs(v_gain * f_s)
+                if v_reach < v_fixed:
+                    v_reach = v_fixed
+            if x_s + run_v[k] * v_reach <= x_wall - run_f[k] * abs(f_s):
+                # every RK4 stage of the run keeps the slave short of the
+                # wall (_slave_run_reach): the run is one k-step jump
+                p00, p10, p01, p11, q0, q1, r01, r11, r0, r1 = tables[k]
+                x_m1 = p00 * x_m + p01 * v_m + q0 * u_m
+                v_m1 = p10 * x_m + p11 * v_m + q1 * u_m
+                x_s1 = x_s + r01 * v_s + r0 * f_s
+                v_s1 = r11 * v_s + r1 * f_s
+                # a sum of finite values may overflow, and a run that ends
+                # non-finite is stepped again below to find its first
+                # non-finite row; both are rare
+                if isfinite(x_m1 + v_m1 + x_s1 + v_s1):
+                    if k > 1:
+                        jump_w[j] = k
+                        u_w[j] = u_m
+                    xm_w[stop] = x_m1
+                    vm_w[stop] = v_m1
+                    xs_w[stop] = x_s1
+                    vs_w[stop] = v_s1
+                    return x_m1, v_m1, x_s1, v_s1
+
+        # one substep at a time, by the slow path: near an edge a substep is
+        # cut at the edges inside it, each piece taking its midpoint's pulse
+        # value; the slave evaluates RK4's stages over each piece, bisecting
+        # wall branch changes, and the master takes the slave's pieces
+        for i in range(j, stop):
+            t0 = i * h
+            t1 = t0 + h
+            pieces = ((t0, t1, u_m),)
+            if edged:
+                cuts = [t0, *(e for e in (f_start, f_stop) if t0 < e < t1), t1]
+                pieces = [
+                    (a, b, (f_mag if f_start <= 0.5 * (a + b) < f_stop else 0.0) + f_m)
+                    for a, b in zip(cuts, cuts[1:])
+                ]
+            for a, b, u in pieces:
+                x_s, v_s, widths = advance_slave(a, b, x_s, v_s, f_s)
+                if len(widths) == 1 and len(pieces) == 1:  # the whole substep
+                    x_m, v_m = m00 * x_m + m01 * v_m + n_m0 * u, m10 * x_m + m11 * v_m + n_m1 * u
+                else:
+                    for w in widths:
+                        ((m0, m1), (m2, m3)), (n0, n1) = _rk4_map(*master, w)
+                        x_m, v_m = m0 * x_m + m1 * v_m + n0 * u, m2 * x_m + m3 * v_m + n1 * u
+            i += 1
+            xm_w[i] = x_m
+            vm_w[i] = v_m
+            xs_w[i] = x_s
+            vs_w[i] = v_s
+        return x_m, v_m, x_s, v_s
+
+    def fill(last):
+        # an inner row may overflow though its jump's end row is finite
+        maps = np.array(tables).T.copy()  # contiguous rows, which take needs
+        with np.errstate(all="ignore"):
+            for a in range(0, last, _BLOCK_ROWS):
+                _fill_jumps(columns, maps, a, min(a + _BLOCK_ROWS, last))
+
+    return advance, fill
+
+
+def run_scenario(
+    sc: SimScenario, seed: int = 0, controller_mode: str = "sampled"
+) -> SimTrace:
+    """Integrate one scenario and return the substep-resolution trace.
+
+    controller_mode "sampled" (default) runs the full sampler/delay/hold
+    machinery; "continuous" recomputes the control law from the true state at
+    every substep (reference loop for consistency checks).  A non-finite
+    state aborts the run; the trace ends at the first non-finite row and
+    carries its time as divergence_time.
+
+    The loop walks a schedule of the rows that start a run of substeps
+    between channel events, built a window of samples at a time: each row
+    gets an integer of event marks, and the marked rows are the runs'
+    starts.  It takes the events at a run's first row, then hands the run to
+    the propagator (``_propagator``), which writes x_m, v_m, x_s and v_s.
+    t is the grid j*h; F_m, F_s, F_h and F_e are derived from the holds and
+    the state columns after the loop, bit for bit the values a row-at-a-time
+    loop writes, within the same nine columns of memory.
+
+    Raises ValueError, before allocating, when the nine trace columns and
+    the propagator's k-step tables would exceed TRACE_BUDGET_BYTES.
+    """
+    if controller_mode not in ("sampled", "continuous"):
+        raise ValueError(f"unknown controller_mode {controller_mode!r}")
+    g = sc.gains
+    ch = sc.channel
+    T = ch.T
+    nsub = sc.integrator_substeps
+    h = T / nsub
+    n_periods = math.ceil(sc.duration / T - 1e-9)
+    n_total = n_periods * nsub
+    need = 9 * 8 * (n_total + 1) + _TABLE_BYTES_PER_SUBSTEP * nsub
+    if need > TRACE_BUDGET_BYTES:
+        raise ValueError(
+            f"trace of {n_total + 1} rows and tables of {nsub} substeps need {need} bytes, over "
+            f"the {TRACE_BUDGET_BYTES}-byte budget; shorten duration, raise period or lower substeps"
+        )
+    isfinite = math.isfinite
+
     # sampling machinery
     sampled = controller_mode == "sampled"
     jittered = sampled and sc.jitter_sampling
@@ -589,8 +684,8 @@ def run_scenario(
         pipe_m = _SensorPipeline(cfg, T, np.random.default_rng([seed, 0]))
         pipe_s = _SensorPipeline(cfg, T, np.random.default_rng([seed, 1]))
 
-    d1_sub = ch.d1 * nsub
-    d2_sub = ch.d2 * nsub
+    # no packet delayed past the run arrives: a clamped delay fits int64 rows
+    d1_sub, d2_sub = (min(d, n_periods + 1) * nsub for d in (ch.d1, ch.d2))
 
     # the row of each sample, ascending; a hold is its sample's row plus the
     # channel delay, as each side's holds deliver the samples in order
@@ -654,12 +749,7 @@ def run_scenario(
     # in after the loop
     fm_w, fs_w = map(memoryview, columns[5:7])
     xm_w[0], vm_w[0], xs_w[0], vs_w[0] = x_m, v_m, x_s, v_s
-
-    # a run of k > 1 substeps taken in one jump writes k to its first row
-    # of F_e and the master's input to that of F_h, two columns that are
-    # free until the loop is done; _fill_jumps writes its inner rows after
-    u_w, jump_w = map(memoryview, columns[7:9])
-    columns[8][:] = 0.0
+    advance, fill = _propagator(sc, h, columns)
 
     last = n_total  # row the run ends on; moves up when the state diverges
     divergence_time: float | None = None
@@ -687,72 +777,7 @@ def run_scenario(
             fm_w[j] = f_m_held
             fs_w[j] = f_s_held
 
-        # substeps j .. stop - 1, each reaching the state of the next row; a
-        # substep's width stays t1 - t0, which need not round to h
-        t0 = j * h
-        t1 = t0 + h
-        u_m = (f_mag if f_start <= 0.5 * (t0 + t1) < f_stop else 0.0) + f_m_held
-        k = stop - j
-        # a pulse edge inside the run, or within a substep of it, where a
-        # midpoint may round across it, refuses the jump
-        t_end = (stop + 1) * h
-        edged = t0 - h < f_start < t_end or t0 - h < f_stop < t_end
-        if not edged:
-            v_reach = abs(v_s)
-            if k > 1:
-                v_fixed = abs(v_gain * f_s_held)
-                if v_reach < v_fixed:
-                    v_reach = v_fixed
-            if x_s + run_v[k] * v_reach <= x_wall - run_f[k] * abs(f_s_held):
-                # every RK4 stage of the run keeps the slave short of the
-                # wall (_slave_run_reach): the run is one k-step jump
-                p00, p01, p10, p11, q0, q1 = master_runs[k]
-                _, r01, _, r11, r0, r1 = slave_runs[k]
-                x_m1 = p00 * x_m + p01 * v_m + q0 * u_m
-                v_m1 = p10 * x_m + p11 * v_m + q1 * u_m
-                x_s1 = x_s + r01 * v_s + r0 * f_s_held
-                v_s1 = r11 * v_s + r1 * f_s_held
-                # a sum of finite values may overflow, and a run that ends
-                # non-finite is stepped again below to find its first
-                # non-finite row; both are rare
-                if isfinite(x_m1 + v_m1 + x_s1 + v_s1):
-                    if k > 1:
-                        jump_w[j] = k
-                        u_w[j] = u_m
-                    x_m, v_m, x_s, v_s = x_m1, v_m1, x_s1, v_s1
-                    xm_w[stop] = x_m
-                    vm_w[stop] = v_m
-                    xs_w[stop] = x_s
-                    vs_w[stop] = v_s
-                    continue
-
-        # one substep at a time, by the slow path: near an edge a substep is
-        # cut at the edges inside it, each piece taking its midpoint's pulse
-        # value; the slave evaluates RK4's stages over each piece, bisecting
-        # wall branch changes, and the master takes the slave's pieces
-        for i in range(j, stop):
-            t0 = i * h
-            t1 = t0 + h
-            pieces = ((t0, t1, u_m),)
-            if edged:
-                cuts = [t0, *(e for e in (f_start, f_stop) if t0 < e < t1), t1]
-                pieces = [
-                    (a, b, (f_mag if f_start <= 0.5 * (a + b) < f_stop else 0.0) + f_m_held)
-                    for a, b in zip(cuts, cuts[1:])
-                ]
-            for a, b, u in pieces:
-                x_s, v_s, widths = advance_slave(a, b, x_s, v_s, f_s_held)
-                if len(widths) == 1 and len(pieces) == 1:  # the whole substep
-                    x_m, v_m = m00 * x_m + m01 * v_m + n_m0 * u, m10 * x_m + m11 * v_m + n_m1 * u
-                else:
-                    for w in widths:
-                        ((m0, m1), (m2, m3)), (n0, n1) = _rk4_map(*master, w)
-                        x_m, v_m = m0 * x_m + m1 * v_m + n0 * u, m2 * x_m + m3 * v_m + n1 * u
-            i += 1
-            xm_w[i] = x_m
-            vm_w[i] = v_m
-            xs_w[i] = x_s
-            vs_w[i] = v_s
+        x_m, v_m, x_s, v_s = advance(j, stop, x_m, v_m, x_s, v_s, f_m_held, f_s_held)
         if not (isfinite(x_m) and isfinite(v_m) and isfinite(x_s) and isfinite(v_s)):
             # a non-finite state value stays non-finite, so the run ends on
             # the first non-finite row of these substeps
@@ -774,25 +799,21 @@ def run_scenario(
     else:  # a hold on every row but the last
         fm[last] = f_m_held
         fs[last] = f_s_held
-    # the inner rows of the jumped runs, from their first rows
-    tables = np.array([
-        (p00, p10, p01, p11, q0, q1, r01, r11, r0, r1)
-        for (p00, p01, p10, p11, q0, q1), (_, r01, _, r11, r0, r1) in zip(master_runs, slave_runs)
-    ]).T.copy()
-    # a jump's tables are finite when its end row is, but a state near the
-    # largest double can still overflow on an inner row
-    with np.errstate(all="ignore"):
-        for a in range(0, last, _BLOCK_ROWS):
-            _fill_jumps(columns, tables, a, min(a + _BLOCK_ROWS, last))
+    fill(last)
     # sample times as k*T on the period grid and j*h when jittered
     sample_events = taken[:n_samples] * h if jittered else np.arange(n_samples) * T
     del taken, sample_rows  # freed before the hold times are formed
 
-    # F_h in place, in the row formula's operation order:
+    # F_h in place, in the row formula's operation order, with constants
+    # formed as _robot_blocks forms the master's block:
     #   a_m = (fstar - k_h*x_m - b_m_tot*v_m + F_m) * inv_mm
     #   F_h = fstar - m_h*a_m - b_h*v_m - k_h*x_m
     # with fstar = f_mag on the rows whose t lies in [f_start, f_stop); fe
     # holds each product until F_e is written
+    inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
+    b_m_tot = sc.master.damping + sc.human.damping
+    k_h, m_h, b_h = sc.human.stiffness, sc.human.mass, sc.human.damping
+    f_start, f_stop, f_mag = astuple(sc.operator_force)
     on, off = np.searchsorted(t, (f_start, f_stop))
     pulse = ((0, on, 0.0), (on, off, f_mag), (off, rows, 0.0))
     with np.errstate(all="ignore"):  # a diverged run's last row overflows
@@ -813,8 +834,8 @@ def run_scenario(
     fe.fill(-0.0)
     for a in range(0, rows, _BLOCK_ROWS):
         b = min(a + _BLOCK_ROWS, rows)
-        if (xs[a:b] > x_wall).any():
-            fe[a:b] = [-wall_force(x, v, wall) for x, v in zip(xs_w[a:b], vs_w[a:b])]
+        if (xs[a:b] > sc.wall.position).any():
+            fe[a:b] = [-wall_force(x, v, sc.wall) for x, v in zip(xs_w[a:b], vs_w[a:b])]
 
     return SimTrace(
         *columns,
@@ -846,16 +867,16 @@ def _fill_held(col: np.ndarray, rows: array, first: float) -> None:
 
 
 def _fill_jumps(columns, tables: np.ndarray, a: int, b: int) -> None:
-    """Write the inner rows of the runs of substeps that run_scenario's loop
+    """Write the inner rows of the runs of substeps that ``_propagator``
     took in one jump and that start on rows a .. b - 1.
 
-    The loop leaves k on row j of F_e, the last of ``columns``, for a run
-    of k substeps from row j, and the master's input u_m = fstar + F_m on
-    row j of F_h.  Row j + i, 0 < i < k, is then the i-step jump from row
-    j, formed as the loop forms a jump's end row: x_m = p00*x_m + p01*v_m
-    + q0*u_m, and so on.  Column k of ``tables`` holds, from ``_rk4_runs``,
-    the master's (p00, p10, p01, p11, q0, q1) and the slave's
-    (p01, p11, q0, q1); the slave's first column is (1, 0).
+    A jump leaves k on row j of F_e, the last of ``columns``, for a run of
+    k substeps from row j, and the master's input u_m = fstar + F_m on row
+    j of F_h.  Row j + i, 0 < i < k, is then the i-step jump from row j,
+    formed as a jump forms its end row: x_m = p00*x_m + p01*v_m + q0*u_m,
+    and so on.  Column k of ``tables`` is the propagator's row k: the
+    master's (p00, p10, p01, p11, q0, q1) and the slave's (p01, p11, q0,
+    q1); the slave's first column is (1, 0).
     """
     _, x_m, v_m, x_s, v_s, _, f_s, u_m, marks = columns
     seg = marks[a:b]
@@ -868,17 +889,16 @@ def _fill_jumps(columns, tables: np.ndarray, a: int, b: int) -> None:
     i = np.arange(1, first[-1] + inner[-1] + 1) - np.repeat(first, inner)
     rows = np.repeat(starts, inner) + i
     # (x_m, v_m) and (x_s, v_s) in turn, each from its input's coefficients
-    p = tables[:6].take(i, axis=1)
+    p = tables.take(i, axis=1)
     y = np.array([x_m.take(starts), v_m.take(starts), u_m.take(starts)]).repeat(inner, axis=1)
     m = p[0:2] * y[0]
     m += p[2:4] * y[1]
     m += p[4:6] * y[2]
     x_m[rows], v_m[rows] = m
-    p = tables[6:].take(i, axis=1)
     y = np.array([x_s.take(starts), v_s.take(starts), f_s.take(starts)]).repeat(inner, axis=1)
-    m = p[0:2] * y[1]
+    m = p[6:8] * y[1]
     m[0] += y[0]
-    m += p[2:4] * y[2]
+    m += p[8:10] * y[2]
     x_s[rows], v_s[rows] = m
 
 

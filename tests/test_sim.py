@@ -595,16 +595,29 @@ def test_trace_forces_match_the_row_formulas(reference_scenario, case):
 
 
 def test_trace_budget_checked_before_allocation(reference_scenario, monkeypatch):
-    # 0.06 s at T = 6 ms, 10 substeps: 101 rows of nine float64 columns
+    # 0.06 s at T = 6 ms, 10 substeps: 101 rows of nine float64 columns,
+    # and the propagator's tables for 10 substeps
     sc = _short(
         reference_scenario, duration=0.06, operator_force=OperatorForce(0.0, 0.0)
     )
-    monkeypatch.setattr(sim, "TRACE_BUDGET_BYTES", 9 * 8 * 101)
+    need = 9 * 8 * 101 + sim._TABLE_BYTES_PER_SUBSTEP * 10
+    monkeypatch.setattr(sim, "TRACE_BUDGET_BYTES", need)
     assert len(run_scenario(sc).t) == 101
-    monkeypatch.setattr(sim, "TRACE_BUDGET_BYTES", 9 * 8 * 101 - 1)
+    monkeypatch.setattr(sim, "TRACE_BUDGET_BYTES", need - 1)
     with pytest.raises(ValueError, match="budget"):
         run_scenario(sc)
     monkeypatch.undo()
+    # one period of 3 M substeps: its trace is 216 MB, but the tables of
+    # its substeps would take over 2 GB more; rejected before allocating
+    fine = dataclasses.replace(sc, duration=0.006, integrator_substeps=3_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            run_scenario(fine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     # ~1.7e12 rows: rejected up front, recorded as the row's error
     rows = sweep_period(dataclasses.replace(sc, duration=1e9), [0.006])
     assert rows[0].verdict is None and "budget" in rows[0].error
@@ -915,21 +928,28 @@ def test_rk4_warning_counts_an_overflowing_mode(reference_scenario, caplog, part
 def test_side_with_no_hold_keeps_the_startup_latch(reference_scenario):
     # packets land two periods after their sample, so a run of one period
     # ends before either side's first hold; the pulse moves the master, yet
-    # both torques stay at the latch taken from the zero initial state
-    ch = dataclasses.replace(reference_scenario.channel, d1=2, d2=2)
-    sc = _short(
-        reference_scenario,
-        channel=ch,
-        duration=ch.T,
-        operator_force=OperatorForce(0.001, 0.004, 5.0),
-    )
-    tr = run_scenario(sc, seed=0)
-    assert tr.x_m[-1] != 0.0
-    latch = control_continuous(sc.gains, (0.0, 0.0), (0.0, 0.0))
-    for col in (tr.f_m, tr.f_s):
-        assert col.tobytes() == np.full(len(tr.t), latch).tobytes()
-    assert len(tr.hold_events_m) == 0
-    assert len(tr.hold_events_s) == 0
+    # both torques stay at the latch taken from the zero initial state.  A
+    # delay of 1e20 periods, whose rows no int64 holds, delivers nothing
+    # either, and gives the same trace
+    traces = []
+    for d in (2, 10**20):
+        ch = dataclasses.replace(reference_scenario.channel, d1=d, d2=d)
+        sc = _short(
+            reference_scenario,
+            channel=ch,
+            duration=ch.T,
+            operator_force=OperatorForce(0.001, 0.004, 5.0),
+        )
+        tr = run_scenario(sc, seed=0)
+        assert tr.x_m[-1] != 0.0
+        latch = control_continuous(sc.gains, (0.0, 0.0), (0.0, 0.0))
+        for col in (tr.f_m, tr.f_s):
+            assert col.tobytes() == np.full(len(tr.t), latch).tobytes()
+        assert len(tr.hold_events_m) == 0
+        assert len(tr.hold_events_s) == 0
+        traces.append(tr)
+    for name in _COLUMNS + ("sample_events",):
+        assert getattr(traces[0], name).tobytes() == getattr(traces[1], name).tobytes(), name
 
 
 _MASS = st.floats(0.1, 3.0)
@@ -1118,6 +1138,65 @@ def test_rk4_constants_are_the_blocks(reference_scenario, m_s, b_s):
     assert a_s[1, 0] == 0.0
     assert a_s[1, 1] == -(hoisted["b_s"] * hoisted["inv_ms"])
     assert a_s[0].tolist() == [0.0, 1.0] and b_sv[0] == 0.0
+
+
+def _propagated(sc, start, state, forces, stops):
+    """(end state, state rows from ``start`` on, whether the first run
+    jumped): ``sc``'s propagator advances ``state`` from row ``start``
+    through the runs that end on ``stops`` at the held torques ``forces``
+    (F_m, F_s), then fills the jumped runs' inner rows."""
+    columns = [np.zeros(stops[-1] + 1) for _ in _COLUMNS]
+    columns[6][:] = forces[1]  # the fill reads F_s
+    advance, fill = sim._propagator(sc, sc.channel.T / sc.integrator_substeps, columns)
+    for col, y in zip(columns[1:5], state):
+        col[start] = y
+    j = start
+    for stop in stops:
+        state = advance(j, stop, *state, *forces)
+        j = stop
+    fill(stops[-1])
+    return np.array(state), np.array([c[start:] for c in columns[1:5]]), columns[8][start] != 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.sampled_from(["free", "contact", "edge"]),
+    start=st.integers(1, 60),
+    k=st.integers(2, 40),
+    split=st.integers(0, 38),
+    edge=st.floats(0.0, 1.0, exclude_max=True),
+    state=st.tuples(
+        st.floats(-0.5, 0.5), st.floats(-5.0, 5.0), st.floats(1e-3, 0.05), st.floats(-5.0, 5.0)
+    ),
+    forces=st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 50.0)),
+)
+def test_splitting_a_run_moves_the_propagated_state_by_rounding(
+    reference_scenario, case, start, k, split, edge, state, forces
+):
+    # the propagator's contract, which an exact propagator must keep too:
+    # substeps start .. start + k - 1 taken in one call, or in two split at
+    # an inner row, reach the same end state and fill the same rows to
+    # within 1e-9 of the state's scale.  In free flight the whole run is one
+    # jump; with the slave past the wall (at 0) and pushing in, it takes the
+    # slow path; with a pulse edge inside it the jump is refused, and a
+    # split run may jump one part and step the other
+    h = 5e-4
+    stop = start + k
+    mid = start + 1 + split % (k - 1)
+    sc = _short(
+        reference_scenario,
+        channel=dataclasses.replace(reference_scenario.channel, T=40 * h, eps_min=40 * h),
+        integrator_substeps=40,
+        duration=0.1,
+        wall=WallModel(position=0.0 if case == "contact" else 1e3),
+        operator_force=OperatorForce((start + edge * k) * h if case == "edge" else 0.0, 0.1, 20.0),
+    )
+    end, rows, jumped = _propagated(sc, start, state, forces, [stop])
+    split_end, split_rows, _ = _propagated(sc, start, state, forces, [mid, stop])
+    assert jumped == (case == "free")
+    scale = np.abs(rows).max()
+    assert np.abs(split_end - end).max() <= 1e-9 * scale
+    assert np.abs(split_rows - rows).max() <= 1e-9 * scale
 
 
 def test_sweep_reference_trend(reference_scenario):
