@@ -70,10 +70,10 @@ class RobotParams:
     damping: float
 
     def __post_init__(self) -> None:
-        if not self.mass > 0.0:
-            raise ValueError("robot mass must be positive")
-        if self.damping < 0.0:
-            raise ValueError("robot damping must be nonnegative")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError("robot mass must be positive and finite")
+        if not 0.0 <= self.damping < math.inf:
+            raise ValueError("robot damping must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class ImpedanceModel:
     stiffness: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mass < 0.0 or self.damping < 0.0 or self.stiffness < 0.0:
-            raise ValueError("impedance parameters must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in (self.mass, self.damping, self.stiffness)):
+            raise ValueError("impedance parameters must be nonnegative and finite")
 
     def is_free(self) -> bool:
         return self.mass == 0.0 and self.damping == 0.0 and self.stiffness == 0.0
@@ -97,17 +97,20 @@ FREE = ImpedanceModel()
 
 @dataclass(frozen=True)
 class WallModel:
-    """Unilateral spring-damper wall engaged beyond ``position``."""
+    """Unilateral spring-damper wall engaged beyond ``position``; a wall at
+    +inf is never engaged."""
 
     position: float
     stiffness: float = 1000.0  # N*m/rad
     damping: float = 1.0  # N*m*s/rad
 
     def __post_init__(self) -> None:
-        if not self.stiffness > 0.0:
-            raise ValueError("wall stiffness must be positive")
-        if self.damping < 0.0:
-            raise ValueError("wall damping must be nonnegative")
+        if not -math.inf < self.position <= math.inf:
+            raise ValueError("wall position must be finite or +inf")
+        if not 0.0 < self.stiffness < math.inf:
+            raise ValueError("wall stiffness must be positive and finite")
+        if not 0.0 <= self.damping < math.inf:
+            raise ValueError("wall damping must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,16 @@ bits.
 Between events each robot is linear with a constant input, and one RK4
 substep of it is exactly the map y <- M y + N u of its transition matrices
 (``_rk4_map``), so k substeps are the k-step map y <- P_k y + Q_k u
-(``_rk4_runs``).  When a bound shows that no RK4 stage of a run takes the
-slave past the wall (``_slave_run_reach``), the propagator jumps the whole
-run in one step and fills its inner rows after the loop.  A run the bound
-rejects (in or near wall contact), and a run within a substep of a pulse
-edge, take the slow path a substep at a time: the slave by RK4's stages
-(``_stage_rk4``), bisecting wall branch changes, and the master by its map
-at the width of each piece the slave's substep is cut into.  The forms
-differ only in rounding: traces agree with the coupled all-stage loop (kept
-as the test oracle) to 1e-9 of each column's scale.
+(``_rk4_runs``).  When a bound read off the slave's maps shows that no RK4
+stage of a run takes the slave past the wall (``_slave_run_reach``), the
+propagator jumps the whole run in one step and fills its inner rows after
+the loop.  A run the bound rejects (in or near wall contact), and a run
+within a substep of a pulse edge, take the slow path a substep at a time:
+the slave by RK4's stages (``_stage_rk4``), bisecting wall branch changes,
+and the master by its map at the width of each piece the slave's substep
+is cut into.  The forms differ only in rounding: traces agree with the
+coupled all-stage loop (kept as the test oracle) to 1e-9 of each column's
+scale.
 
 Identical scenario + seed reproduces bit-identical traces.
 """
@@ -128,10 +129,10 @@ class NonidealityConfig:
 
     def __post_init__(self) -> None:
         for name in ("encoder_step", "actuator_limit", "force_to_volts", "velocity_filter_cutoff"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be nonnegative")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,8 @@ class OperatorForce:
     magnitude: float = 1.0  # N*m
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.start <= self.stop):
-            raise ValueError("need 0 <= start <= stop")
+        if not 0.0 <= self.start <= self.stop < math.inf:
+            raise ValueError("need 0 <= start <= stop < inf")
         if not math.isfinite(self.magnitude):
             raise ValueError("magnitude must be finite")
 
@@ -171,8 +172,8 @@ class SimScenario:
     jitter_sampling: bool = False
 
     def __post_init__(self) -> None:
-        if not self.duration > 0.0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         n = self.integrator_substeps
         if isinstance(n, bool) or not isinstance(n, int) or n < 4:
             raise ValueError("integrator_substeps must be an integer >= 4")
@@ -342,10 +343,10 @@ def _rk4_gain(a: np.ndarray, h: float) -> float:
     return max((math.inf if r != r else math.hypot(r.real, r.imag) for r in rs), default=0.0)
 
 
-def _rk4_runs(m, n, runs: int) -> list[tuple[float, float, float, float, float, float]]:
+def _rk4_runs(m, n, runs: int):
     """k steps of the map y <- M y + N u as one, y <- P_k y + Q_k u with
-    P_k = M^k and Q_k = sum_{i<k} M^i N, for k = 0 .. runs: entry k is
-    (P_k[0][0], P_k[0][1], P_k[1][0], P_k[1][1], Q_k[0], Q_k[1]).
+    P_k = M^k and Q_k = sum_{i<k} M^i N, yielded for k = 0 .. runs: entry k
+    is (P_k[0][0], P_k[0][1], P_k[1][0], P_k[1][1], Q_k[0], Q_k[1]).
 
     P_1 = M and Q_1 = N exactly; then P_k = M P_{k-1} and Q_k = M Q_{k-1}
     + N, in Python floats, so a map that overflows gives inf or NaN entries
@@ -353,57 +354,53 @@ def _rk4_runs(m, n, runs: int) -> list[tuple[float, float, float, float, float, 
     """
     (m00, m01), (m10, m11) = m
     n0, n1 = n
-    tables = [(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)]
+    yield 1.0, 0.0, 0.0, 1.0, 0.0, 0.0
     p00, p01, p10, p11, q0, q1 = m00, m01, m10, m11, n0, n1
     for _ in range(runs):
-        tables.append((p00, p01, p10, p11, q0, q1))
+        yield p00, p01, p10, p11, q0, q1
         p00, p01, p10, p11 = (
             m00 * p00 + m01 * p10, m00 * p01 + m01 * p11,
             m10 * p00 + m11 * p10, m10 * p01 + m11 * p11,
         )
         q0, q1 = m00 * q0 + m01 * q1 + n0, m10 * q0 + m11 * q1 + n1
-    return tables
 
 
-def _slave_run_reach(a: np.ndarray, b: np.ndarray, h: float, runs: int):
-    """(c_v, c_f, gain): lists over k = 0 .. runs and a scalar such that no
-    RK4 stage position of a run of k substeps of width h of the free slave,
-    nor any substep's end position, exceeds x_s + c_v[k]*V + c_f[k]*|F_s|
-    for a start state (x_s, v_s) and torque F_s, where V = |v_s| when k = 1
-    and V = max(|v_s|, |gain*F_s|) when k > 1.
+def _slave_run_reach(a: np.ndarray, b: np.ndarray, h: float, rows):
+    """(c_v, c_f): lists over k = 0 .. n for n ``rows`` such that no RK4
+    stage position of a run of k substeps of width h of the free slave
+    (blocks a, b), nor any substep's end position, exceeds x_s + c_v[k]*|v_s|
+    + c_f[k]*|F_s| for a start state (x_s, v_s) and torque F_s.  Row i is
+    the slave's i-step map (p01, p11, q0, q1) of ``_rk4_runs``.
 
-    One substep, k = 1: with c = -a[1][1] (damping over mass) and beta =
-    b[1], short of the wall every stage velocity is v_s + w*(beta*F_s -
-    c*v_prev) for a w in [0, h]; so when h*c < 1 each is within V' = (|v_s|
-    + h*beta*|F_s|)/(1 - h*c) of zero, and each stage position and the end
-    position lie within h*V' of x_s.  c_v[1] = 2h/(1 - h*c) and c_f[1] =
-    c_v[1]*h*beta are twice h*V', which covers the rounding of the stages and
-    of the test itself.  When h*c >= 1 every entry from k = 1 on is a Python
-    inf: the test x_s + c_v[k]*V <= x_wall - c_f[k]*|F_s| then compares
+    One substep from (x, v): with c = -a[1][1] (damping over mass) and beta
+    = b[1], short of the wall every stage velocity is v + w*(beta*F_s -
+    c*v_prev) for a w in [0, h]; so when h*c < 1 each is within (|v| +
+    h*beta*|F_s|)/(1 - h*c) of zero, and every stage position lies within h
+    times that of x.  Twice this, c1*|v| + c1*h*beta*|F_s| with c1 = 2h/(1 -
+    h*c), covers the rounding of a substep's stages and of the test, though
+    not a position rounded up at each of many substeps that each move the
+    slave by under an ulp.  Substep i starts at x = x_s + p01*v_s + q0*F_s,
+    v = p11*v_s + q1*F_s, so by the triangle inequality its stages stay
+    within (|p01| + c1*|p11|)*|v_s| + (|q0| + c1*|q1| + c1*h*beta)*|F_s| of
+    x_s; c_v[k] and c_f[k] take the largest of these over i < k, and entry
+    0, NaN, bounds nothing.  max keeps a bound over a NaN, which comes only
+    after an inf: the free slave's maps have no negative entry.
+
+    When h*c >= 1, c1 is inf and so is every entry from k = 1 on, a Python
+    inf: the test x_s + c_v[k]*|v_s| <= x_wall - c_f[k]*|F_s| then compares
     against -inf or a NaN, never holds, and raises no numpy warning.
-
-    A substep maps v_s to s11*v_s + n_s1*F_s (``_rk4_map``), whose fixed
-    point is v* = gain*F_s with gain = n_s1/(1 - s11).  While 0 <= s11 < 1
-    each velocity iterate lies between v_s and v*, so within V of zero, and
-    each substep moves the position by s01*v + n_s0*F_s, at most
-    |s01|*V + |n_s0|*|F_s|.  Substep i < k so starts at most i such moves
-    past x_s, and the one-substep bound covers its stages from there:
-    c_v[k] = (k - 1)*|s01| + c_v[1] and c_f[k] = (k - 1)*|n_s0| + c_f[1].
-    With s11 outside [0, 1), c_v[k] is inf for every k > 1, and no such run
-    is admitted.  Entry 0 is NaN, which bounds nothing.
     """
     hc = -h * float(a[1][1])  # Python floats: numpy's make the reach test slow
-    if hc < 1.0:
-        reach_v = 2.0 * h / (1.0 - hc)
-        reach_f = reach_v * h * float(b[1])
-    else:  # Python floats: a numpy inf times a zero torque warns
-        reach_v = reach_f = math.inf
-    ((_, s01), (_, s11)), (n_s0, n_s1) = _rk4_map(a, b, h)
-    step_v = abs(s01) if 0.0 <= s11 < 1.0 else math.inf
-    gain = n_s1 / (1.0 - s11) if 0.0 <= s11 < 1.0 else 0.0
-    c_v = [math.nan, reach_v, *((k - 1) * step_v + reach_v for k in range(2, runs + 1))]
-    c_f = [math.nan, reach_f, *((k - 1) * abs(n_s0) + reach_f for k in range(2, runs + 1))]
-    return c_v, c_f, gain
+    c1 = 2.0 * h / (1.0 - hc) if hc < 1.0 else math.inf
+    c1_f = c1 * h * float(b[1])
+    c_v, c_f = [math.nan], [math.nan]
+    v = f = 0.0
+    for p01, p11, q0, q1 in rows:
+        v = max(v, abs(p01) + c1 * abs(p11))
+        f = max(f, abs(q0) + c1 * abs(q1))
+        c_v.append(v)
+        c_f.append(f + c1_f)
+    return c_v, c_f
 
 
 def _stage_rk4(sc: SimScenario):
@@ -457,19 +454,20 @@ def _propagator(sc: SimScenario, h: float, columns):
     jumped before row last, reading F_s: the holds must be filled in first.
 
     A run of k substeps with no operator-force edge within a substep of it
-    is one jump by RK4's k-step maps when ``_slave_run_reach`` shows that
-    none of RK4's stages takes the slave past the wall; advance writes its
-    end row, and fill its inner rows in blocks (``_fill_jumps``).  A jump
-    that ends non-finite, a run near an edge and any run the bound rejects
-    take the slow path a substep at a time: a substep is cut at any edge
-    strictly inside it, each piece taking its midpoint's pulse value, the
-    slave evaluates RK4's four stages over each piece, with the wall-branch
-    check and bisection, and the master takes RK4's transition map at each
-    of the slave's piece widths.  The trace is bit-identical for a scenario
-    and seed, and agrees with the all-stage loop to 1e-9 of each column's
-    largest finite magnitude.  A decaying mode that RK4 amplifies at this
-    substep (master with the operator, slave against the wall) is logged as
-    a WARNING on the "teleopstab" logger.
+    is one jump by RK4's k-step maps when the slave's reach over k
+    substeps, read off the same maps (``_slave_run_reach``), keeps it short
+    of the wall; advance writes its end row, and fill its inner rows in
+    blocks (``_fill_jumps``).  A jump that ends non-finite, a run near an
+    edge and any run the bound rejects take the slow path a substep at a
+    time: a substep is cut at any edge strictly inside it, each piece taking
+    its midpoint's pulse value, the slave evaluates RK4's four stages over
+    each piece, with the wall-branch check and bisection, and the master
+    takes RK4's transition map at each of the slave's piece widths.  The
+    trace is bit-identical for a scenario and seed, and agrees with the
+    all-stage loop to 1e-9 of each column's largest finite magnitude.  A
+    decaying mode that RK4 amplifies at this substep (master with the
+    operator, slave against the wall) is logged as a WARNING on the
+    "teleopstab" logger.
     """
     rk4 = _stage_rk4(sc)
     nsub = sc.integrator_substeps
@@ -481,7 +479,8 @@ def _propagator(sc: SimScenario, h: float, columns):
     # RK4's k-step maps for k = 0 .. nsub, no run of substeps between events
     # being longer than a period, as one row: the master's with the operator
     # (input fstar + F_m), then the free slave's (input F_s) less its first
-    # column, which is (1, 0) exactly, as it has no spring
+    # column, which is (1, 0) exactly, as it has no spring; the slave's
+    # reach over a run is read off its rows
     master = _robot_blocks(sc.master, sc.human)
     slave = _robot_blocks(sc.slave, FREE)
     tables = [
@@ -491,7 +490,7 @@ def _propagator(sc: SimScenario, h: float, columns):
         )
     ]
     m00, m10, m01, m11, n_m0, n_m1 = tables[1][:6]
-    run_v, run_f, v_gain = _slave_run_reach(*slave, h, nsub)
+    run_v, run_f = _slave_run_reach(*slave, h, (row[6:] for row in tables))
     # a decaying mode that RK4 amplifies makes the run diverge on its own
     pressed = ImpedanceModel(damping=wall.damping, stiffness=wall.stiffness)
     modes = (
@@ -566,32 +565,25 @@ def _propagator(sc: SimScenario, h: float, columns):
         # midpoint may round across it, refuses the jump
         t_end = (stop + 1) * h
         edged = t0 - h < f_start < t_end or t0 - h < f_stop < t_end
-        if not edged:
-            v_reach = abs(v_s)
-            if k > 1:
-                v_fixed = abs(v_gain * f_s)
-                if v_reach < v_fixed:
-                    v_reach = v_fixed
-            if x_s + run_v[k] * v_reach <= x_wall - run_f[k] * abs(f_s):
-                # every RK4 stage of the run keeps the slave short of the
-                # wall (_slave_run_reach): the run is one k-step jump
-                p00, p10, p01, p11, q0, q1, r01, r11, r0, r1 = tables[k]
-                x_m1 = p00 * x_m + p01 * v_m + q0 * u_m
-                v_m1 = p10 * x_m + p11 * v_m + q1 * u_m
-                x_s1 = x_s + r01 * v_s + r0 * f_s
-                v_s1 = r11 * v_s + r1 * f_s
-                # a sum of finite values may overflow, and a run that ends
-                # non-finite is stepped again below to find its first
-                # non-finite row; both are rare
-                if isfinite(x_m1 + v_m1 + x_s1 + v_s1):
-                    if k > 1:
-                        jump_w[j] = k
-                        u_w[j] = u_m
-                    xm_w[stop] = x_m1
-                    vm_w[stop] = v_m1
-                    xs_w[stop] = x_s1
-                    vs_w[stop] = v_s1
-                    return x_m1, v_m1, x_s1, v_s1
+        # every RK4 stage of a run the test admits keeps the slave short of
+        # the wall (_slave_run_reach): the run is one k-step jump
+        if not edged and x_s + run_v[k] * abs(v_s) <= x_wall - run_f[k] * abs(f_s):
+            p00, p10, p01, p11, q0, q1, r01, r11, r0, r1 = tables[k]
+            x_m1 = p00 * x_m + p01 * v_m + q0 * u_m
+            v_m1 = p10 * x_m + p11 * v_m + q1 * u_m
+            x_s1 = x_s + r01 * v_s + r0 * f_s
+            v_s1 = r11 * v_s + r1 * f_s
+            # a sum of finite values may overflow, and a run that ends non-finite
+            # is stepped again below to find its first non-finite row; both are rare
+            if isfinite(x_m1 + v_m1 + x_s1 + v_s1):
+                if k > 1:
+                    jump_w[j] = k
+                    u_w[j] = u_m
+                xm_w[stop] = x_m1
+                vm_w[stop] = v_m1
+                xs_w[stop] = x_s1
+                vs_w[stop] = v_s1
+                return x_m1, v_m1, x_s1, v_s1
 
         # one substep at a time, by the slow path: near an edge a substep is
         # cut at the edges inside it, each piece taking its midpoint's pulse
@@ -868,7 +860,8 @@ def _fill_held(col: np.ndarray, rows: array, first: float) -> None:
 
 def _fill_jumps(columns, tables: np.ndarray, a: int, b: int) -> None:
     """Write the inner rows of the runs of substeps that ``_propagator``
-    took in one jump and that start on rows a .. b - 1.
+    took in one jump and that start on rows a .. b - 1, _BLOCK_ROWS inner
+    rows at a time.
 
     A jump leaves k on row j of F_e, the last of ``columns``, for a run of
     k substeps from row j, and the master's input u_m = fstar + F_m on row
@@ -885,21 +878,27 @@ def _fill_jumps(columns, tables: np.ndarray, a: int, b: int) -> None:
         return
     inner = seg.take(starts).astype(np.intp) - 1
     starts += a
-    first = np.cumsum(inner) - inner  # each run's first inner row, in the block
-    i = np.arange(1, first[-1] + inner[-1] + 1) - np.repeat(first, inner)
-    rows = np.repeat(starts, inner) + i
-    # (x_m, v_m) and (x_s, v_s) in turn, each from its input's coefficients
-    p = tables.take(i, axis=1)
-    y = np.array([x_m.take(starts), v_m.take(starts), u_m.take(starts)]).repeat(inner, axis=1)
-    m = p[0:2] * y[0]
-    m += p[2:4] * y[1]
-    m += p[4:6] * y[2]
-    x_m[rows], v_m[rows] = m
-    y = np.array([x_s.take(starts), v_s.take(starts), f_s.take(starts)]).repeat(inner, axis=1)
-    m = p[6:8] * y[1]
-    m[0] += y[0]
-    m += p[8:10] * y[2]
-    x_s[rows], v_s[rows] = m
+    first = np.cumsum(inner) - inner  # each run's first inner row, counted over the runs
+    total = int(first[-1] + inner[-1])
+    for c in range(0, total, _BLOCK_ROWS):
+        # the run of each inner row of this pass, its start and its step
+        pos = np.arange(c, min(c + _BLOCK_ROWS, total))
+        run = first.searchsorted(pos, "right") - 1
+        i = pos - first.take(run) + 1
+        j = starts.take(run)
+        rows = j + i
+        # (x_m, v_m) and (x_s, v_s) in turn, each from its input's coefficients
+        p = tables.take(i, axis=1)
+        y = np.array([x_m.take(j), v_m.take(j), u_m.take(j)])
+        m = p[0:2] * y[0]
+        m += p[2:4] * y[1]
+        m += p[4:6] * y[2]
+        x_m[rows], v_m[rows] = m
+        y = np.array([x_s.take(j), v_s.take(j), f_s.take(j)])
+        m = p[6:8] * y[1]
+        m[0] += y[0]
+        m += p[8:10] * y[2]
+        x_s[rows], v_s[rows] = m
 
 
 def verdict(trace: SimTrace, run: RunSettings = RunSettings()) -> SimVerdict:

@@ -82,16 +82,16 @@ class ChannelConfig:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.T > 0.0:
-            raise ValueError("sampling period must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError("sampling period must be positive and finite")
         for name in ("d1", "d2"):
             d = getattr(self, name)
             if isinstance(d, bool) or not isinstance(d, int) or d < 0:
                 raise ValueError(f"{name} must be a nonnegative integer (periods)")
         if not (0.0 < self.eps_min <= self.T):
             raise ValueError("eps_min must satisfy 0 < eps_min <= T")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be nonnegative and finite")
 
     @property
     def t1(self) -> float:

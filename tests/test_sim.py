@@ -335,7 +335,7 @@ def test_run_bound_admits_no_run_of_a_slave_with_h_c_over_1(reference_scenario, 
     h = sc.channel.T / sc.integrator_substeps
     a, b = plants._robot_blocks(sc.slave, FREE)
     assert -h * a[1, 1] >= 1.0
-    run_v, run_f, _ = sim._slave_run_reach(a, b, h, sc.integrator_substeps)
+    run_v, run_f = _slave_reach((a, b), h, sc.integrator_substeps)
     for c in (*run_v[1:], *run_f[1:]):
         assert type(c) is float and c == math.inf
     # the two pinned cases run free and pressing the wall (1010 rows of
@@ -774,6 +774,37 @@ def test_scenario_validation():
         )
 
 
+# a valid instance of each model class; SimScenario's is the reference
+_VALID_MODELS = (
+    RobotParams(mass=0.5, damping=1.0),
+    ImpedanceModel(mass=0.1, damping=0.2, stiffness=3.0),
+    WallModel(position=4.0),
+    ChannelConfig(T=0.006, d1=0, d2=0, eps_min=0.006),
+    NonidealityConfig(),
+    OperatorForce(start=1.0, stop=2.0),
+    SimScenario,
+)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "model, name",
+    [(m, f.name) for m in _VALID_MODELS for f in dataclasses.fields(m) if f.type == "float"],
+    ids=lambda x: x if isinstance(x, str) else getattr(x, "__name__", type(x).__name__),
+)
+def test_model_fields_reject_non_finite_values(reference_scenario, model, name, value):
+    # as the scenario parser does: a NaN or infinite field is refused where
+    # the model is built, not read as a run that diverges, never moves or
+    # never meets its wall
+    valid = reference_scenario if model is SimScenario else model
+    if isinstance(valid, WallModel) and name == "position" and value == math.inf:
+        # +inf is the wall that is never engaged
+        assert dataclasses.replace(valid, position=value).position == math.inf
+        return
+    with pytest.raises(ValueError):
+        dataclasses.replace(valid, **{name: value})
+
+
 def test_verdict_zero_trace():
     n = 11
     zeros = np.zeros(n)
@@ -925,6 +956,43 @@ def test_rk4_warning_counts_an_overflowing_mode(reference_scenario, caplog, part
     assert tr.divergence_time is not None
 
 
+def test_table_memory_is_within_the_budget(reference_scenario):
+    # at rest every run is one period-long jump, so beyond the trace the run
+    # takes the propagator's tables and the fill of the jumped rows, which
+    # the budget charges at _TABLE_BYTES_PER_SUBSTEP a substep of a period
+    nsub = 5_000
+    for periods in (1, 3):
+        sc = _short(
+            reference_scenario,
+            duration=periods * reference_scenario.channel.T,
+            integrator_substeps=nsub,
+            operator_force=OperatorForce(0.0, 0.0),
+        )
+        tracemalloc.start()
+        try:
+            tr = run_scenario(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - 9 * 8 * len(tr.t)) / nsub <= sim._TABLE_BYTES_PER_SUBSTEP, periods
+    # the fill writes a long run's inner rows _BLOCK_ROWS at a time, so its
+    # temporaries stay a few tens of KiB however long the run; all its rows
+    # at once took about 190 B a row
+    k = 100_000
+    columns = [np.zeros(k + 1) for _ in sim._TRACE_COLUMNS]
+    columns[1][0] = 1.0  # x_m on the run's first row
+    columns[8][0] = k
+    tables = np.ones((10, k + 1))
+    tracemalloc.start()
+    try:
+        sim._fill_jumps(columns, tables, 0, sim._BLOCK_ROWS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+    assert columns[1][1:k].all()  # every inner row written
+
+
 def test_side_with_no_hold_keeps_the_startup_latch(reference_scenario):
     # packets land two periods after their sample, so a run of one period
     # ends before either side's first hold; the pulse moves the master, yet
@@ -977,6 +1045,13 @@ def _abs_rk4_map(a, b, h):
     eye = np.eye(2)
     s = eye + z / 2 + z @ z / 6 + z @ z @ z / 24
     return eye + z @ s, h * s @ np.abs(b)
+
+
+def _slave_reach(slave, h, runs):
+    """_slave_run_reach of the free slave's blocks, read off its k-step maps
+    for k = 0 .. runs as the propagator reads its tables."""
+    rows = sim._rk4_runs(*sim._rk4_map(*slave, h), runs)
+    return sim._slave_run_reach(*slave, h, ((p01, p11, q0, q1) for _, p01, _, p11, q0, q1 in rows))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1038,7 +1113,7 @@ def test_wall_bound_keeps_every_rk4_stage_short_of_the_wall(
     # substep, each stage position (as rk4 forms it, the wall's reaction
     # being 0.0 short of it) and the end position stay at or short of it
     slave = plants._robot_blocks(RobotParams(mass=m, damping=b), FREE)
-    (_, reach_v), (_, reach_f), _ = sim._slave_run_reach(*slave, h, 1)
+    (_, reach_v, _), (_, reach_f, _) = _slave_reach(slave, h, 1)
     x_wall = xs + gap * (reach_v * abs(vs) + reach_f * abs(fs))
     assume(xs + reach_v * abs(vs) <= x_wall - reach_f * abs(fs))
     assert max(_free_stages(m, b, h, xs, vs, fs)) <= x_wall
@@ -1058,13 +1133,12 @@ def test_wall_bound_keeps_every_rk4_stage_short_of_the_wall(
 def test_run_bound_keeps_every_rk4_stage_of_the_run_short_of_the_wall(
     reference_scenario, m, b, h, k, xs, vs, fs, gap
 ):
-    # the loop jumps a run of k substeps when x_s + c_v[k]*V <= x_wall -
-    # c_f[k]*|F_s|, V being |v_s| at k = 1 and max(|v_s|, |gain*F_s|) after;
-    # with a wall placed near that reach, wherever the test admits the run,
-    # every stage and end position of each substep, stepped one at a time
-    # by the oracle's stages, stays at or short of the wall
+    # the loop jumps a run of k substeps when x_s + c_v[k]*|v_s| <= x_wall -
+    # c_f[k]*|F_s|; with a wall placed near that reach, wherever the test
+    # admits the run, every stage and end position of each substep, stepped
+    # one at a time by the oracle's stages, stays at or short of the wall
     slave = plants._robot_blocks(RobotParams(mass=m, damping=b), FREE)
-    run_v, run_f, gain = sim._slave_run_reach(*slave, h, 16)
+    run_v, run_f = _slave_reach(slave, h, 16)
     # Python floats, which the loop's reach test takes faster than numpy's
     assert all(type(c) is float for c in (*run_v[1:], *run_f[1:]))
     # at k = 1 the bound is the one-substep closed form c_v = 2h/(1 - h*c),
@@ -1075,9 +1149,8 @@ def test_run_bound_keeps_every_rk4_stage_of_the_run_short_of_the_wall(
         assert run_f[1] == run_v[1] * h * slave[1][1]
     else:
         assert run_v[1] == run_f[1] == math.inf
-    v = abs(vs) if k == 1 else max(abs(vs), abs(gain * fs))
-    x_wall = xs + gap * (run_v[k] * v + run_f[k] * abs(fs))
-    assume(xs + run_v[k] * v <= x_wall - run_f[k] * abs(fs))
+    x_wall = xs + gap * (run_v[k] * abs(vs) + run_f[k] * abs(fs))
+    assume(xs + run_v[k] * abs(vs) <= x_wall - run_f[k] * abs(fs))
     walled = stage_rk4(_robots(reference_scenario, m, b, 0.0, wall=x_wall))
     free = stage_rk4(_robots(reference_scenario, m, b, 0.0))
     x, v = xs, vs
@@ -1105,7 +1178,7 @@ def test_k_step_tables_are_k_map_steps(reference_scenario, m, b, k, h, state, u)
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     for a, bb in (plants._robot_blocks(sc.master, sc.human), plants._robot_blocks(sc.slave, FREE)):
         mm, nn = sim._rk4_map(a, bb, h)
-        tables = sim._rk4_runs(mm, nn, 16)
+        tables = list(sim._rk4_runs(mm, nn, 16))
         assert tables[0] == (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
         (m00, m01), (m10, m11) = mm
         n0, n1 = nn
