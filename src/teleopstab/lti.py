@@ -21,8 +21,8 @@ __all__ = [
     "make_grid",
 ]
 
-# |den(s)| below this multiple of the rounding-noise floor counts as a pole hit
-_POLE_RTOL = 64.0 * np.finfo(float).eps
+# a denominator below this multiple of its rounding-noise floor counts as zero
+_NOISE_RTOL = 64.0 * np.finfo(float).eps
 
 _LOG_GRID_DECADES = 1e6  # grids start at pi/(T * 1e6)
 
@@ -133,7 +133,7 @@ def eval_tf(tf: RationalTF, s: complex) -> complex:
     """
     den = _horner(tf.den, s)
     scale = _horner_mag(tf.den, abs(s))
-    if abs(den) <= _POLE_RTOL * scale:
+    if abs(den) <= _NOISE_RTOL * scale:
         raise PoleHit(f"denominator ~ 0 at s = {s!r}")
     return _horner(tf.num, s) / den
 
@@ -192,7 +192,7 @@ def eval_tf_grid(tf: RationalTF, s: np.ndarray) -> np.ndarray:
     point, when any point fails the test.
     """
     den = _horner_grid(tf.den, s)
-    hit = np.abs(den) <= _POLE_RTOL * _horner_mag(tf.den, np.abs(s))
+    hit = np.abs(den) <= _NOISE_RTOL * _horner_mag(tf.den, np.abs(s))
     if np.any(hit):
         raise PoleHit(f"denominator ~ 0 at s = {complex(s[np.argmax(hit)])!r}")
     return cdiv(_horner_grid(tf.num, s), den)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import RationalTF, eval_tf
+from .lti import _NOISE_RTOL, RationalTF, eval_tf
 
 __all__ = [
     "RobotParams",
@@ -32,8 +32,6 @@ __all__ = [
     "transparency_error",
     "wall_force",
 ]
-
-_SINGULAR_RTOL = 64.0 * np.finfo(float).eps
 
 # The [13/13] Pade approximant of e^a is (V - U)^-1 (V + U), with
 #   U = a (a^6 (b13 a^6 + b11 a^4 + b9 a^2) + b7 a^6 + b5 a^4 + b3 a^2 + b1 I),
@@ -294,7 +292,7 @@ def hybrid_at(
     cm_v = eval_tf(cm, s)
     cs_v = eval_tf(cs, s)
     d = zs_v + cs_v
-    if abs(d) <= _SINGULAR_RTOL * (abs(zs_v) + abs(cs_v)):
+    if abs(d) <= _NOISE_RTOL * (abs(zs_v) + abs(cs_v)):
         raise SingularSlaveLoop(f"Z_s + C_s ~ 0 at omega = {omega}")
     return HybridMatrix(
         h11=zm_v + cm_v * zs_v / d,

@@ -1,9 +1,9 @@
 """Scenario files, run settings, and machine-readable analysis reports.
 
 Scenario files are plain-text sectioned key-value (INI style, ``#``/``;``
-comments).  Unknown sections or keys are rejected; values are checked against
-the model invariants on load.  The grammar is documented in
-docs/scenario-format.md.
+comments).  Unknown sections or keys are rejected; the parser only converts
+the text, and the model classes check the values.  The grammar is
+documented in docs/scenario-format.md.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import configparser
 import hashlib
 import io
 import json
-import math
 from dataclasses import fields
 
 from . import __version__
@@ -47,12 +46,9 @@ class ValidationError(ValueError):
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        v = float(raw)
+        return float(raw)
     except ValueError:
         raise ValidationError(f"{section}.{key}: expected a number, got {raw!r}") from None
-    if not math.isfinite(v):
-        raise ValidationError(f"{section}.{key}: must be finite")
-    return v
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:

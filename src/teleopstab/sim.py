@@ -88,7 +88,7 @@ _BLOCK_HOLDS = 128
 _WINDOW_SAMPLES = 256
 _WINDOW_ROWS = 4096
 # marks of a schedule row: the channel events at it
-_SAMPLE, _HOLD_S, _HOLD_M, _CONTROL = 1, 2, 4, 8
+_SAMPLE, _HOLD_S, _HOLD_M = 1, 2, 4
 
 
 @dataclass(frozen=True)
@@ -366,29 +366,33 @@ def _rk4_runs(m, n, runs: int):
 
 
 def _slave_run_reach(a: np.ndarray, b: np.ndarray, h: float, rows):
-    """(c_v, c_f): lists over k = 0 .. n for n ``rows`` such that no RK4
-    stage position of a run of k substeps of width h of the free slave
-    (blocks a, b), nor any substep's end position, exceeds x_s + c_v[k]*|v_s|
-    + c_f[k]*|F_s| for a start state (x_s, v_s) and torque F_s.  Row i is
-    the slave's i-step map (p01, p11, q0, q1) of ``_rk4_runs``.
+    """(c_v, c_f, c_x): lists over k = 0 .. n for n ``rows`` such that no
+    RK4 stage position of a run of k substeps of width h of the free slave
+    (blocks a, b), nor any substep's end position, exceeds x_s + c_x[k]*|x_s|
+    + c_v[k]*|v_s| + c_f[k]*|F_s| for a start state (x_s, v_s) and torque
+    F_s.  Row i is the slave's i-step map (p01, p11, q0, q1) of _rk4_runs.
 
     One substep from (x, v): with c = -a[1][1] (damping over mass) and beta
     = b[1], short of the wall every stage velocity is v + w*(beta*F_s -
     c*v_prev) for a w in [0, h]; so when h*c < 1 each is within (|v| +
     h*beta*|F_s|)/(1 - h*c) of zero, and every stage position lies within h
     times that of x.  Twice this, c1*|v| + c1*h*beta*|F_s| with c1 = 2h/(1 -
-    h*c), covers the rounding of a substep's stages and of the test, though
-    not a position rounded up at each of many substeps that each move the
-    slave by under an ulp.  Substep i starts at x = x_s + p01*v_s + q0*F_s,
-    v = p11*v_s + q1*F_s, so by the triangle inequality its stages stay
-    within (|p01| + c1*|p11|)*|v_s| + (|q0| + c1*|q1| + c1*h*beta)*|F_s| of
-    x_s; c_v[k] and c_f[k] take the largest of these over i < k, and entry
-    0, NaN, bounds nothing.  max keeps a bound over a NaN, which comes only
-    after an inf: the free slave's maps have no negative entry.
+    h*c), covers the rounding of a substep's stages and of the test.  Substep
+    i starts at x = x_s + p01*v_s + q0*F_s, v = p11*v_s + q1*F_s, so by the
+    triangle inequality its stages stay within (|p01| + c1*|p11|)*|v_s| +
+    (|q0| + c1*|q1| + c1*h*beta)*|F_s| of x_s; c_v[k] and c_f[k] take the
+    largest of these over i < k, and entry 0, NaN, bounds nothing.  max keeps
+    a bound over a NaN, which comes only after an inf: the free slave's maps
+    have no negative entry.  Stepped a substep at a time, a run's positions
+    drift off its maps by up to k roundings of 2^-53 of |x_s| plus the
+    reach: k ulps of x_s where each substep moves the slave by under an
+    ulp.  c1's slack of one substep's reach covers the reach's share, as
+    k*2^-53 << 1/k; c_x[k] = k*2^-52 covers that of |x_s| twice, a stage
+    position's own rounding included.
 
-    When h*c >= 1, c1 is inf and so is every entry from k = 1 on, a Python
-    inf: the test x_s + c_v[k]*|v_s| <= x_wall - c_f[k]*|F_s| then compares
-    against -inf or a NaN, never holds, and raises no numpy warning.
+    When h*c >= 1, c1 is inf and so is every c_v and c_f entry from k = 1
+    on, a Python inf: the reach test then compares against -inf or a NaN,
+    never holds, and raises no numpy warning.
     """
     hc = -h * float(a[1][1])  # Python floats: numpy's make the reach test slow
     c1 = 2.0 * h / (1.0 - hc) if hc < 1.0 else math.inf
@@ -400,7 +404,7 @@ def _slave_run_reach(a: np.ndarray, b: np.ndarray, h: float, rows):
         f = max(f, abs(q0) + c1 * abs(q1))
         c_v.append(v)
         c_f.append(f + c1_f)
-    return c_v, c_f
+    return c_v, c_f, [k * 2.0**-52 for k in range(len(c_v))]
 
 
 def _stage_rk4(sc: SimScenario):
@@ -490,7 +494,7 @@ def _propagator(sc: SimScenario, h: float, columns):
         )
     ]
     m00, m10, m01, m11, n_m0, n_m1 = tables[1][:6]
-    run_v, run_f = _slave_run_reach(*slave, h, (row[6:] for row in tables))
+    run_v, run_f, run_x = _slave_run_reach(*slave, h, (row[6:] for row in tables))
     # a decaying mode that RK4 amplifies makes the run diverge on its own
     pressed = ImpedanceModel(damping=wall.damping, stiffness=wall.stiffness)
     modes = (
@@ -567,7 +571,8 @@ def _propagator(sc: SimScenario, h: float, columns):
         edged = t0 - h < f_start < t_end or t0 - h < f_stop < t_end
         # every RK4 stage of a run the test admits keeps the slave short of
         # the wall (_slave_run_reach): the run is one k-step jump
-        if not edged and x_s + run_v[k] * abs(v_s) <= x_wall - run_f[k] * abs(f_s):
+        reach = x_s + run_x[k] * abs(x_s) + run_v[k] * abs(v_s)
+        if not edged and reach <= x_wall - run_f[k] * abs(f_s):
             p00, p10, p01, p11, q0, q1, r01, r11, r0, r1 = tables[k]
             x_m1 = p00 * x_m + p01 * v_m + q0 * u_m
             v_m1 = p10 * x_m + p11 * v_m + q1 * u_m
@@ -630,10 +635,10 @@ def run_scenario(
     """Integrate one scenario and return the substep-resolution trace.
 
     controller_mode "sampled" (default) runs the full sampler/delay/hold
-    machinery; "continuous" recomputes the control law from the true state at
-    every substep (reference loop for consistency checks).  A non-finite
-    state aborts the run; the trace ends at the first non-finite row and
-    carries its time as divergence_time.
+    machinery; "continuous", the reference loop, samples the true state every
+    substep and holds it on both sides at once, with no delay or sensor path.
+    A non-finite state aborts the run; the trace ends at the first non-finite
+    row and carries its time as divergence_time.
 
     The loop walks a schedule of the rows that start a run of substeps
     between channel events, built a window of samples at a time: each row
@@ -691,8 +696,9 @@ def run_scenario(
         # int64 of marks, and np.flatnonzero lists the marked rows in order,
         # with no sort (int64, not uint8: numpy's uint8 arithmetic is code
         # no other step runs, 64 KiB more to map)
-        if not sampled:  # the control law acts on every row
-            yield zip(range(n_total), range(1, n_total + 1), itertools.repeat(_CONTROL))
+        if not sampled:  # each row samples and holds on both sides, with no delay
+            every = itertools.repeat(_SAMPLE | _HOLD_S | _HOLD_M)
+            yield zip(range(n_total), range(1, n_total + 1), every)
             return
         per_window = min(_WINDOW_SAMPLES, max(1, _WINDOW_ROWS // nsub))
         steps = np.full(per_window, nsub, np.int64)
@@ -763,11 +769,6 @@ def run_scenario(
         if marks & _HOLD_M:
             f_m_held = _saturate(control_continuous(g, own_m, to_m.popleft()), lim)
             fm_w[j] = f_m_held
-        if marks & _CONTROL:
-            f_m_held = _saturate(control_continuous(g, (x_m, v_m), (x_s, v_s)), lim)
-            f_s_held = _saturate(control_continuous(g, (x_s, v_s), (x_m, v_m)), lim)
-            fm_w[j] = f_m_held
-            fs_w[j] = f_s_held
 
         x_m, v_m, x_s, v_s = advance(j, stop, x_m, v_m, x_s, v_s, f_m_held, f_s_held)
         if not (isfinite(x_m) and isfinite(v_m) and isfinite(x_s) and isfinite(v_s)):

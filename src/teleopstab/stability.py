@@ -22,7 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import ControllerGains, controller_z_tf
-from .lti import FrequencyGrid, RationalTF, cdiv, cmul, eval_tf, eval_tf_grid, make_grid
+from .lti import (
+    _NOISE_RTOL, FrequencyGrid, RationalTF, cdiv, cmul, eval_tf, eval_tf_grid, make_grid,
+)
 from .plants import FREE, ImpedanceModel, RobotParams, plant_position_tf, sampled_plant_tf
 
 __all__ = [
@@ -46,7 +48,6 @@ __all__ = [
 ]
 
 _KERNEL_FLOOR = 1e-14  # on 1 - cos(wT)
-_SINGULAR_RTOL = 64.0 * np.finfo(float).eps
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BISECT_REL_WIDTH = 1e-4
 
@@ -130,6 +131,8 @@ class StabilityReport:
     period: float
     small_gain_value: float
     small_gain_pass: bool
+    # the first grid maximum after the golden-section refine of its bracket;
+    # not determined where the curve is flat at its sup, as rounding picks it
     argmax_frequency: float  # rad/s
     grid_size: int
     excluded_points: int
@@ -209,7 +212,7 @@ def _mn_from_context(ctx: _LoopContext, omega: float):
     t_slave = ctx.b_m * c * r
     den = 2.0 * ctx.b_m * ctx.b_s + t_alpha + t_slave
     scale = 2.0 * ctx.b_m * ctx.b_s + abs(t_alpha) + abs(t_slave)
-    if abs(den) <= _SINGULAR_RTOL * scale:
+    if abs(den) <= _NOISE_RTOL * scale:
         raise SingularDenominator(f"loop denominator ~ 0 at omega = {omega}")
     n_m = t_alpha / den
     n_s = t_slave / den
@@ -258,7 +261,7 @@ def _small_gain_curve(ctx: _LoopContext, omegas: np.ndarray):
     t_slave = cmul(ctx.b_m * c, r)
     den = 2.0 * ctx.b_m * ctx.b_s + t_alpha + t_slave
     scale = 2.0 * ctx.b_m * ctx.b_s + np.abs(t_alpha) + np.abs(t_slave)
-    singular = np.abs(den) <= _SINGULAR_RTOL * scale
+    singular = np.abs(den) <= _NOISE_RTOL * scale
     n_m = cdiv(t_alpha, den)
     n_s = cdiv(t_slave, den)
     m_m = -1.0 + cmul(cdiv(2.0 * ctx.b_m, r), gm)
@@ -367,7 +370,7 @@ def alpha_zero_condition(system: TeleopSystem, ch: ChannelConfig, omega: float) 
     t2 = b_m * c * c * c * r
     den = t0 + t1 + t2 + d_term
     scale = abs(t0) + abs(t1) + abs(t2) + abs(d_term)
-    if abs(den) <= _SINGULAR_RTOL * scale:
+    if abs(den) <= _NOISE_RTOL * scale:
         raise SingularDenominator(f"ratio denominator ~ 0 at omega = {omega}")
     return num / abs(den)
 

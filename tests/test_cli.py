@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -227,6 +228,21 @@ def test_simulate_outputs(tmp_path, capsys):
     assert rep["provenance"]["seed"] == 5
     assert rep["simulation"]["bounded"] is True
     assert "stability" in rep
+
+
+def test_simulate_with_a_wall_never_engaged(tmp_path, capsys):
+    # position = inf is the wall that is never engaged: F_e is -0.0 on
+    # every row, the -wall_force of a slave short of the wall
+    p = pathlib.Path(_cfg(tmp_path))
+    p.write_text(p.read_text().replace("position = 4.0", "position = inf"))
+    out = tmp_path / "run"
+    code = cli_dispatch(["simulate", "--config", str(p), "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "trace.csv", newline="") as fh:
+        f_e = [float(row["F_e"]) for row in csv.DictReader(fh)]
+    assert len(f_e) == 334 * 4 + 1
+    assert all(f == 0.0 and math.copysign(1.0, f) < 0.0 for f in f_e)
 
 
 def test_simulate_negative_seed_is_a_usage_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import codecs
 import dataclasses
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -189,9 +190,11 @@ def test_bad_number(tmp_path):
 
 
 def test_non_finite_rejected(tmp_path):
-    text = MINIMAL.replace("duration = 2.0", "duration = inf")
-    with pytest.raises(ValidationError, match=r"run\.duration: must be finite"):
-        _load(tmp_path, text)
+    # the parser only converts the text; SimScenario refuses the value
+    for value in ("inf", "nan"):
+        text = MINIMAL.replace("duration = 2.0", f"duration = {value}")
+        with pytest.raises(ValidationError, match=r"run: duration must be positive and finite"):
+            _load(tmp_path, text)
 
 
 def test_bad_boolean(tmp_path):
@@ -272,6 +275,15 @@ def test_serialize_round_trip_shipped(tmp_path):
     p.write_text(serialize_scenario(sc))
     assert load_scenario(p) == sc
     assert load_run_settings(p) == RunSettings()
+
+
+def test_serialize_round_trip_wall_never_engaged(tmp_path):
+    # +inf is the one non-finite value a model takes: a wall never engaged
+    sc = dataclasses.replace(load_scenario(SCENARIO_FILE), wall=WallModel(position=math.inf))
+    p = tmp_path / "free.cfg"
+    save_scenario(sc, p)
+    assert "\nposition = inf\n" in p.read_text()
+    assert load_scenario(p) == sc
 
 
 def test_serialize_round_trip_full_featured(tmp_path):

@@ -335,7 +335,7 @@ def test_run_bound_admits_no_run_of_a_slave_with_h_c_over_1(reference_scenario, 
     h = sc.channel.T / sc.integrator_substeps
     a, b = plants._robot_blocks(sc.slave, FREE)
     assert -h * a[1, 1] >= 1.0
-    run_v, run_f = _slave_reach((a, b), h, sc.integrator_substeps)
+    run_v, run_f, _ = _slave_reach((a, b), h, sc.integrator_substeps)
     for c in (*run_v[1:], *run_f[1:]):
         assert type(c) is float and c == math.inf
     # the two pinned cases run free and pressing the wall (1010 rows of
@@ -594,6 +594,37 @@ def test_trace_forces_match_the_row_formulas(reference_scenario, case):
     assert np.array_equal(tr.f_e.view(np.uint64), f_e.view(np.uint64))
 
 
+@pytest.mark.parametrize("case", ["continuous", "wall_entry_exit_continuous", "clamped"])
+def test_continuous_mode_holds_the_law_of_each_rows_true_state(reference_scenario, case):
+    # continuous mode samples the true state on every row and holds it on
+    # both sides at once: row j's torques are the clamped law of row j's
+    # state, and the last row, which starts no substep, repeats the one
+    # before.  "clamped" pushes the master through the actuator limit
+    if case == "clamped":
+        sc = _short(
+            reference_scenario,
+            nonidealities=NonidealityConfig(),
+            operator_force=OperatorForce(0.2, 1.0, 100.0),
+        )
+    else:
+        sc = _pinned_cases(reference_scenario)[case][0]
+    tr = run_scenario(sc, seed=0, controller_mode="continuous")
+    cfg = sc.nonidealities
+
+    def held(own, remote):
+        f = control_continuous(sc.gains, own, remote)
+        return f if cfg is None else clamp_force(f, cfg)
+
+    rows = list(zip(tr.x_m.tolist(), tr.v_m.tolist(), tr.x_s.tolist(), tr.v_s.tolist()))[:-1]
+    f_m = np.array([held((xm, vm), (xs, vs)) for xm, vm, xs, vs in rows])
+    f_s = np.array([held((xs, vs), (xm, vm)) for xm, vm, xs, vs in rows])
+    if case == "clamped":
+        assert (np.abs(f_m) == clamp_force(math.inf, cfg)).any()
+    for got, want in ((tr.f_m, f_m), (tr.f_s, f_s)):
+        assert np.array_equal(got[:-1].view(np.uint64), want.view(np.uint64))
+        assert got[-1:].view(np.uint64) == got[-2:-1].view(np.uint64)
+
+
 def test_trace_budget_checked_before_allocation(reference_scenario, monkeypatch):
     # 0.06 s at T = 6 ms, 10 substeps: 101 rows of nine float64 columns,
     # and the propagator's tables for 10 substeps
@@ -779,9 +810,11 @@ _VALID_MODELS = (
     RobotParams(mass=0.5, damping=1.0),
     ImpedanceModel(mass=0.1, damping=0.2, stiffness=3.0),
     WallModel(position=4.0),
+    ControllerGains(kp=1.0, kv=10.0, kd=2.0, p_eps=0.002),
     ChannelConfig(T=0.006, d1=0, d2=0, eps_min=0.006),
     NonidealityConfig(),
     OperatorForce(start=1.0, stop=2.0),
+    RunSettings(),
     SimScenario,
 )
 
@@ -793,7 +826,8 @@ _VALID_MODELS = (
     ids=lambda x: x if isinstance(x, str) else getattr(x, "__name__", type(x).__name__),
 )
 def test_model_fields_reject_non_finite_values(reference_scenario, model, name, value):
-    # as the scenario parser does: a NaN or infinite field is refused where
+    # the one check of a scenario's values, for the file format too, as the
+    # parser only converts text: a NaN or infinite field is refused where
     # the model is built, not read as a run that diverges, never moves or
     # never meets its wall
     valid = reference_scenario if model is SimScenario else model
@@ -1113,7 +1147,7 @@ def test_wall_bound_keeps_every_rk4_stage_short_of_the_wall(
     # substep, each stage position (as rk4 forms it, the wall's reaction
     # being 0.0 short of it) and the end position stay at or short of it
     slave = plants._robot_blocks(RobotParams(mass=m, damping=b), FREE)
-    (_, reach_v, _), (_, reach_f, _) = _slave_reach(slave, h, 1)
+    (_, reach_v, _), (_, reach_f, _), _ = _slave_reach(slave, h, 1)
     x_wall = xs + gap * (reach_v * abs(vs) + reach_f * abs(fs))
     assume(xs + reach_v * abs(vs) <= x_wall - reach_f * abs(fs))
     assert max(_free_stages(m, b, h, xs, vs, fs)) <= x_wall
@@ -1130,15 +1164,19 @@ def test_wall_bound_keeps_every_rk4_stage_short_of_the_wall(
     m=_MASS, b=_DAMPING, h=_SUBSTEP, k=st.integers(1, 16), xs=_STATE,
     vs=st.floats(-100.0, 100.0), fs=_FORCE, gap=st.floats(0.0, 3.0),
 )
+# each of the 16 substeps moves the slave by 0.55 ulp of x_s and rounds up a
+# whole ulp: without the c_x term a stage ends a few ulps past the wall
+@example(m=1.0, b=0.1, h=1e-2, k=16, xs=4.0, vs=0.55 * math.ulp(4.0) / 1e-2, fs=0.0, gap=1.0)
 def test_run_bound_keeps_every_rk4_stage_of_the_run_short_of_the_wall(
     reference_scenario, m, b, h, k, xs, vs, fs, gap
 ):
-    # the loop jumps a run of k substeps when x_s + c_v[k]*|v_s| <= x_wall -
-    # c_f[k]*|F_s|; with a wall placed near that reach, wherever the test
-    # admits the run, every stage and end position of each substep, stepped
-    # one at a time by the oracle's stages, stays at or short of the wall
+    # the loop jumps a run of k substeps when x_s + c_x[k]*|x_s| +
+    # c_v[k]*|v_s| <= x_wall - c_f[k]*|F_s|; with a wall placed near that
+    # reach, wherever the test admits the run, every stage and end position
+    # of each substep, stepped one at a time by the oracle's stages, stays
+    # at or short of the wall
     slave = plants._robot_blocks(RobotParams(mass=m, damping=b), FREE)
-    run_v, run_f = _slave_reach(slave, h, 16)
+    run_v, run_f, run_x = _slave_reach(slave, h, 16)
     # Python floats, which the loop's reach test takes faster than numpy's
     assert all(type(c) is float for c in (*run_v[1:], *run_f[1:]))
     # at k = 1 the bound is the one-substep closed form c_v = 2h/(1 - h*c),
@@ -1149,8 +1187,8 @@ def test_run_bound_keeps_every_rk4_stage_of_the_run_short_of_the_wall(
         assert run_f[1] == run_v[1] * h * slave[1][1]
     else:
         assert run_v[1] == run_f[1] == math.inf
-    x_wall = xs + gap * (run_v[k] * abs(vs) + run_f[k] * abs(fs))
-    assume(xs + run_v[k] * abs(vs) <= x_wall - run_f[k] * abs(fs))
+    x_wall = xs + gap * (run_x[k] * abs(xs) + run_v[k] * abs(vs) + run_f[k] * abs(fs))
+    assume(xs + run_x[k] * abs(xs) + run_v[k] * abs(vs) <= x_wall - run_f[k] * abs(fs))
     walled = stage_rk4(_robots(reference_scenario, m, b, 0.0, wall=x_wall))
     free = stage_rk4(_robots(reference_scenario, m, b, 0.0))
     x, v = xs, vs
