@@ -278,6 +278,39 @@ def test_simulate_over_trace_budget_exit_code(tmp_path, capsys):
     assert not (tmp_path / "long").exists()  # no output directory for a failed run
 
 
+_FAILING_CHILD = """\
+import os, sys
+from teleopstab import cli, sim
+parent = os.getpid()
+g17_csv = sim._g17_csv
+def g17_csv_in_parent(block):
+    if os.getpid() != parent:
+        raise RuntimeError("formatting failed in a child")
+    return g17_csv(block)
+sim._g17_csv = g17_csv_in_parent
+sim._TRACE_SPLIT_ROWS = 1
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+print("before the run")
+sys.exit(cli.cli_dispatch(sys.argv[1:]))
+"""
+
+
+def test_simulate_trace_writer_child_failure_is_one_error(tmp_path):
+    # a trace range that fails in a forked child: exit 2, one error line, and
+    # the line buffered on stdout when the children forked is printed once
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_CHILD, "simulate", "--config", _cfg(tmp_path),
+         "--out", str(out)],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "before the run\n"
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error:") and "exited with" in line
+    assert os.listdir(out) == ["trace.csv"]  # no part file, no later output
+
+
 def test_sweep_outputs(tmp_path, capsys):
     cfg = _cfg(tmp_path)
     out = tmp_path / "sw"

@@ -1,9 +1,12 @@
 """Hybrid time-domain simulator: traces, verdicts, nonidealities, sweeps."""
 
 import dataclasses
+import errno
 import hashlib
 import logging
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -1489,14 +1492,107 @@ def _synthetic_trace(n_rows, rng, events=(0, 0, 0)):
 _TRACE_CHUNK_ROWS = sim._CSV_CHUNK_FIELDS // len(_COLUMNS)
 
 
-@pytest.mark.parametrize("extra", [-_TRACE_CHUNK_ROWS, 1 - _TRACE_CHUNK_ROWS, 0, 1])
-def test_trace_csv_bytes_match_savetxt(tmp_path, extra):
-    # 0 rows, 1 row, one chunk, one chunk + 1, each with every edge value
+def _split_trace_csv(monkeypatch, cpus, least_rows=1):
+    """Let write_trace_csv see ``cpus`` allowed CPUs and cut ranges of
+    ``least_rows`` rows or more; returns the list of the children it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(sim, "_TRACE_SPLIT_ROWS", least_rows)
+    children = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return children
+
+
+def _assert_nothing_left(folder):
+    """No child of this process is left, and ``folder`` holds only trace.csv."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(folder) == ["trace.csv"]
+
+
+@pytest.mark.parametrize(
+    "extra", [-_TRACE_CHUNK_ROWS, 1 - _TRACE_CHUNK_ROWS, 0, 1, _TRACE_CHUNK_ROWS + 5]
+)
+def test_trace_csv_bytes_match_savetxt(tmp_path, monkeypatch, extra):
+    # 0 rows, 1 row, one chunk, one chunk + 1 and two chunks + 5, each with
+    # every edge value, cut into 1, 2 and 3 ranges; 257 and 517 rows divide
+    # by neither the range count nor the chunk
     n_rows = _TRACE_CHUNK_ROWS + extra
     tr = _synthetic_trace(n_rows, np.random.default_rng(n_rows))
-    write_trace_csv(tr, tmp_path / "fast.csv")
     savetxt_trace(tr, tmp_path / "ref.csv")
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    want = (tmp_path / "ref.csv").read_bytes()
+    for parts in (1, 2, 3):
+        children = _split_trace_csv(monkeypatch, parts)
+        out = tmp_path / f"parts{parts}"
+        out.mkdir()
+        write_trace_csv(tr, out / "trace.csv")
+        assert len(children) == min(parts, max(n_rows, 1)) - 1
+        _assert_nothing_left(out)
+        assert (out / "trace.csv").read_bytes() == want
+
+
+def test_trace_csv_split_survives_a_refused_sendfile(tmp_path, monkeypatch):
+    # where the OS refuses a file as sendfile's target, the parts are
+    # copied through a bounded buffer to the same bytes
+    def refused(*args):
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+    tr = _synthetic_trace(2 * _TRACE_CHUNK_ROWS + 5, np.random.default_rng(9))
+    savetxt_trace(tr, tmp_path / "ref.csv")
+    children = _split_trace_csv(monkeypatch, 3)
+    monkeypatch.setattr(os, "sendfile", refused)
+    out = tmp_path / "out"
+    out.mkdir()
+    write_trace_csv(tr, out / "trace.csv")
+    assert len(children) == 2
+    _assert_nothing_left(out)
+    assert (out / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_trace_csv_child_failure_raises_and_leaves_nothing(tmp_path, monkeypatch):
+    # a range that fails in a child fails the write; every child is reaped
+    # and no part file is left
+    parent = os.getpid()
+    g17_csv = sim._g17_csv
+
+    def g17_csv_in_parent(block):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed in a child")
+        return g17_csv(block)
+
+    monkeypatch.setattr(sim, "_g17_csv", g17_csv_in_parent)
+    children = _split_trace_csv(monkeypatch, 3)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(OSError, match="exited with"):
+        write_trace_csv(_synthetic_trace(600, np.random.default_rng(2)), out / "trace.csv")
+    assert len(children) == 2
+    _assert_nothing_left(out)
+
+
+def test_trace_csv_is_formatted_in_one_process_when_the_caller_has_threads(tmp_path, monkeypatch):
+    # forking a threaded process can deadlock the child
+    children = _split_trace_csv(monkeypatch, 3)
+    tr = _synthetic_trace(600, np.random.default_rng(4))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        write_trace_csv(tr, tmp_path / "trace.csv")
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert children == []
+    savetxt_trace(tr, tmp_path / "ref.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("events", [(0, 0, 0), (3, 1, 2), (2000, 1500, 1200)])
@@ -1598,9 +1694,11 @@ def test_g17_matches_percent_property(values):
     _assert_g17_matches_percent(values)
 
 
-def test_trace_csv_memory_is_bounded(tmp_path):
+def test_trace_csv_memory_is_bounded(tmp_path, monkeypatch):
     # formatting works a chunk at a time: no whole-trace copy, no per-value
-    # Python object kept
+    # Python object kept.  The trace is cut into two ranges at the shipped
+    # row floor, and the parent copies the child's part back in the kernel
+    children = _split_trace_csv(monkeypatch, 2, sim._TRACE_SPLIT_ROWS)
     rng = np.random.default_rng(5)
     n_rows = 100_000
     columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 8, n_rows) for _ in _COLUMNS]
@@ -1612,6 +1710,7 @@ def test_trace_csv_memory_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(children) == 1
     assert peak < 1024**2
 
 
