@@ -75,12 +75,15 @@ __all__ = [
 _CSV_CHUNK_FIELDS = 2304
 # rows each range of the trace CSV must hold before write_trace_csv forks a
 # process to format it.  In a 45 MiB process on 2 vCPUs, fork plus reap took
-# about 3.7 ms and copying 10 MiB of CSV (65 k rows) back 3.6 to 4.2 ms,
+# about 3.7 ms and copying 10 MiB of CSV (65 k rows) back 4.5 to 6 ms,
 # against 2.5 to 3 us to format a row: a range of 4096 rows takes 10 to
 # 12 ms to format, about three times what its child costs.
 _TRACE_SPLIT_ROWS = 4096
-# most processes, the caller included, that format one trace
-_TRACE_SPLIT_MAX = 4
+# most processes, the caller included, that format one trace.  Two were
+# measured (on 2 vCPUs); each formats about 35 % slower than one alone, so
+# whether a third pays for its fork is unknown until a larger host runs the
+# paired benchmark
+_TRACE_SPLIT_MAX = 2
 
 # Most run_scenario will allocate: nine float64 columns of a row a substep,
 # and _propagator's tables, which tracemalloc puts at up to 684 bytes a
@@ -985,25 +988,6 @@ def _write_rows(fh, columns, a: int, b: int) -> None:
         fh.write(_g17_csv(np.column_stack([c[i : min(i + step, b)] for c in columns])))
 
 
-def _append_part(fh, part) -> None:
-    """Append the file ``part`` to ``fh`` by ``os.sendfile``, or through a
-    64 KiB buffer where the OS refuses a file as its target."""
-    import errno
-    import os
-    import shutil
-
-    size = os.fstat(part.fileno()).st_size
-    sent = 0
-    try:
-        while sent < size:
-            sent += os.sendfile(fh.fileno(), part.fileno(), sent, size - sent)
-    except OSError as exc:
-        if sent or exc.errno not in (errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK, errno.EOPNOTSUPP):
-            raise
-        part.seek(0)
-        shutil.copyfileobj(part, fh, 1 << 16)
-
-
 def write_trace_csv(trace: SimTrace, path) -> None:
     """Write the signal record, one row per substep, full double precision.
 
@@ -1013,17 +997,24 @@ def write_trace_csv(trace: SimTrace, path) -> None:
     process may run on (at most ``_TRACE_SPLIT_MAX``), when each range holds
     at least ``_TRACE_SPLIT_ROWS`` rows.  The caller formats the first range
     straight into ``path``; a forked child formats each other range into an
-    unlinked part file next to it, and the caller appends the parts in
-    order by ``os.sendfile``.  Where ``os.fork`` or ``os.sched_getaffinity``
-    is missing (Windows, macOS), the caller runs more than one thread
-    (forking it could deadlock the child), one CPU is allowed or the trace
-    is short, one range is formatted in the calling process.  The bytes do
-    not depend on the number of ranges.  On the shipped 80 s scenario
-    (133 k rows, 2 vCPUs) two ranges took 0.21 to 0.24 s and one 0.28 to
-    0.36 s.  A child that fails makes the write raise ``OSError``.
+    unlinked part file next to it, and the caller copies the parts in order
+    through a 64 KiB buffer.  A range whose fork fails (no process or memory
+    left) is formatted by the caller.  Where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing (Windows, macOS), the caller runs
+    more than one Python thread, one CPU is allowed or the trace is short,
+    one range is formatted in the calling process.  The thread check sees
+    Python threads only, not OS threads a library starts (OpenBLAS's pool):
+    the child calls no BLAS routine, only numpy's elementwise formatting
+    and file writes, and leaves by ``os._exit``.  Python 3.12 and later
+    warn (``DeprecationWarning``) when such a process forks; the default
+    filters do not show it.  The bytes do not depend on the number of
+    ranges.  On the shipped 80 s scenario (133 k rows, 2 vCPUs) two ranges
+    took 0.21 to 0.24 s and one 0.28 to 0.36 s.  A child that fails makes
+    the write raise ``OSError``.
     """
     import contextlib
     import os
+    import shutil
     import tempfile
     import threading
 
@@ -1036,11 +1027,17 @@ def write_trace_csv(trace: SimTrace, path) -> None:
     cuts = [rows * k // parts for k in range(parts + 1)]
     folder = os.path.dirname(os.path.abspath(path))
     with open(path, "wb") as fh, contextlib.ExitStack() as stack:
-        files = [stack.enter_context(tempfile.TemporaryFile(dir=folder)) for _ in cuts[2:]]
+        ranges = [
+            (stack.enter_context(tempfile.TemporaryFile(dir=folder)), a, b)
+            for a, b in zip(cuts[1:], cuts[2:])
+        ]
         pids = []
         try:
-            for part, a, b in zip(files, cuts[1:], cuts[2:]):
-                pid = os.fork()
+            for part, a, b in ranges:
+                try:
+                    pid = os.fork()
+                except OSError:  # no process or memory for it: formatted below
+                    break
                 if pid == 0:  # the child formats its range and never returns
                     code = 1
                     try:
@@ -1052,13 +1049,15 @@ def write_trace_csv(trace: SimTrace, path) -> None:
                 pids.append(pid)
             fh.write(_CSV_HEADER)
             _write_rows(fh, columns, 0, cuts[1])
+            for part, a, b in ranges[len(pids) :]:
+                _write_rows(part, columns, a, b)
         finally:
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
         if any(codes):
             raise OSError(f"trace CSV writer processes exited with {codes}")
-        fh.flush()
-        for part in files:
-            _append_part(fh, part)
+        for part, _, _ in ranges:
+            part.seek(0)
+            shutil.copyfileobj(part, fh, 1 << 16)
 
 
 def write_events_csv(trace: SimTrace, path) -> None:

@@ -295,6 +295,7 @@ sys.exit(cli.cli_dispatch(sys.argv[1:]))
 """
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the trace is formatted in one process")
 def test_simulate_trace_writer_child_failure_is_one_error(tmp_path):
     # a trace range that fails in a forked child: exit 2, one error line, and
     # the line buffered on stdout when the children forked is printed once
