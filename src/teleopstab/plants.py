@@ -269,8 +269,8 @@ def sampled_plant_tf(plant: RationalTF, T: float) -> RationalTF:
     for k in range(1, n + 1):
         num.append(c_row @ adj @ gamma)
         adj = phi @ adj
-        den.append(-np.trace(adj) / k)
-        adj.flat[:: n + 1] += den[-1]
+        den.append(-adj.trace() / k)
+        adj.ravel()[:: n + 1] += den[-1]  # a view: adj is contiguous
     return RationalTF(num=tuple(num[::-1]), den=tuple(den[::-1]))
 
 

@@ -497,6 +497,44 @@ def test_criterion_choices_are_the_criteria_table():
     assert criterion.choices == tuple(stability.CRITERIA)
 
 
+def test_cached_parser_carries_no_grid_override(tmp_path, capsys):
+    # one parser serves every call in a process: --grid on one call must not
+    # become the grid of the next
+    cfg = _cfg(tmp_path)
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("grid_points = 128\n")  # [run] is the last section
+    cli_dispatch(["analyze", "--config", cfg, "--grid", "64"])
+    assert json.loads(capsys.readouterr().out)["stability"]["grid_size"] == 64
+    assert _build_parser() is _build_parser()
+    cli_dispatch(["analyze", "--config", cfg])
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["stability"]["grid_size"] == 128
+    assert rep["provenance"]["grid_points"] == 128
+
+
+def test_cached_parser_carries_no_seed_override(tmp_path, capsys):
+    cfg = _cfg(tmp_path)
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("seed = 3\n")  # [run] is the last section
+    argv = ["simulate", "--config", cfg, "--out"]
+    assert cli_dispatch([*argv, str(tmp_path / "flag"), "--seed", "5"]) == 0
+    assert cli_dispatch([*argv, str(tmp_path / "file")]) == 0
+    capsys.readouterr()
+    assert read_report(tmp_path / "flag" / "report.json")["provenance"]["seed"] == 5
+    assert read_report(tmp_path / "file" / "report.json")["provenance"]["seed"] == 3
+
+
+def test_cached_parser_still_exits_for_help_and_usage_errors(tmp_path, capsys):
+    cfg = _cfg(tmp_path)
+    for _ in range(2):
+        assert cli_dispatch(["--help"]) == 0
+        assert "max-period" in capsys.readouterr().out
+        assert cli_dispatch(["analyze"]) == 2  # missing --config
+        assert "--config" in capsys.readouterr().err
+        assert cli_dispatch(["analyze", "--config", cfg, "--grid", "64"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["stability"]["grid_size"] == 64
+
+
 def test_usage_errors(tmp_path, capsys):
     assert cli_dispatch([]) == 2
     capsys.readouterr()

@@ -188,6 +188,27 @@ def test_complex_array_arithmetic_rounds_as_python():
     assert np.isnan(cdiv(a[:1], np.zeros(1, dtype=complex))).all()
 
 
+def test_cdiv_of_stacked_numerators_matches_separate_calls_bit_for_bit():
+    # numerators stacked in rows broadcast against one row of divisors, as
+    # do real (k, 1) columns; each row must be the one-numerator call's bits
+    rng = np.random.default_rng(12)
+    n = 400
+    b = rng.normal(size=n) + 1j * rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+    b[:4] = (0.0, math.nan, 1e-300 + 2.0j, 3.0 + 1e-300j)
+    assert (np.abs(b.real) >= np.abs(b.imag)).any() and (np.abs(b.real) < np.abs(b.imag)).any()
+    stacked = rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-20, 20, (3, n)) + 1j * rng.normal(
+        size=(3, n)
+    )
+    real = np.array([[2.5], [-0.0], [1e-310]])
+    for numerators in (stacked, real):
+        got = cdiv(numerators, b)
+        assert got.shape == (3, n)
+        for row, a in zip(got, numerators):
+            want = cdiv(a if a.shape == b.shape else complex(a[0]), b)
+            assert row.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert np.isnan(cdiv(stacked, b)[:, :2]).all()
+
+
 def test_eval_tf_grid_matches_pointwise_eval():
     rng = np.random.default_rng(7)
     z = np.exp(1j * rng.uniform(1e-6, math.pi, 200))

@@ -1616,11 +1616,26 @@ def test_trace_csv_is_formatted_in_one_process_when_the_caller_has_threads(tmp_p
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("events", [(0, 0, 0), (3, 1, 2), (2000, 1500, 1200)])
+def _tied_events_trace():
+    """Every kind at each time, as at a delay of 0, then one run of 1 200
+    equal times across the first block boundary; -0.0 and 0.0 tie but are
+    formatted apart."""
+    times = np.concatenate([[-0.0, 0.0], np.arange(1, 699) * 0.001, np.full(400, 0.7)])
+    assert 3 * 700 < sim._CSV_CHUNK_FIELDS < 3 * len(times)
+    tr = _synthetic_trace(1, np.random.default_rng(0))
+    return dataclasses.replace(
+        tr, sample_events=times, hold_events_m=times.copy(), hold_events_s=times.copy()
+    )
+
+
+@pytest.mark.parametrize("events", [(0, 0, 0), (3, 1, 2), (2000, 1500, 1200), "ties"])
 def test_events_csv_bytes_match_tuple_sort(tmp_path, events):
     # times on a 50-point lattice, so all three kinds tie many times over;
     # the largest case spans more than one chunk
-    tr = _synthetic_trace(1, np.random.default_rng(sum(events)), events)
+    if events == "ties":
+        tr = _tied_events_trace()
+    else:
+        tr = _synthetic_trace(1, np.random.default_rng(sum(events)), events)
     write_events_csv(tr, tmp_path / "fast.csv")
     events_csv(tr, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

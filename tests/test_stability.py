@@ -15,6 +15,7 @@ from teleopstab import (
     AssumptionViolated,
     ChannelConfig,
     ControllerGains,
+    ImpedanceModel,
     KernelSingular,
     NoBracket,
     PoleHit,
@@ -27,6 +28,7 @@ from teleopstab import (
     damping_bound,
     eval_tf,
     induced_delay_gamma,
+    load_scenario,
     make_grid,
     max_stable_period,
     mn_terms,
@@ -537,3 +539,50 @@ def test_small_gain_argmax_is_first_maximum():
     grid = make_grid(0.006)
     report = small_gain_value(zero, REF_CHANNEL, grid)
     assert report.argmax_frequency == grid.points[0]
+
+
+# Systems shaped like the benchmark's certify pool: alpha = 1 and low gains,
+# delays of 1 and 3 periods (the small-gain test reads no delay)
+_POOL_GAINS = ControllerGains(kp=1.0, kv=0.1, kd=0.2, p_eps=0.002)
+_POOL_HUMAN = ImpedanceModel(mass=0.0, damping=1.0, stiffness=10.0)
+_POOL_SYSTEMS = {
+    "pool_d1": (
+        TeleopSystem(RobotParams(0.53, 0.97), RobotParams(0.49, 0.92), _POOL_GAINS, _POOL_HUMAN),
+        ChannelConfig(T=0.0049, d1=1, d2=1, eps_min=0.0049, alpha=1.0),
+    ),
+    "pool_d3": (
+        TeleopSystem(RobotParams(0.47, 1.03), RobotParams(0.54, 0.96), _POOL_GAINS, _POOL_HUMAN),
+        ChannelConfig(T=0.006, d1=3, d2=3, eps_min=0.006, alpha=1.0),
+    ),
+}
+
+# repr of (small_gain_value, argmax_frequency, excluded_points), recorded
+# before the per-call overhead of small_gain_value was cut
+_PINNED_CERTIFICATES = {
+    ("wall_contact", 512): "(1.1998712527884925, 523.5987755982989, 0)",
+    ("wall_contact", 8192): "(1.1998712527884925, 523.5987755982989, 0)",
+    ("pool_d1", 512): "(0.4757761736995185, 641.141357875468, 0)",
+    ("pool_d1", 8192): "(0.4757761736995186, 641.1413529552843, 0)",
+    ("pool_d3", 512): "(0.44280262113752483, 523.5987732480364, 0)",
+    ("pool_d3", 8192): "(0.44280262113752467, 523.5987755982989, 0)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CERTIFICATES))
+def test_small_gain_value_is_pinned_bit_for_bit(case):
+    name, n_points = case
+    if name == "wall_contact":
+        sc = load_scenario("scenarios/wall_contact.cfg")
+        system, ch = sc.analysis_system(), sc.channel
+    else:
+        system, ch = _POOL_SYSTEMS[name]
+    rep = small_gain_value(system, ch, make_grid(ch.T, n_points))
+    got = (rep.small_gain_value, rep.argmax_frequency, rep.excluded_points)
+    assert repr(got) == _PINNED_CERTIFICATES[case]
+
+
+def test_max_stable_period_is_pinned_bit_for_bit():
+    system, ch = _POOL_SYSTEMS["pool_d1"]
+    result = max_stable_period(system, ch, "small_gain", (1e-4, 1.0))
+    assert result.status == "bracketed"
+    assert repr(result.period) == "0.5030556808471679"
