@@ -126,9 +126,9 @@ def _tf_at(tf: RationalTF):
     """eval_tf on ``tf`` as a function ``at(s, abs_s)``, its coefficients
     reversed once; a caller evaluating several functions at one point takes
     |s| once."""
-    num_top, num_rest = complex(tf.num[-1]), tuple(reversed(tf.num[:-1]))
-    den_top, den_rest = complex(tf.den[-1]), tuple(reversed(tf.den[:-1]))
-    mag_top, mag_rest = abs(tf.den[-1]), tuple(abs(c) for c in den_rest)
+    num_top, num_rest = complex(tf.num[-1]), tf.num[-2::-1]
+    den_top, den_rest = complex(tf.den[-1]), tf.den[-2::-1]
+    mag_top, mag_rest = abs(tf.den[-1]), tuple(map(abs, den_rest))
 
     def at(s: complex, abs_s: float) -> complex:
         den = den_top

@@ -1065,31 +1065,30 @@ def write_events_csv(trace: SimTrace, path) -> None:
 
     Equal times keep the order sample, hold_m, hold_s.  The t field is
     ``"%.17g" % t``, formatted by ``_g17_csv`` as in the trace.  Only the
-    sorted times, the kinds (a byte each) and a byte a row marking each new
-    time span the whole run; a block of rows at a time is gathered,
-    formatted and joined as bytes.  Equal times sit next to each other
-    after the sort, so each distinct time is formatted once: at a delay of
-    0 every time is a sample and both holds.  About 0.4 us a row on the
-    shipped scenario (40 k rows); formatting every row took 0.5 to 0.65 us,
-    and one ``%`` per row about 1 us.
+    times, the kinds (a byte each) and the sort order span the whole run;
+    a block of rows at a time is gathered, formatted and joined as bytes.
+    Equal times sit next to each other after the sort, so a block formats
+    each distinct time once: at a delay of 0 every time is a sample and
+    both holds.  About 0.4 us a row on the shipped scenario (40 k rows);
+    formatting every row took 0.5 to 0.65 us, and one ``%`` per row 1 us.
     """
     names = np.array([b"sample,", b"hold_m,", b"hold_s,"], dtype=object)
     arrays = (trace.sample_events, trace.hold_events_m, trace.hold_events_s)
     t = np.concatenate(arrays)
     kind = np.repeat(np.arange(len(names), dtype=np.uint8), [len(a) for a in arrays])
     order = np.lexsort((kind, t))
-    t, kind = t[order], kind[order]
-    # a new time is a new bit pattern, so -0.0 and 0.0 are formatted apart
-    fresh = np.empty(len(t), dtype=bool)
-    fresh[:1] = True
-    bits = t.view(np.int64)
-    np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
     step = _CSV_CHUNK_FIELDS
     with open(path, "wb") as fh:
         fh.write(b"kind,t\n")
-        for a in range(0, len(t), step):
-            block = fresh[a : a + step].copy()
-            block[0] = True  # a run of ties may continue from the last block
-            times = _g17_csv(t[a : a + step][block, None]).splitlines(True)
-            lines = np.array(times, dtype=object)[np.cumsum(block) - 1]
-            fh.write(b"".join((names[kind[a : a + step]] + lines).tolist()))
+        for a in range(0, len(order), step):
+            rows = order[a : a + step]
+            block = t[rows]
+            # a new time is a new bit pattern (-0.0 and 0.0 apart); the first
+            # row is formatted even where it ties with the last block's
+            bits = block.view(np.int64)
+            fresh = np.empty(len(block), dtype=bool)
+            fresh[0] = True
+            np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
+            times = _g17_csv(block[fresh, None]).splitlines(True)
+            lines = np.array(times, dtype=object)[np.cumsum(fresh) - 1]
+            fh.write(b"".join((names[kind[rows]] + lines).tolist()))
