@@ -524,18 +524,8 @@ def test_cached_parser_carries_no_seed_override(tmp_path, capsys):
     assert read_report(tmp_path / "file" / "report.json")["provenance"]["seed"] == 3
 
 
-def test_cached_parser_still_exits_for_help_and_usage_errors(tmp_path, capsys):
-    cfg = _cfg(tmp_path)
-    for _ in range(2):
-        assert cli_dispatch(["--help"]) == 0
-        assert "max-period" in capsys.readouterr().out
-        assert cli_dispatch(["analyze"]) == 2  # missing --config
-        assert "--config" in capsys.readouterr().err
-        assert cli_dispatch(["analyze", "--config", cfg, "--grid", "64"]) in (0, 1)
-        assert json.loads(capsys.readouterr().out)["stability"]["grid_size"] == 64
-
-
 def test_usage_errors(tmp_path, capsys):
+    parser = _build_parser()  # the process's one parser, cached
     assert cli_dispatch([]) == 2
     capsys.readouterr()
     assert cli_dispatch(["frobnicate"]) == 2
@@ -559,6 +549,10 @@ def test_usage_errors(tmp_path, capsys):
         ["max-period", "--config", cfg, "--criterion", "spectral", "--range", "0.1:0.2"]
     ) == 2
     capsys.readouterr()
+    # --help and the usage errors leave the cached parser as it was
+    assert _build_parser() is parser
+    assert cli_dispatch(["analyze", "--config", cfg, "--grid", "64"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["stability"]["grid_size"] == 64
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):
