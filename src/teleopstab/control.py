@@ -42,15 +42,34 @@ class ControllerGains:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
+def _control_law(g: ControllerGains, limit: float = math.inf):
+    """``law(own, remote_delayed)``: the torque at gains ``g`` from own and
+    delayed remote (position, velocity) pairs, clipped to [-limit, limit]
+    as ``sim._saturate`` clips (a NaN passes), with the gains read once.
+
+    This is the law's one expression: ``control_continuous`` evaluates it
+    unclipped, and the simulator builds it once a run, at the actuator's
+    limit, and calls it on every hold.
+    """
+    kv, k_own, kp = g.kv, g.kd + g.p_eps, g.kp
+    neg_limit = -limit
+
+    def law(own: tuple[float, float], remote_delayed: tuple[float, float]) -> float:
+        q, dq = own
+        qr, dqr = remote_delayed
+        f = -kv * (dq - dqr) - k_own * dq - kp * (q - qr)
+        return limit if f > limit else neg_limit if f < neg_limit else f
+
+    return law
+
+
 def control_continuous(
     g: ControllerGains,
     own: tuple[float, float],
     remote_delayed: tuple[float, float],
 ) -> float:
     """Controller torque from instantaneous own and delayed remote signals."""
-    q, dq = own
-    qr, dqr = remote_delayed
-    return -g.kv * (dq - dqr) - (g.kd + g.p_eps) * dq - g.kp * (q - qr)
+    return _control_law(g)(own, remote_delayed)
 
 
 def controller_z_tf(g: ControllerGains, T: float) -> RationalTF:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from teleopstab import _g17, plants, sim
+from teleopstab import _g17, control, plants, sim
 from teleopstab import (
     FREE,
     ChannelConfig,
@@ -348,6 +348,45 @@ def test_run_bound_admits_no_run_of_a_slave_with_h_c_over_1(reference_scenario, 
     assert np.count_nonzero(oracle_traces["fast_slave_in_contact"].f_e) > 1000
 
 
+# an edge on a substep's start, its midpoint or between, nudged by up to
+# three ulps either way
+_EDGE = st.tuples(
+    st.integers(0, 60), st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0), st.integers(-3, 3)
+)
+
+
+def _nudged(e, ulps):
+    for _ in range(abs(ulps)):
+        e = math.nextafter(e, math.copysign(math.inf, ulps))
+    return max(e, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.floats(1e-7, 1e-2) | st.sampled_from([1e-5, 2e-5, 6e-4, 0.1 / 3]),
+    edges=st.tuples(_EDGE, _EDGE),
+)
+def test_pulse_rows_are_the_float_tests(h, edges):
+    # the propagator compares a run's rows with _pulse_rows' bounds in place
+    # of its float time tests: on every run of up to 12 substeps over 80
+    # rows, each answer is the float test's own
+    f_start, f_stop = sorted(_nudged((m + frac) * h, ulps) for m, frac, ulps in edges)
+    n = 80
+    on, off, *edge_rows = sim._pulse_rows(h, n, f_start, f_stop)
+    start_before, start_after, stop_before, stop_after = edge_rows
+    for j in range(n):
+        t0 = j * h
+        t1 = t0 + h
+        assert (f_start <= 0.5 * (t0 + t1) < f_stop) == (on <= j < off), j
+        for stop in range(j + 1, min(j + 12, n) + 1):
+            t_end = (stop + 1) * h
+            for e, before, after in (
+                (f_start, start_before, start_after),
+                (f_stop, stop_before, stop_after),
+            ):
+                assert (t0 - h < e < t_end) == (j < before and stop >= after), (j, stop, e)
+
+
 # a pulse edge as (substep, fraction of it): on the grid row or inside
 _EDGE_FRACTION = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 
@@ -518,6 +557,24 @@ def test_force_clamp_examples():
     np.testing.assert_allclose(limit, 1.23334977799704, rtol=1e-14)
 
 
+_SIGNAL = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@given(
+    q=_SIGNAL, dq=_SIGNAL, qr=_SIGNAL, dqr=_SIGNAL,
+    limit=st.floats(0.0, 1e4) | st.just(math.inf),
+)
+@example(q=1.0, dq=0.0, qr=0.0, dqr=0.0, limit=1.0)  # the law's value is the limit
+@example(q=0.0, dq=0.0, qr=0.0, dqr=0.0, limit=0.0)
+def test_held_torque_is_the_clamped_law(q, dq, qr, dqr, limit):
+    # the run builds the law once, clipped at the actuator's limit; its
+    # torque is _saturate of control_continuous bit for bit, a NaN included
+    g = ControllerGains(kp=1.0, kv=10.0, kd=2.0, p_eps=0.002)
+    got = control._control_law(g, limit)((q, dq), (qr, dqr))
+    want = sim._saturate(control_continuous(g, (q, dq), (qr, dqr)), limit)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_velocity_filter_exact_recursion():
     T = 0.006
     cfg = NonidealityConfig()
@@ -543,6 +600,33 @@ def test_nonideality_noise_seeding():
     b = apply_nonidealities(x, v, cfg, rng_seed=10, T=0.006)
     assert np.array_equal(a1[0], a2[0]) and np.array_equal(a1[1], a2[1])
     assert not np.array_equal(a1[0], b[0])
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.01])
+@pytest.mark.parametrize("n", [127, 128, 129, 300])
+def test_sensor_stream_matches_one_draw_at_a_time(n, noise_std):
+    # the pipeline draws its normals 256 at a time, a block of 128 samples,
+    # and takes them in (x, v) pairs: drawn one scalar at a time, noise,
+    # encoder floor and filter give the same bits on either side of a block
+    T = 0.001
+    cfg = NonidealityConfig(noise_std=noise_std)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, n)
+    v = rng.uniform(-5.0, 5.0, n)
+    got_x, got_v = apply_nonidealities(x, v, cfg, rng_seed=[7, 1], T=T)
+    draws = np.random.default_rng([7, 1])
+    pole = math.exp(-2.0 * math.pi * cfg.velocity_filter_cutoff * T)
+    lag = 0.0
+    want_x, want_v = [], []
+    for xi, vi in zip(x.tolist(), v.tolist()):
+        if noise_std > 0.0:
+            xi = xi + noise_std * draws.standard_normal()
+            vi = vi + noise_std * draws.standard_normal()
+        want_x.append(math.floor(xi / cfg.encoder_step) * cfg.encoder_step)
+        lag = pole * lag + (1.0 - pole) * vi
+        want_v.append(lag)
+    assert got_x.tobytes() == np.array(want_x).tobytes()
+    assert got_v.tobytes() == np.array(want_v).tobytes()
 
 
 def test_noisy_run_bit_reproducible(reference_scenario):
@@ -894,6 +978,46 @@ def test_verdict_non_finite_sample():
     assert v.divergence_time == 3.2
 
 
+def _row_mask_verdict(trace, run=RunSettings()):
+    # verdict as it read every trace: a finiteness mask over all the rows
+    finite_rows = np.ones(len(trace.t), dtype=bool)
+    for name in ("x_m", "v_m", "x_s", "v_s", "f_m", "f_s", "f_h", "f_e"):
+        finite_rows &= np.isfinite(getattr(trace, name))
+    n_ok = len(trace.t) if finite_rows.all() else int(np.argmin(finite_rows))
+    div_time = trace.divergence_time if finite_rows.all() else float(trace.t[n_ok])
+    if n_ok == 0:
+        return sim.SimVerdict(False, math.inf, False, math.inf, div_time)
+    t_ok = trace.t[:n_ok]
+    settle = int(np.searchsorted(t_ok, t_ok[-1] - run.settle_window))
+    max_abs = float(np.max(np.abs(np.concatenate([trace.x_m[:n_ok], trace.x_s[:n_ok]]))))
+    vmax = float(np.max(np.abs(np.concatenate([trace.v_m[settle:n_ok], trace.v_s[settle:n_ok]]))))
+    diverged = div_time is not None
+    return sim.SimVerdict(
+        (not diverged) and max_abs <= run.position_bound, max_abs,
+        (not diverged) and vmax < run.settle_tol, vmax, div_time,
+    )
+
+
+def test_verdict_matches_the_row_mask(reference_scenario):
+    # verdict tests each column whole and masks rows only when one holds a
+    # non-finite value: the verdicts are the row mask's, for a finite run, a
+    # diverged one, and a NaN or inf put into each column at a time
+    finite = run_scenario(_short(reference_scenario, duration=6.0), seed=0)
+    ch = dataclasses.replace(reference_scenario.channel, T=0.2, eps_min=0.2)
+    stiff = ControllerGains(kp=1e6, kv=0.1, kd=0.2, p_eps=0.002)
+    diverged = run_scenario(_short(reference_scenario, channel=ch, duration=20.0, gains=stiff))
+    assert diverged.divergence_time is not None
+    traces = [finite, diverged]
+    for k, name in enumerate(_COLUMNS[1:]):
+        for row, bad in ((0, math.nan), (len(finite.t) // (k + 2), math.inf), (-1, -math.inf)):
+            col = getattr(finite, name).copy()
+            col[row] = bad
+            traces.append(dataclasses.replace(finite, **{name: col}))
+    for tr in traces:
+        for run in (RunSettings(), RunSettings(settle_window=0.5, settle_tol=1.0)):
+            assert verdict(tr, run) == _row_mask_verdict(tr, run)
+
+
 def test_verdict_position_bound():
     n = 30
     zeros = np.zeros(n)
@@ -1028,6 +1152,57 @@ def test_table_memory_is_within_the_budget(reference_scenario):
         tracemalloc.stop()
     assert peak < 2**18
     assert columns[1][1:k].all()  # every inner row written
+
+
+def _jumped_columns(ks, rng):
+    # trace columns whose runs of ks substeps were each jumped: a start row
+    # holds its state, the master's input, F_s and, for k > 1, its k in the
+    # last column (the propagator marks no k = 1 jump; a mark of 1 has no
+    # inner row); the inner rows are unwritten NaN
+    starts = np.concatenate([[0], np.cumsum(ks)[:-1]])
+    n = int(sum(ks)) + 1
+    columns = [np.full(n, np.nan) for _ in sim._TRACE_COLUMNS]
+    for c in (1, 2, 3, 4, 6, 7):
+        columns[c][starts] = rng.uniform(-1.0, 1.0, len(starts))
+    columns[8][:] = 0.0
+    columns[8][starts] = ks
+    return columns, starts
+
+
+def test_fill_bits_do_not_depend_on_the_pass_size(monkeypatch, reference_scenario):
+    # runs of mixed length, k = 1 included, cross the block and pass
+    # boundaries of 1, 7 and the default size; each inner row is the
+    # row formula of its run's start, bit for bit, at every size
+    rng = np.random.default_rng(3)
+    ks = [2, 1, 9, 3, 1, 1, 20, 5, 2, 7, 8, 1, 13] * 30
+    assert sum(ks) > sim._FILL_ROWS
+    tables = rng.uniform(-2.0, 2.0, (10, max(ks) + 1))
+    base, starts = _jumped_columns(ks, rng)
+    want = [c.copy() for c in base]
+    p00, p10, p01, p11, q0, q1, r01, r11, r0, r1 = tables.tolist()
+    x_m, v_m, x_s, v_s, f_s, u_m = (want[c] for c in (1, 2, 3, 4, 6, 7))
+    for j, k in zip(starts.tolist(), ks):
+        for i in range(1, k):
+            x_m[j + i] = p00[i] * x_m[j] + p01[i] * v_m[j] + q0[i] * u_m[j]
+            v_m[j + i] = p10[i] * x_m[j] + p11[i] * v_m[j] + q1[i] * u_m[j]
+            x_s[j + i] = x_s[j] + r01[i] * v_s[j] + r0[i] * f_s[j]
+            v_s[j + i] = r11[i] * v_s[j] + r1[i] * f_s[j]
+    last = len(base[0]) - 1
+    for size in (1, 7, sim._FILL_ROWS):
+        monkeypatch.setattr(sim, "_FILL_ROWS", size)
+        got = [c.copy() for c in base]
+        for a in range(0, last, size):
+            sim._fill_jumps(got, tables, a, min(a + size, last))
+        for c in (1, 2, 3, 4):
+            assert got[c].tobytes() == want[c].tobytes(), (size, c)
+    # and whole runs, whose fill blocks are of the patched size
+    sc, seed, _ = _pinned_cases(reference_scenario)["pulse_edge_inside_jittered_run"]
+    traces = []
+    for size in (1, 7, sim._FILL_ROWS):
+        monkeypatch.setattr(sim, "_FILL_ROWS", size)
+        traces.append(run_scenario(sc, seed=seed))
+    for tr in traces[1:]:
+        assert _trace_digest(tr) == _trace_digest(traces[0])
 
 
 def test_side_with_no_hold_keeps_the_startup_latch(reference_scenario):
