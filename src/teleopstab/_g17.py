@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 # _g17_csv writes a block of doubles as exactly the bytes "%.17g" % x gives.
-# Each value gets a 56-byte slot that holds every character any of its
+# Each value gets a 48-byte slot that holds every character any of its
 # forms can use; a keep mask, looked up by (sign, exponent class,
 # significant digits), zeroes the rest and bytes.translate drops the zeros:
 #
@@ -20,14 +20,22 @@ import numpy as np
 #         2, 3    "0."            the 0.000ddd form, with up to three of
 #         4..6    "000"           these zeros before the digits
 #         7..23   d1 .. d17       the digits, trailing zeros included
-#         27      "."
-#         28..43  d2 .. d17       the digits again, for after a point
-#         48..52  "e+dd[d]"       the exponent, NUL-padded
-#         55      "," or "\n"
-_G17_SLOT = 56
+#         24      "."
+#         25..40  d2 .. d17       the digits again, for after a point
+#         41..45  "e+dd[d]"       the exponent, NUL-padded
+#         47      "," or "\n"
+_G17_SLOT = 48
 _G17_DIGITS = 7
-_G17_POINT = 27
-_G17_EXP = 48
+_G17_POINT = 24
+_G17_EXP = 41
+# the slot's digit fields, each copied whole: "000" d1, d2 .. d17, and
+# d2 .. d17 after the point
+_G17_PARTS = np.dtype({
+    "names": ["first", "digits", "after"],
+    "formats": [np.uint32, "V16", "V16"],
+    "offsets": [_G17_DIGITS - 3, _G17_DIGITS + 1, _G17_POINT + 1],
+    "itemsize": _G17_SLOT,
+})
 _G17_FIXED = range(-4, 17)  # exponents written without "e"; the rest are one class
 _G17_CLASSES = len(_G17_FIXED) + 1
 _G17_E_MAX = 280  # |x| in [1e-280, 1e280] takes the numpy path
@@ -60,7 +68,8 @@ class _G17Tables(NamedTuple):
     ascii4: np.ndarray  # "0000" .. "9999" as uint32 words
     zeros4: np.ndarray  # trailing zeros of "0000" .. "9999"
     trailing_zeros: np.ndarray  # of four groups, by their zeros4 in base 5
-    exp_text: np.ndarray  # "e-281" .. "e+280" as NUL-padded uint64 words
+    exp_text: np.ndarray  # NUL, then "e-281" .. "e+280", as NUL-padded uint64 words
+    exp_key: np.ndarray  # by exponent, the key of a positive 17-digit value
     keep: np.ndarray  # slot masks by key, the last one for a "%"-formatted value
     template: np.ndarray  # the constant slot bytes, ending "," and "\n"
 
@@ -85,7 +94,10 @@ def _g17_tables() -> _G17Tables:
     for z in itertools.product(range(5), repeat=4):
         text = "".join(f"{10**k % 10000:04d}" for k in z)  # groups with those zeros4
         trailing_zeros[np.dot(z, _G17_BASE5)] = len(text) - len(text.rstrip("0"))
-    exp_text = np.array([b"e%+03d" % e for e in exponents], dtype="S8").view(np.uint64)
+    # in the slot's word of bytes 40..47, after the last digit's byte
+    exp_text = np.array([b"\0e%+03d" % e for e in exponents], dtype="S8").view(np.uint64)
+    classes = [e - _G17_FIXED.start if e in _G17_FIXED else _G17_CLASSES - 1 for e in exponents]
+    exp_key = np.array(classes) * 17 + 16
     keep = np.zeros((2 * _G17_CLASSES * 17 + 1, _G17_SLOT), np.uint8)
     for neg in (False, True):
         for cls, e in enumerate([*_G17_FIXED, None]):
@@ -98,7 +110,7 @@ def _g17_tables() -> _G17Tables:
     template[:, _G17_POINT] = ord(".")
     template[:, -1] = np.frombuffer(b",\n", np.uint8)
     tables = _G17Tables(
-        pow_hi, pow_lo, ascii4, zeros4, trailing_zeros, exp_text,
+        pow_hi, pow_lo, ascii4, zeros4, trailing_zeros, exp_text, exp_key,
         keep.view(np.uint64), template.view(np.uint64),
     )
     for table in tables:  # shared by every caller
@@ -140,43 +152,68 @@ def _g17_digits(x: np.ndarray):
     return n, e, slow
 
 
-def _g17_csv(block: np.ndarray) -> bytes:
-    """The rows of a 2-D float64 block as CSV text, every field byte for
-    byte ``b"%.17g" % x``.
+def _g17_slots(x: np.ndarray, newline_from: int) -> np.ndarray:
+    """The masked slots, (len(x), 6) uint64, of the 1-D float64 array x:
+    each one's nonzero bytes spell ``b"%.17g" % v`` and its separator, ","
+    before ``newline_from`` and "\\n" from it on.
 
     Zeros are written directly; a value that ``_g17_digits`` calls slow is
     formatted by CPython's ``%``.
     """
     tables = _g17_tables()
-    rows, cols = block.shape
-    x = block.ravel()
     n, e, slow = _g17_digits(x)
     zero = x == 0.0
     slow &= ~zero
     n[zero] = 0
 
-    # n as its first digit and four 4-digit groups
-    top, low = np.divmod(n, 10**8)
-    first, mid = np.divmod(top, 10**8)
+    # n as its first digit and four 4-digit groups; floor_divide by a
+    # constant is faster than divmod
+    top = n // 10**8
+    low = n - top * 10**8
+    first = top // 10**8
+    mid = top - first * 10**8
     groups = np.empty((len(x), 4), np.int64)
     np.divmod(mid, 10**4, out=(groups[:, 0], groups[:, 1]))
     np.divmod(low, 10**4, out=(groups[:, 2], groups[:, 3]))
-    sig = 17 - tables.trailing_zeros.take(tables.zeros4.take(groups) @ _G17_BASE5)
-    fixed = (e >= _G17_FIXED.start) & (e < _G17_FIXED.stop)
-    cls = np.where(fixed, e - _G17_FIXED.start, _G17_CLASSES - 1)
-    key = (np.signbit(x) * _G17_CLASSES + cls) * 17 + (sig - 1)
+    e += _G17_E_MAX + 1  # now the tables' row of each exponent
+    key = tables.exp_key.take(e)
+    key -= tables.trailing_zeros.take(tables.zeros4.take(groups) @ _G17_BASE5)
+    key += np.signbit(x) * (_G17_CLASSES * 17)
 
-    slots = np.empty((rows, cols, _G17_SLOT // 8), np.uint64)
-    slots[:] = tables.template[[0] * (cols - 1) + [1]]
-    slots = slots.reshape(-1, _G17_SLOT // 8)
-    slots[:, _G17_EXP // 8] |= tables.exp_text.take(e + (_G17_E_MAX + 1))
-    words = slots.view(np.uint32)
-    words[:, 1] = tables.ascii4.take(first)  # "000" d1 at bytes 4..7
-    words[:, 2:6] = words[:, 7:11] = tables.ascii4.take(groups)
+    slots = np.repeat(tables.template, [newline_from, len(x) - newline_from], axis=0)
+    slots[:, _G17_EXP // 8] |= tables.exp_text.take(e)
+    parts = slots.view(_G17_PARTS)[:, 0]
+    parts["first"] = tables.ascii4.take(first)
+    parts["digits"] = parts["after"] = tables.ascii4.take(groups).view(_G17_PARTS["digits"])[:, 0]
     if slow.any():
         where = np.flatnonzero(slow)
         text = np.array([b"%.17g" % v for v in x[where].tolist()], dtype="S24")
         slots[where, :3] = text.view(np.uint64).reshape(-1, 3)
         key[where] = len(tables.keep) - 1
     slots &= tables.keep.take(key, axis=0)
-    return slots.tobytes().translate(None, b"\0")
+    return slots
+
+
+def _g17_csv(block: np.ndarray) -> bytes:
+    """The rows of a 2-D float64 block as CSV text, every field byte for
+    byte ``b"%.17g" % x``.
+
+    Each run of equal bit patterns down a column is formatted once: a field
+    is fresh where its bits differ from the field above it (-0.0 and 0.0,
+    or two NaN payloads, differ), and a column's first row always is.  Only
+    the fresh values, column by column, get slots, and every field then
+    takes its run's slot.  A column-major block (``np.stack(columns).T``)
+    gathers its fresh values without a strided pass.
+    """
+    rows, cols = block.shape
+    if not block.size:
+        return b""
+    by_col = block.T
+    bits = by_col.view(np.int64)
+    fresh = np.empty((cols, rows), bool)
+    fresh[:, 0] = True
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=fresh[:, 1:])
+    run = np.cumsum(fresh)  # the fresh value each field repeats, from 1
+    run -= 1
+    slots = _g17_slots(by_col[fresh], int(run[(cols - 1) * rows]))  # the last column ends rows
+    return slots.take(run.reshape(cols, rows).T, axis=0).tobytes().translate(None, b"\0")

@@ -70,14 +70,20 @@ __all__ = [
     "write_events_csv",
 ]
 
-# fields formatted per write; _g17_csv holds about 280 bytes a field while
-# it works, so a block stays near 600 KiB
-_CSV_CHUNK_FIELDS = 2304
+# fields formatted per write.  A trace write peaks at about 215 bytes a
+# field of distinct values (570 KiB under tracemalloc), and a block's
+# largest arrays, its gathered 48-byte slots and their bytes, stay under
+# glibc's default 128 KiB mmap threshold; a block of 4 608 fields mapped
+# and faulted in fresh pages, 42 000 minor faults a write of the shipped
+# trace in a fresh process
+_CSV_CHUNK_FIELDS = 2700
 # rows each range of the trace CSV must hold before write_trace_csv forks a
-# process to format it.  In a 45 MiB process on 2 vCPUs, fork plus reap took
-# about 3.7 ms and copying 10 MiB of CSV (65 k rows) back 4.5 to 6 ms,
-# against 2.5 to 3 us to format a row: a range of 4096 rows takes 10 to
-# 12 ms to format, about three times what its child costs.
+# process to format it.  In a 74 MiB process on 2 vCPUs, fork plus reap took
+# 1.4 to 1.9 ms, against 1.0 to 1.2 us to format a shipped-trace row: a
+# range of 4096 rows takes 4 to 5 ms to format, two to three times its
+# fork.  Short splits did not always pay: at 8 192 rows two ranges took
+# 15 ms and one 9.9 ms, as each process formats slower while the other
+# runs and takes copy-on-write faults on the heap they share.
 _TRACE_SPLIT_ROWS = 4096
 # most processes, the caller included, that format one trace.  Two were
 # measured (on 2 vCPUs); each formats about 35 % slower than one alone, so
@@ -94,6 +100,9 @@ _TABLE_BYTES_PER_SUBSTEP = 720
 # is done; they bound the temporaries at a few tens of KiB
 _BLOCK_ROWS = 512
 _BLOCK_HOLDS = 128
+# rows a pass of _fill_held spans at most, unless one hold's run is
+# longer: its np.repeat holds 32 KiB, or a period's rows
+_HELD_ROWS = 4096
 # rows per block, and inner rows per numpy pass, of _fill_jumps: a pass
 # holds seven arrays of as many 8-byte entries, 112 KiB.  At 4096 a run's
 # peak beyond the trace passes 150 B a sample at a period of 4 substeps
@@ -257,16 +266,6 @@ class SweepRow:
     error: str | None = None
 
 
-def _draws(draw, *args):
-    """Python floats one at a time from the numpy draw ``draw(*args, size)``.
-
-    Draws 256 at a time: numpy's generators give the same stream in blocks
-    as one value per call, so only the number of calls changes.
-    """
-    while True:
-        yield from draw(*args, 256).tolist()
-
-
 class _SensorPipeline:
     """Per-robot measurement path: additive noise, encoder floor, velocity lag.
 
@@ -277,7 +276,8 @@ class _SensorPipeline:
     next pair of the stream's standard normals times noise_std, drawn 256
     at a time; numpy's generators give the same stream in blocks as one
     value per call.  A noisy sample took 0.30 us, against 0.38 us as a
-    method drawing twice from ``_draws`` (timeit, Python 3.11, 2 vCPUs).
+    method drawing two Python floats, one at a time, from a generator over
+    blocks of 256 draws (timeit, Python 3.11, 2 vCPUs).
     """
 
     __slots__ = ("sample",)
@@ -935,11 +935,15 @@ def _fill_held(col: np.ndarray, rows: array, first: float) -> None:
         col[:] = first
         return
     col[: rows[0]] = first
-    # a side's holds are at most a period apart, so a block of them spans at
-    # most _BLOCK_HOLDS periods of rows
-    for i in range(0, len(rows) - 1, _BLOCK_HOLDS):
-        seg = rows[i : i + _BLOCK_HOLDS + 1]
+    # a pass repeats the torques of up to _BLOCK_HOLDS holds over at most
+    # _HELD_ROWS rows, or of one hold over its run, at most a period
+    i = 0
+    while i < len(rows) - 1:
+        j = min(i + _BLOCK_HOLDS, int(rows.searchsorted(rows[i] + _HELD_ROWS, "right")) - 1)
+        j = max(j, i + 1)
+        seg = rows[i : j + 1]
         col[seg[0] : seg[-1]] = np.repeat(col.take(seg[:-1]), np.diff(seg))
+        i = j
     col[rows[-1] :] = col[rows[-1]]
 
 
@@ -1084,19 +1088,22 @@ def sweep_period(
 
 
 def _write_rows(fh, columns, a: int, b: int) -> None:
-    """Rows a to b of the trace's columns as CSV bytes, a block at a time."""
+    """Rows a to b of the trace's columns as CSV bytes, a block at a time,
+    each block stacked by column so that ``_g17_csv`` reads a column's run
+    of repeated values without a strided pass."""
     step = _CSV_CHUNK_FIELDS // len(columns)
     for i in range(a, b, step):
-        fh.write(_g17_csv(np.column_stack([c[i : min(i + step, b)] for c in columns])))
+        fh.write(_g17_csv(np.stack([c[i : min(i + step, b)] for c in columns]).T))
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
     """Write the signal record, one row per substep, full double precision.
 
     Every field is ``"%.17g" % x`` byte for byte.  ``_g17_csv`` formats a
-    block of rows at a time in numpy, so no whole-trace copy or per-value
-    call is made.  The rows are cut into contiguous ranges, one per CPU the
-    process may run on (at most ``_TRACE_SPLIT_MAX``), when each range holds
+    block of rows at a time in numpy, each run of repeated values in a
+    column once, so no whole-trace copy or per-value call is made.  The
+    rows are cut into contiguous ranges, one per CPU the process may run
+    on (at most ``_TRACE_SPLIT_MAX``), when each range holds
     at least ``_TRACE_SPLIT_ROWS`` rows.  The caller formats the first range
     straight into ``path``; a forked child formats each other range into an
     unlinked part file next to it, and the caller copies the parts in order
@@ -1110,9 +1117,10 @@ def write_trace_csv(trace: SimTrace, path) -> None:
     and file writes, and leaves by ``os._exit``.  Python 3.12 and later
     warn (``DeprecationWarning``) when such a process forks; the default
     filters do not show it.  The bytes do not depend on the number of
-    ranges.  On the shipped 80 s scenario (133 k rows, 2 vCPUs) two ranges
-    took 0.21 to 0.24 s and one 0.28 to 0.36 s.  A child that fails makes
-    the write raise ``OSError``.
+    ranges.  On the shipped 80 s scenario (133 k rows, 2 vCPUs, alternating
+    runs in one process) two ranges took 0.10 to 0.16 s and one 0.14 to
+    0.16 s: what the second range gains depends on how busy the host keeps
+    the other CPU.  A child that fails makes the write raise ``OSError``.
     """
     import contextlib
     import os

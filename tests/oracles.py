@@ -35,7 +35,6 @@ from teleopstab.sim import (
     _BLOCK_ROWS,
     TRACE_BUDGET_BYTES,
     SimTrace,
-    _draws,
     _fill_held,
     _saturate,
     _SensorPipeline,
@@ -344,6 +343,16 @@ def stage_rk4(sc):
         )
 
     return rk4
+
+
+def _draws(draw, *args):
+    """Python floats one at a time from the numpy draw ``draw(*args, size)``.
+
+    Draws 256 at a time: numpy's generators give the same stream in blocks
+    as one value per call, so only the number of calls changes.
+    """
+    while True:
+        yield from draw(*args, 256).tolist()
 
 
 def stagewise_run_scenario(sc, seed=0, controller_mode="sampled"):

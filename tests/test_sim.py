@@ -1154,6 +1154,46 @@ def test_table_memory_is_within_the_budget(reference_scenario):
     assert columns[1][1:k].all()  # every inner row written
 
 
+def test_held_torque_fill_memory_is_within_the_budget(reference_scenario):
+    # at 5 000 substeps a period, 128 holds span 640 000 rows: the fill's
+    # passes are capped by rows, so a 1 s run at rest stays within the
+    # tables' charge beyond its trace (filling 128 holds a pass peaked at
+    # 7.47 MB against the 3.60 MB charged)
+    nsub = 5_000
+    sc = _short(
+        reference_scenario,
+        duration=1.0,
+        integrator_substeps=nsub,
+        operator_force=OperatorForce(0.0, 0.0),
+    )
+    tracemalloc.start()
+    try:
+        tr = run_scenario(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr.t) == 835_001
+    assert peak - 9 * 8 * len(tr.t) <= sim._TABLE_BYTES_PER_SUBSTEP * nsub
+
+
+@pytest.mark.parametrize("held_rows", [1, 7, sim._HELD_ROWS])
+def test_fill_held_matches_a_row_at_a_time_fill(monkeypatch, held_rows):
+    # holds 1 to 19 rows apart: at 1 and 7 rows a pass some passes hold one
+    # hold, filled in place, and 500 holds take several _BLOCK_HOLDS passes
+    monkeypatch.setattr(sim, "_HELD_ROWS", held_rows)
+    rng = np.random.default_rng(held_rows)
+    rows = np.cumsum(rng.integers(1, 20, 500)) + 3
+    col = np.full(rows[-1] + 10, np.nan)
+    col[rows] = rng.standard_normal(len(rows))
+    want = col.copy()
+    held = 0.5
+    for r in range(len(want)):
+        held = want[r] if r in set(rows.tolist()) else held
+        want[r] = held
+    sim._fill_held(col, rows, 0.5)
+    assert col.tobytes() == want.tobytes()
+
+
 def _jumped_columns(ks, rng):
     # trace columns whose runs of ks substeps were each jumped: a start row
     # holds its state, the master's input, F_s and, for k > 1, its k in the
@@ -1708,7 +1748,7 @@ def _assert_nothing_left(folder):
 def test_trace_csv_bytes_match_savetxt(tmp_path, monkeypatch, extra):
     # 0 rows, 1 row, one chunk, one chunk + 1 and two chunks + 5, each with
     # every edge value, cut into 1, 2 and 3 ranges where the platform
-    # splits; 257 and 517 rows divide by neither the range count nor the chunk
+    # splits; 301 and 605 rows divide by neither the range count nor the chunk
     n_rows = _TRACE_CHUNK_ROWS + extra
     tr = _synthetic_trace(n_rows, np.random.default_rng(n_rows))
     savetxt_trace(tr, tmp_path / "ref.csv")
@@ -1905,6 +1945,55 @@ def test_g17_matches_percent_property(values):
     _assert_g17_matches_percent(values)
 
 
+# a small pool of doubles, so that equal bit patterns run down columns:
+# 0.0 next to -0.0, two NaN payloads, +-inf, a subnormal, a 17-digit tie
+# (10**15 + 0.25, whose 18th digit is an exact 5) and ordinary values
+_G17_POOL = np.concatenate([
+    np.array([0x7FF8000000000001, 0xFFF0000000000123], np.uint64).view(np.float64),
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, 1000000000000000.25, 0.1, -2.5, 1e-5, 123456.789],
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_g17_formats_runs_across_rows_columns_and_blocks(data):
+    # each field repeats the one above it (-1) or draws from the pool, so
+    # runs cross rows and columns; the block is cut in two at a drawn row,
+    # as the writers cut theirs, and laid out by rows or by columns
+    cols = data.draw(st.integers(1, 9))
+    rows = data.draw(st.integers(1, 30))
+    picks = data.draw(
+        st.lists(st.integers(-1, len(_G17_POOL) - 1), min_size=rows * cols, max_size=rows * cols)
+    )
+    index = np.zeros((rows, cols), np.intp)
+    for k, pick in enumerate(picks):
+        r, c = divmod(k, cols)
+        index[r, c] = index[r - 1, c] if pick < 0 else pick
+    block = _G17_POOL[index]
+    if data.draw(st.booleans()):
+        block = np.stack(list(block.T)).T  # column-major, as the trace writer stacks
+    cut = data.draw(st.integers(0, rows))
+    got = _g17._g17_csv(block[:cut]) + _g17._g17_csv(block[cut:])
+    want = [[b"%.17g" % x for x in row] for row in block.tolist()]
+    assert [line.split(b",") for line in got.split(b"\n")[:-1]] == want
+    assert got.endswith(b"\n")
+
+
+def test_trace_csv_of_the_shipped_run_matches_savetxt(golden_trace, tmp_path, monkeypatch):
+    # the shipped 80 s run, whose held torques and resting states repeat
+    # for many rows, in one range and, where the platform splits, in two
+    savetxt_trace(golden_trace, tmp_path / "ref.csv")
+    want = (tmp_path / "ref.csv").read_bytes()
+    for parts in (1, 2) if _SPLITS else (1,):
+        children = _split_trace_csv(monkeypatch, parts, sim._TRACE_SPLIT_ROWS)
+        out = tmp_path / f"parts{parts}"
+        out.mkdir()
+        write_trace_csv(golden_trace, out / "trace.csv")
+        assert len(children) == parts - 1
+        _assert_nothing_left(out)
+        assert (out / "trace.csv").read_bytes() == want
+
+
 def test_trace_csv_memory_is_bounded(tmp_path, monkeypatch):
     # formatting works a chunk at a time: no whole-trace copy, no per-value
     # Python object kept.  Where the platform splits, the trace is cut into
@@ -1924,6 +2013,16 @@ def test_trace_csv_memory_is_bounded(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert len(children) == (1 if _SPLITS else 0)
     assert peak < 1024**2
+
+
+def test_trace_block_arrays_stay_under_the_mmap_threshold():
+    # a trace block's largest arrays are its gathered slots and their bytes,
+    # a 48-byte slot a field; the digit arrays take 32 bytes a value or
+    # less.  Under glibc's default 128 KiB mmap threshold they reuse heap
+    # pages; blocks of 4 608 fields each mapped and faulted in their own,
+    # about 42 000 minor faults a write of the shipped trace in a fresh
+    # process
+    assert sim._CSV_CHUNK_FIELDS * _g17._G17_SLOT + 64 < 128 * 1024
 
 
 def test_events_csv_memory_is_bounded(tmp_path):
