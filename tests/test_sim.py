@@ -1743,12 +1743,16 @@ def _assert_nothing_left(folder):
 
 
 @pytest.mark.parametrize(
-    "extra", [-_TRACE_CHUNK_ROWS, 1 - _TRACE_CHUNK_ROWS, 0, 1, _TRACE_CHUNK_ROWS + 5]
+    "extra",
+    [-_TRACE_CHUNK_ROWS, 1 - _TRACE_CHUNK_ROWS, 0, 1, _TRACE_CHUNK_ROWS + 5]
+    + [-256, -255, 261],
 )
 def test_trace_csv_bytes_match_savetxt(tmp_path, monkeypatch, extra):
     # 0 rows, 1 row, one chunk, one chunk + 1 and two chunks + 5, each with
     # every edge value, cut into 1, 2 and 3 ranges where the platform
-    # splits; 301 and 605 rows divide by neither the range count nor the chunk
+    # splits; 301 and 605 rows divide by neither the range count nor the
+    # chunk. The fixed offsets -256, -255 and 261 give row counts off the
+    # chunk edges (44, 45 and 561 rows at 300 rows a chunk).
     n_rows = _TRACE_CHUNK_ROWS + extra
     tr = _synthetic_trace(n_rows, np.random.default_rng(n_rows))
     savetxt_trace(tr, tmp_path / "ref.csv")
