@@ -14,10 +14,10 @@ only.
 The simulator has two halves.  ``run_scenario``, the channel's event loop,
 walks a schedule of the rows on which a sample or a hold starts a run of
 substeps and hands each run to ``_propagator``'s ``advance``, which returns
-the state on the run's last row; its ``fill`` writes the jumped runs' inner
-rows after the loop.  The held torques and the terminations' forces are
-derived from the holds and the state columns, with the per-row formulas'
-bits.
+the state on the run's last row.  After the loop one pass over blocks of
+rows derives the rest: the held torques from the holds, the jumped runs'
+inner rows by the propagator's ``fill``, and the terminations' forces from
+the state columns, each with the per-row formulas' bits.
 
 Between events each robot is linear with a constant input, and one RK4
 substep of it is exactly the map y <- M y + N u of its transition matrices
@@ -96,16 +96,10 @@ _TRACE_SPLIT_MAX = 2
 # substep of a period (charged as 720).  A larger run is refused up front.
 TRACE_BUDGET_BYTES = 2 * 1024**3
 _TABLE_BYTES_PER_SUBSTEP = 720
-# rows per block of F_e, and holds per block of F_m and F_s, when the loop
-# is done; they bound the temporaries at a few tens of KiB
-_BLOCK_ROWS = 512
-_BLOCK_HOLDS = 128
-# rows a pass of _fill_held spans at most, unless one hold's run is
-# longer: its np.repeat holds 32 KiB, or a period's rows
-_HELD_ROWS = 4096
-# rows per block, and inner rows per numpy pass, of _fill_jumps: a pass
-# holds seven arrays of as many 8-byte entries, 112 KiB.  At 4096 a run's
-# peak beyond the trace passes 150 B a sample at a period of 4 substeps
+# rows per block of run_scenario's pass over the columns derived after the
+# loop, and inner rows per numpy pass of _fill_jumps: a pass holds seven
+# arrays of as many 8-byte entries, 112 KiB.  At 4096 a run's peak beyond
+# the trace passes 150 B a sample at a period of 4 substeps
 _FILL_ROWS = 2048
 # samples per window of run_scenario's event schedule, and rows that bound
 # a window when substeps are many: its temporaries stay a few tens of KiB
@@ -520,14 +514,16 @@ def _propagator(sc: SimScenario, h: float, columns):
     ``advance(j, stop, x_m, v_m, x_s, v_s, f_m, f_s)`` takes substeps j ..
     stop - 1 at the held torques f_m and f_s, writes the state on the rows
     it reaches and returns the state on row stop, which is non-finite when
-    the run diverged.  ``fill(last)`` writes the inner rows of the runs it
-    jumped before row last, reading F_s: the holds must be filled in first.
+    the run diverged.  ``fill(a, b)`` writes the inner rows of the runs it
+    jumped that start on rows a .. b - 1, reading F_s and the marks that
+    advance leaves in F_h and F_e on those rows: F_s must be filled in on
+    them first, and F_h and F_e written there only after.
 
     A run of k substeps with no operator-force edge within a substep of it
     is one jump by RK4's k-step maps when the slave's reach over k
     substeps, read off the same maps (``_slave_run_reach``), keeps it short
-    of the wall; advance writes its end row, and fill its inner rows in
-    blocks (``_fill_jumps``).  A jump that ends non-finite, a run near an
+    of the wall; advance writes its end row, and fill its inner rows
+    (``_fill_jumps``).  A jump that ends non-finite, a run near an
     edge and any run the bound rejects take the slow path a substep at a
     time: a substep is cut at any edge strictly inside it, each piece taking
     its midpoint's pulse value, the slave evaluates RK4's four stages over
@@ -686,12 +682,12 @@ def _propagator(sc: SimScenario, h: float, columns):
             vs_w[i] = v_s
         return x_m, v_m, x_s, v_s
 
-    def fill(last):
+    maps = np.array(tables).T.copy()  # contiguous rows, which take needs
+
+    def fill(a, b):
         # an inner row may overflow though its jump's end row is finite
-        maps = np.array(tables).T.copy()  # contiguous rows, which take needs
         with np.errstate(all="ignore"):
-            for a in range(0, last, _FILL_ROWS):
-                _fill_jumps(columns, maps, a, min(a + _FILL_ROWS, last))
+            _fill_jumps(columns, maps, a, b)
 
     return advance, fill
 
@@ -712,9 +708,10 @@ def run_scenario(
     gets an integer of event marks, and the marked rows are the runs'
     starts.  It takes the events at a run's first row, then hands the run to
     the propagator (``_propagator``), which writes x_m, v_m, x_s and v_s.
-    t is the grid j*h; F_m, F_s, F_h and F_e are derived from the holds and
-    the state columns after the loop, bit for bit the values a row-at-a-time
-    loop writes, within the same nine columns of memory.
+    t is the grid j*h.  After the loop, each block of _FILL_ROWS rows in
+    turn gets F_m and F_s from its holds (``_fill_held``), the inner rows of
+    the runs jumped from it (``fill(a, b)``), then F_h and F_e: bit for bit
+    the values a row-at-a-time loop writes, within the same nine columns.
 
     A sample is one call of each robot's ``_SensorPipeline.sample``, a hold
     one call of the law built once a run with its clamp (``_control_law``),
@@ -864,55 +861,60 @@ def run_scenario(
             divergence_time = last * h
             break
     rows = last + 1
-
-    # the torque columns, from the state and the holds
     t, xm, vm, xs, vs, fm, fs, fh, fe = columns = [a[:rows] for a in columns]
     # the samples and each side's holds taken before the last row
     taken = np.frombuffer(sample_rows, np.int64)
     n_samples, n_s, n_m = taken.searchsorted((last, last - d1_sub, last - d2_sub)).tolist()
-    if sampled:
-        _fill_held(fm, taken[:n_m] + d2_sub, f_m_first)
-        _fill_held(fs, taken[:n_s] + d1_sub, f_s_first)
-    else:  # a hold on every row but the last
+    if not sampled:  # a hold on every row but the last
         fm[last] = f_m_held
         fs[last] = f_s_held
-    fill(last)
-    # sample times as k*T on the period grid and j*h when jittered
-    sample_events = taken[:n_samples] * h if jittered else np.arange(n_samples) * T
-    del taken, sample_rows  # freed before the hold times are formed
 
-    # F_h in place, in the row formula's operation order, with constants
-    # formed as _robot_blocks forms the master's block:
+    # a block's holds come first, as the fill reads F_s, and its forces
+    # last, as the fill reads the jumps' marks in F_h and F_e.  F_h is the
+    # row formula in its operation order, with constants formed as
+    # _robot_blocks forms the master's block:
     #   a_m = (fstar - k_h*x_m - b_m_tot*v_m + F_m) * inv_mm
     #   F_h = fstar - m_h*a_m - b_h*v_m - k_h*x_m
-    # with fstar = f_mag on the rows whose t lies in [f_start, f_stop); fe
-    # holds each product until F_e is written
+    # with fstar = f_mag on the rows whose t lies in [f_start, f_stop), and
+    # fe as scratch for the products.  F_e = -wall_force is -0.0 short of
+    # the wall, where wall_force is 0.0: the law runs on blocks that reach it
     inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
     b_m_tot = sc.master.damping + sc.human.damping
     k_h, m_h, b_h = sc.human.stiffness, sc.human.mass, sc.human.damping
     f_start, f_stop, f_mag = astuple(sc.operator_force)
-    on, off = np.searchsorted(t, (f_start, f_stop))
+    on, off = np.searchsorted(t, (f_start, f_stop)).tolist()
     pulse = ((0, on, 0.0), (on, off, f_mag), (off, rows, 0.0))
+    wall = sc.wall
     with np.errstate(all="ignore"):  # a diverged run's last row overflows
-        np.multiply(xm, k_h, out=fh)
-        for a, b, f in pulse:
-            np.subtract(f, fh[a:b], out=fh[a:b])
-        fh -= np.multiply(vm, b_m_tot, out=fe)
-        fh += fm
-        fh *= inv_mm
-        fh *= m_h
-        for a, b, f in pulse:
-            np.subtract(f, fh[a:b], out=fh[a:b])
-        fh -= np.multiply(vm, b_h, out=fe)
-        fh -= np.multiply(xm, k_h, out=fe)
-
-    # F_e = -wall_force: -0.0 short of the wall, where wall_force is 0.0, so
-    # the plants' wall law runs only on blocks that reach past it
-    fe.fill(-0.0)
-    for a in range(0, rows, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, rows)
-        if (xs[a:b] > sc.wall.position).any():
-            fe[a:b] = [-wall_force(x, v, sc.wall) for x, v in zip(xs_w[a:b], vs_w[a:b])]
+        for a in range(0, rows, _FILL_ROWS):
+            b = min(a + _FILL_ROWS, rows)
+            if sampled:
+                _fill_held(fm, taken[:n_m], d2_sub, a, b, f_m_first)
+                _fill_held(fs, taken[:n_s], d1_sub, a, b, f_s_first)
+            fill(a, b)
+            xm_b, vm_b, fh_b, fe_b = xm[a:b], vm[a:b], fh[a:b], fe[a:b]
+            stars = [(fh[max(lo, a) : min(hi, b)], f) for lo, hi, f in pulse]
+            np.multiply(xm_b, k_h, out=fh_b)
+            for s, f in stars:
+                np.subtract(f, s, out=s)
+            fh_b -= np.multiply(vm_b, b_m_tot, out=fe_b)
+            fh_b += fm[a:b]
+            fh_b *= inv_mm
+            fh_b *= m_h
+            for s, f in stars:
+                np.subtract(f, s, out=s)
+            fh_b -= np.multiply(vm_b, b_h, out=fe_b)
+            fh_b -= np.multiply(xm_b, k_h, out=fe_b)
+            if (xs[a:b] > wall.position).any():
+                # row by row: a list of the block's values kept 0.07 MiB
+                # more memory resident after 12 contact runs in a process
+                wall_law = (-wall_force(x, v, wall) for x, v in zip(xs_w[a:b], vs_w[a:b]))
+                fe_b[:] = np.fromiter(wall_law, float, b - a)
+            else:
+                fe_b.fill(-0.0)
+    # sample times as k*T on the period grid and j*h when jittered
+    sample_events = taken[:n_samples] * h if jittered else np.arange(n_samples) * T
+    del taken, sample_rows  # freed before the hold times are formed
 
     return SimTrace(
         *columns,
@@ -925,26 +927,19 @@ def run_scenario(
     )
 
 
-def _fill_held(col: np.ndarray, rows: array, first: float) -> None:
-    """Give each row of ``col`` the torque of the last hold at or before it,
-    and ``first`` before any; each hold's own row, listed in ``rows`` in
-    ascending order, already holds its torque.
+def _fill_held(col: np.ndarray, samples, delay: int, a: int, b: int, first: float) -> None:
+    """Give rows a .. b - 1 of ``col`` the torque of the last hold at or
+    before each, and ``first`` before any.  A hold lands ``delay`` rows after
+    its sample, whose rows ``samples`` lists in ascending order; each hold's
+    own row already holds its torque, and row a - 1 is filled already.
     """
-    rows = np.asarray(rows)
-    if not len(rows):
-        col[:] = first
-        return
-    col[: rows[0]] = first
-    # a pass repeats the torques of up to _BLOCK_HOLDS holds over at most
-    # _HELD_ROWS rows, or of one hold over its run, at most a period
-    i = 0
-    while i < len(rows) - 1:
-        j = min(i + _BLOCK_HOLDS, int(rows.searchsorted(rows[i] + _HELD_ROWS, "right")) - 1)
-        j = max(j, i + 1)
-        seg = rows[i : j + 1]
-        col[seg[0] : seg[-1]] = np.repeat(col.take(seg[:-1]), np.diff(seg))
-        i = j
-    col[rows[-1] :] = col[rows[-1]]
+    lo, hi = samples.searchsorted((a - delay, b - delay)).tolist()
+    edges = np.empty(hi - lo + 2, np.int64)  # a, the holds' rows, b
+    edges[0], edges[-1] = a, b
+    np.add(samples[lo:hi], delay, out=edges[1:-1])
+    held = col.take(edges[:-1])  # its first entry, row a's, is replaced
+    held[0] = col[a - 1] if a else first
+    col[a:b] = np.repeat(held, np.diff(edges))
 
 
 def _fill_jumps(columns, tables: np.ndarray, a: int, b: int) -> None:

@@ -14,9 +14,9 @@ output against these.
 The one exception is ``stagewise_run_scenario``, the simulator's substep loop
 as it ran before plain substeps stepped by RK4's transition maps: every
 substep evaluates the four stages of ``stage_rk4``, which steps both robots
-together.  It shares the package's sensor pipeline,
-clamp, control law, wall law and hold filling, so the trace digests pinned on
-it cover those helpers too.
+together.  It shares the package's sensor pipeline, clamp, control law and
+wall law, so the trace digests pinned on it cover those helpers too; it
+fills the held torques and the forces row by row, with no blocks.
 """
 
 import cmath
@@ -31,15 +31,7 @@ from scipy import signal
 
 from teleopstab.control import control_continuous
 from teleopstab.plants import wall_force
-from teleopstab.sim import (
-    _BLOCK_ROWS,
-    TRACE_BUDGET_BYTES,
-    SimTrace,
-    _fill_held,
-    _saturate,
-    _SensorPipeline,
-    clamp_force,
-)
+from teleopstab.sim import TRACE_BUDGET_BYTES, SimTrace, _saturate, _SensorPipeline, clamp_force
 
 
 def poly_brute(coeffs, s):
@@ -355,6 +347,18 @@ def _draws(draw, *args):
         yield from draw(*args, 256).tolist()
 
 
+def _fill_held(col, rows, first):
+    """Give each row of ``col`` the torque of the last hold at or before it,
+    and ``first`` before any; each hold's own row, listed in ``rows`` in
+    ascending order, already holds its torque."""
+    held = first
+    holds = set(rows)
+    for r in range(len(col)):
+        if r in holds:
+            held = col[r]
+        col[r] = held
+
+
 def stagewise_run_scenario(sc, seed=0, controller_mode="sampled"):
     """Integrate one scenario and return the substep-resolution trace.
 
@@ -639,13 +643,8 @@ def stagewise_run_scenario(sc, seed=0, controller_mode="sampled"):
         fh -= np.multiply(vm, b_h, out=fe)
         fh -= np.multiply(xm, k_h, out=fe)
 
-    # F_e = -wall_force: -0.0 short of the wall, where wall_force is 0.0, so
-    # the plants' wall law runs only on blocks that reach past it
-    fe.fill(-0.0)
-    for a in range(0, rows, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, rows)
-        if (xs[a:b] > x_wall).any():
-            fe[a:b] = [-wall_force(x, v, wall) for x, v in zip(xs_w[a:b], vs_w[a:b])]
+    # F_e = -wall_force, on every row
+    fe[:] = [-wall_force(x, v, wall) for x, v in zip(xs.tolist(), vs.tolist())]
 
     sample_events = np.asarray(sample_times)
     return SimTrace(

@@ -304,6 +304,38 @@ def test_trace_bits_match_pinned_digests(oracle_traces):
     assert digests == _PINNED_DIGESTS
 
 
+# the same digests of run_scenario's own traces for the same cases, so a
+# change of how the loop or the pass after it forms a value, which the oracle
+# comparison forgives up to 1e-9 of the column's scale, moves one too
+_RUN_DIGESTS = {
+    "reference": "019570b82c8cf3e2930040820fd4250e483aa69a0aff05904b74348221b5b311",
+    "continuous": "302a9cd4b2bd0281d760ff85a2310bc3cdd244a258eb9ea44c642aa8a9c9fd26",
+    "noise_clamp": "c1b779b4f106e5707c63ffbca1f316c0974579fcd845d807fa7290d63d2d4312",
+    "jitter_delays_latency": "970b7d6657f0f8c6e1c66e388d78680335a7ed7646ea3de64599b8430f6164ec",
+    "fine_period_nonideal": "deb3a6f241c36b0c60fa11fc70892318355a855d18fcedf688e98bdb1d5ae0fc",
+    "pulse_edge_inside_substep": "a7adad5dfb96ffc8b2b2bd2e0e9c2e3255d420c2607eb33893c4e7ec45b37cf7",
+    "wall_entry_exit": "9cdacd757e1443527e258962babb5e0e775c3deb629e1ce4a26e2e8f76827d65",
+    "wall_entry_exit_continuous": "8cedb707caf654bd4b62f2bcd7844d63f92805c0bf89cdd3a8f1e658657f3643",
+    "diverging": "e8b29c9191a2ddf8c524f51d22672d931bc1f855ae225302d56e34e46c86364f",
+    "pulse_inside_one_substep": "d3c7364b8b698160c4d69331a1ff082b29f8dd9e941dd337fd40bd5830f85026",
+    "diverging_jittered": "b34421fe6bfd39ab602dd1db293a0087b1213406522759e9e07f290cb6365527",
+    "pulse_edge_inside_contact": "5cdb226163622e80b15a8dd3aba813d91770a4454ea6ff18e6bceb8baa10fe68",
+    "fast_slave_free": "b68c00ab9837885e4a2e1c01f0ba3a381ca83809e646f33171e87b4aaa5281ff",
+    "fast_slave_in_contact": "513627c506ad84c6b037b28d3faf142d83175976a762b7311522e44d0b5913d6",
+    "pulse_edge_inside_jittered_run": "7f3018a23f38cbe2e71d406264e88c63bdfb3f6457fe081664218f225019c8ac",
+}
+
+
+def test_run_scenario_bits_match_pinned_digests(reference_scenario):
+    cases = _pinned_cases(reference_scenario)
+    assert cases.keys() == _RUN_DIGESTS.keys()
+    digests = {
+        name: _trace_digest(run_scenario(sc, seed=seed, controller_mode=mode))
+        for name, (sc, seed, mode) in cases.items()
+    }
+    assert digests == _RUN_DIGESTS
+
+
 def _assert_matches_the_oracle(got, want, name):
     # the transition maps change only rounding: the same rows, events and
     # divergence time, the same non-finite entries, and every finite entry
@@ -1136,7 +1168,7 @@ def test_table_memory_is_within_the_budget(reference_scenario):
         finally:
             tracemalloc.stop()
         assert (peak - 9 * 8 * len(tr.t)) / nsub <= sim._TABLE_BYTES_PER_SUBSTEP, periods
-    # the fill writes a long run's inner rows _BLOCK_ROWS at a time, so its
+    # the fill writes a long run's inner rows _FILL_ROWS at a time, so its
     # temporaries stay a few tens of KiB however long the run; all its rows
     # at once took about 190 B a row
     k = 100_000
@@ -1146,7 +1178,7 @@ def test_table_memory_is_within_the_budget(reference_scenario):
     tables = np.ones((10, k + 1))
     tracemalloc.start()
     try:
-        sim._fill_jumps(columns, tables, 0, sim._BLOCK_ROWS)
+        sim._fill_jumps(columns, tables, 0, sim._FILL_ROWS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1155,10 +1187,10 @@ def test_table_memory_is_within_the_budget(reference_scenario):
 
 
 def test_held_torque_fill_memory_is_within_the_budget(reference_scenario):
-    # at 5 000 substeps a period, 128 holds span 640 000 rows: the fill's
-    # passes are capped by rows, so a 1 s run at rest stays within the
-    # tables' charge beyond its trace (filling 128 holds a pass peaked at
-    # 7.47 MB against the 3.60 MB charged)
+    # at 5 000 substeps a period, 128 holds span 640 000 rows: the holds are
+    # filled a block of _FILL_ROWS rows at a time, so a 1 s run at rest
+    # stays within the tables' charge beyond its trace (filling 128 holds a
+    # pass peaked at 7.47 MB against the 3.60 MB charged)
     nsub = 5_000
     sc = _short(
         reference_scenario,
@@ -1176,22 +1208,33 @@ def test_held_torque_fill_memory_is_within_the_budget(reference_scenario):
     assert peak - 9 * 8 * len(tr.t) <= sim._TABLE_BYTES_PER_SUBSTEP * nsub
 
 
-@pytest.mark.parametrize("held_rows", [1, 7, sim._HELD_ROWS])
-def test_fill_held_matches_a_row_at_a_time_fill(monkeypatch, held_rows):
-    # holds 1 to 19 rows apart: at 1 and 7 rows a pass some passes hold one
-    # hold, filled in place, and 500 holds take several _BLOCK_HOLDS passes
-    monkeypatch.setattr(sim, "_HELD_ROWS", held_rows)
-    rng = np.random.default_rng(held_rows)
-    rows = np.cumsum(rng.integers(1, 20, 500)) + 3
-    col = np.full(rows[-1] + 10, np.nan)
-    col[rows] = rng.standard_normal(len(rows))
-    want = col.copy()
-    held = 0.5
-    for r in range(len(want)):
-        held = want[r] if r in set(rows.tolist()) else held
-        want[r] = held
-    sim._fill_held(col, rows, 0.5)
-    assert col.tobytes() == want.tobytes()
+@pytest.mark.parametrize("size", [1, 7, sim._FILL_ROWS])
+def test_fill_held_matches_a_row_at_a_time_fill(size):
+    # a side's holds land its delay after its samples; filled a block of
+    # `size` rows at a time, as run_scenario fills them, the column is the
+    # row-at-a-time fill bit for bit.  The holds lie 1 to 19 rows apart, then
+    # none until row 2*_FILL_ROWS, a block's first row at every size, so a
+    # default-size block has no hold; a delay past the run and a side with
+    # no sample leave the side no hold at all
+    rng = np.random.default_rng(size)
+    n = 3 * sim._FILL_ROWS + 5
+    dense = np.cumsum(rng.integers(1, 20, 100)) + 8
+    holds = np.concatenate([dense, dense + 2 * sim._FILL_ROWS - dense[0]])
+    assert (holds % size == 0).any()
+    assert len(set((holds // size).tolist())) < -(-n // size)
+    for samples, delay in ((holds, 0), (holds - 5, 5), (holds, n), (holds[:0], 0)):
+        landed = samples[samples + delay < n] + delay
+        col = np.full(n, np.nan)
+        col[landed] = rng.standard_normal(len(landed))
+        want = col.copy()
+        held = 0.5
+        hold_rows = set(landed.tolist())
+        for r in range(n):
+            held = want[r] if r in hold_rows else held
+            want[r] = held
+        for a in range(0, n, size):
+            sim._fill_held(col, samples[: len(landed)], delay, a, min(a + size, n), 0.5)
+        assert col.tobytes() == want.tobytes(), delay
 
 
 def _jumped_columns(ks, rng):
@@ -1235,7 +1278,9 @@ def test_fill_bits_do_not_depend_on_the_pass_size(monkeypatch, reference_scenari
             sim._fill_jumps(got, tables, a, min(a + size, last))
         for c in (1, 2, 3, 4):
             assert got[c].tobytes() == want[c].tobytes(), (size, c)
-    # and whole runs, whose fill blocks are of the patched size
+    # and whole runs, where every block of the pass after the loop, which
+    # fills the held torques, the jumped rows and the forces, is of the
+    # patched size
     sc, seed, _ = _pinned_cases(reference_scenario)["pulse_edge_inside_jittered_run"]
     traces = []
     for size in (1, 7, sim._FILL_ROWS):
@@ -1424,12 +1469,24 @@ def test_run_bound_keeps_every_rk4_stage_of_the_run_short_of_the_wall(
     m=_MASS, b=_DAMPING, k=_STIFFNESS, h=_SUBSTEP,
     state=st.tuples(_STATE, _STATE), u=_FORCE,
 )
+# a subnormal start velocity: the master's |M| has an entry of 63, so the
+# subnormal roundings carried through it reach 129 of the smallest
+# subnormal at step 8, past the 128 that 16*steps of them allowed
+@example(m=0.125, b=0.25, k=934.0, h=0.0078125, state=(0.0, 2.225073858507e-311), u=0.0)
 def test_k_step_tables_are_k_map_steps(reference_scenario, m, b, k, h, state, u):
     # one jump P_k y + Q_k u against k steps of the map, for each robot: the
-    # same series in another order, so they differ by rounding only, at most
-    # 16*k ulps of the k-step series with every term made positive, and as
-    # many of the smallest subnormal, the rounding unit below the normal
-    # range; a one-step jump is the map step bit for bit
+    # same series in another order, so they differ by rounding only.  A
+    # rounding is relative, at most eps/2 of its result, where the result
+    # is normal, and absolute, at most half the smallest subnormal, where it
+    # is subnormal.  The relative roundings stay within 16*k ulps of the
+    # k-step series with every term made positive.  A map step forms each
+    # entry by three products and two sums, which add at most 5/2 of the
+    # smallest subnormal to it; later steps carry that error through |M|,
+    # so after k steps the map is off by 5/2 of it times s_k = sum_{i<k}
+    # |M|^i 1, and the jump, one such step, by 5/2 of it.  Half of it more
+    # on each side covers the bound's own underflow: as s_k + 1 >= 2, a
+    # bound of 3*(s_k + 1) of the smallest subnormal.  A one-step jump is
+    # the map step bit for bit
     sc = _robots(reference_scenario, m, b, k)
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     for a, bb in (plants._robot_blocks(sc.master, sc.human), plants._robot_blocks(sc.slave, FREE)):
@@ -1439,15 +1496,15 @@ def test_k_step_tables_are_k_map_steps(reference_scenario, m, b, k, h, state, u)
         (m00, m01), (m10, m11) = mm
         n0, n1 = nn
         m_abs, n_abs = _abs_rk4_map(a, bb, h)
-        a_k, b_k = np.eye(2), np.zeros(2)
+        a_k, b_k, s_k = np.eye(2), np.zeros(2), np.zeros(2)
         x, v = state
         for steps, (p00, p01, p10, p11, q0, q1) in enumerate(tables[1:], 1):
             x, v = m00 * x + m01 * v + n0 * u, m10 * x + m11 * v + n1 * u
-            a_k, b_k = m_abs @ a_k, m_abs @ b_k + n_abs
+            a_k, b_k, s_k = m_abs @ a_k, m_abs @ b_k + n_abs, m_abs @ s_k + 1.0
             jump = (p00 * state[0] + p01 * state[1] + q0 * u, p10 * state[0] + p11 * state[1] + q1 * u)
             if steps == 1:
                 assert jump == (x, v)
-            bound = 16 * steps * (eps * (a_k @ np.abs(state) + b_k * abs(u)) + tiny)
+            bound = 16 * steps * eps * (a_k @ np.abs(state) + b_k * abs(u)) + 3 * tiny * (s_k + 1.0)
             assert np.all(np.abs(np.subtract(jump, (x, v))) <= bound), steps
     # the free slave's first column stays (1, 0) exactly, which the loop's
     # slave jump x_s + p01*v_s + q0*F_s takes for granted
@@ -1483,7 +1540,7 @@ def _propagated(sc, start, state, forces, stops):
     for stop in stops:
         state = advance(j, stop, *state, *forces)
         j = stop
-    fill(stops[-1])
+    fill(start, stops[-1])
     return np.array(state), np.array([c[start:] for c in columns[1:5]]), columns[8][start] != 0.0
 
 
