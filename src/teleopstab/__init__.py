@@ -7,7 +7,7 @@ sampled, delayed signals through zero-order holds) is covered end to end:
 * robot / operator / wall models and exact ZOH discretization (:mod:`.plants`),
 * the shared coordinating controller (:mod:`.control`),
 * stability tests for the sampled loop, none of them a certificate (:mod:`.stability`),
-* a deterministic hybrid continuous/discrete simulator (:mod:`.sim`),
+* a deterministic hybrid simulator (:mod:`.sim`; RK4 in ``_rk4``, CSV in ``_g17``),
 * scenario files, reports, and the command line front end
   (:mod:`.scenario`, :mod:`.cli`).
 """

@@ -1,15 +1,35 @@
-"""Doubles as CSV text in numpy, every field byte for byte ``"%.17g" % x``.
-
-The trace and event writers of ``teleopstab.sim`` format their blocks here.
+"""Doubles as CSV text in numpy, every field byte for byte ``"%.17g" % x``,
+and the simulator's trace and event CSV writers, which format their blocks
+with it.  ``teleopstab.sim`` re-exports the writers; this module reads a
+trace by its fields alone and imports nothing from the simulator.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from typing import NamedTuple
 
 import numpy as np
+
+# fields formatted per write.  A trace write peaks at about 215 bytes a
+# field of distinct values (570 KiB under tracemalloc), and a block's
+# largest arrays, its gathered 48-byte slots and their bytes, stay under
+# glibc's default 128 KiB mmap threshold; a block of 4 608 fields mapped
+# and faulted in fresh pages, 42 000 minor faults a write of the shipped
+# trace in a fresh process
+_CSV_CHUNK_FIELDS = 2700
+# rows each half of the trace CSV must hold before write_trace_csv forks a
+# process to format the second.  In a 74 MiB process on 2 vCPUs, fork plus
+# reap took 1.4 to 1.9 ms, against 1.0 to 1.2 us to format a shipped-trace
+# row: a range of 4096 rows takes 4 to 5 ms to format, two to three times
+# its fork.  Short splits did not always pay: at 8 192 rows two ranges took
+# 15 ms and one 9.9 ms, as each process formats slower while the other runs
+# and takes copy-on-write faults on the heap they share.  In the benchmark
+# every contact_run trace is 133 341 rows and certify and hardware_sweep
+# write none, so the floor decides only traces under 8 192 rows
+_TRACE_SPLIT_ROWS = 4096
 
 # _g17_csv writes a block of doubles as exactly the bytes "%.17g" % x gives.
 # Each value gets a 48-byte slot that holds every character any of its
@@ -217,3 +237,119 @@ def _g17_csv(block: np.ndarray) -> bytes:
     run -= 1
     slots = _g17_slots(by_col[fresh], int(run[(cols - 1) * rows]))  # the last column ends rows
     return slots.take(run.reshape(cols, rows).T, axis=0).tobytes().translate(None, b"\0")
+
+
+def _write_rows(fh, columns, a: int, b: int) -> None:
+    """Rows a to b of the trace's columns as CSV bytes, a block at a time,
+    each block stacked by column so that ``_g17_csv`` reads a column's run
+    of repeated values without a strided pass."""
+    step = _CSV_CHUNK_FIELDS // len(columns)
+    for i in range(a, b, step):
+        fh.write(_g17_csv(np.stack([c[i : min(i + step, b)] for c in columns]).T))
+
+
+def write_trace_csv(trace, path) -> None:
+    """Write the signal record of a ``SimTrace``, one row per substep, full
+    double precision: its first nine fields, with the forces named F_.
+
+    Every field is ``"%.17g" % x`` byte for byte.  ``_g17_csv`` formats a
+    block of rows at a time in numpy, each run of repeated values in a
+    column once, so no whole-trace copy or per-value call is made.  When
+    the process may run on two CPUs or more and each half of the rows holds
+    at least ``_TRACE_SPLIT_ROWS``, a forked child formats the second half
+    into an unlinked part file next to ``path`` while the caller formats the
+    first straight into it; the caller then copies the part in through a
+    64 KiB buffer.  A fork that fails (no process or memory left) leaves
+    the second half to the caller.  Where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing (Windows, macOS), the caller runs
+    more than one Python thread, one CPU is allowed or the trace is short,
+    the caller formats every row.  The thread check sees Python threads
+    only, not OS threads a library starts (OpenBLAS's pool): the child
+    calls no BLAS routine, only numpy's elementwise formatting and file
+    writes, and leaves by ``os._exit``.  Python 3.12 and later warn
+    (``DeprecationWarning``) when such a process forks.  A probe that
+    started an uncounted OS thread (``_thread.start_new_thread``) and then
+    forked printed that warning under ``-W always`` on 3.12.1 and 3.13.0,
+    and under ``-W error`` or ``PYTHONWARNINGS=error`` forked normally,
+    printed nothing and exited 0: the warning cannot fail a write.  The
+    bytes do not depend on the split.  On the shipped 80 s scenario (133 k
+    rows, 2 vCPUs, alternating runs in one process) two halves took 0.10
+    to 0.16 s and one process 0.14 to 0.16 s: what the child gains depends
+    on how busy the host keeps the other CPU.  A child that fails makes the
+    write raise ``OSError``.
+    """
+    import contextlib
+    import os
+    import shutil
+    import tempfile
+    import threading
+
+    names = [f.name for f in dataclasses.fields(trace)[:9]]
+    columns = [getattr(trace, name) for name in names]
+    rows = len(trace.t)
+    cut = rows
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        if len(os.sched_getaffinity(0)) > 1 and rows >= 2 * _TRACE_SPLIT_ROWS:
+            cut = rows // 2
+    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
+        pid = None
+        if cut < rows:
+            folder = os.path.dirname(os.path.abspath(path))
+            part = stack.enter_context(tempfile.TemporaryFile(dir=folder))
+            try:
+                pid = os.fork()
+            except OSError:  # no process or memory for it: the caller formats every row
+                cut = rows
+            if pid == 0:  # the child formats the second half and never returns
+                code = 1
+                try:
+                    _write_rows(part, columns, cut, rows)
+                    part.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+        try:
+            fh.write(",".join(names).replace("f_", "F_").encode("ascii") + b"\n")
+            _write_rows(fh, columns, 0, cut)
+        finally:
+            if pid:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if pid:
+            if code:
+                raise OSError(f"the trace CSV writer process exited with {code}")
+            part.seek(0)
+            shutil.copyfileobj(part, fh, 1 << 16)
+
+
+def write_events_csv(trace, path) -> None:
+    """Write sampler/hold events as kind,t rows ordered by time.
+
+    Equal times keep the order sample, hold_m, hold_s.  The t field is
+    ``"%.17g" % t``, formatted by ``_g17_csv`` as in the trace.  Only the
+    times, the kinds (a byte each) and the sort order span the whole run;
+    a block of rows at a time is gathered, formatted and joined as bytes.
+    Equal times sit next to each other after the sort, so a block formats
+    each distinct time once: at a delay of 0 every time is a sample and
+    both holds.  About 0.4 us a row on the shipped scenario (40 k rows);
+    formatting every row took 0.5 to 0.65 us, and one ``%`` per row 1 us.
+    """
+    names = np.array([b"sample,", b"hold_m,", b"hold_s,"], dtype=object)
+    arrays = (trace.sample_events, trace.hold_events_m, trace.hold_events_s)
+    t = np.concatenate(arrays)
+    kind = np.repeat(np.arange(len(names), dtype=np.uint8), [len(a) for a in arrays])
+    order = np.lexsort((kind, t))
+    step = _CSV_CHUNK_FIELDS
+    with open(path, "wb") as fh:
+        fh.write(b"kind,t\n")
+        for a in range(0, len(order), step):
+            rows = order[a : a + step]
+            block = t[rows]
+            # a new time is a new bit pattern (-0.0 and 0.0 apart); the first
+            # row is formatted even where it ties with the last block's
+            bits = block.view(np.int64)
+            fresh = np.empty(len(block), dtype=bool)
+            fresh[0] = True
+            np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
+            times = _g17_csv(block[fresh, None]).splitlines(True)
+            lines = np.array(times, dtype=object)[np.cumsum(fresh) - 1]
+            fh.write(b"".join((names[kind[rows]] + lines).tolist()))

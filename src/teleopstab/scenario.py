@@ -44,32 +44,24 @@ class ValidationError(ValueError):
     """Scenario file is well-formed but violates the model contract."""
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+# kind -> (conversion of the raw text, which raises ValueError or KeyError
+# on a bad one, and the kind's name in the error message)
+_KINDS = {
+    "float": (float, "a number"),
+    "int": (int, "an integer"),
+    "bool": (lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()], "a boolean"),
+}
+
+
+def _parse(kind: str, section: str, key: str, raw: str):
+    convert, expected = _KINDS[kind]
     try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(f"{section}.{key}: expected a number, got {raw!r}") from None
+        return convert(raw)
+    except (KeyError, ValueError):
+        raise ValidationError(f"{section}.{key}: expected {expected}, got {raw!r}") from None
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{section}.{key}: expected an integer, got {raw!r}"
-        ) from None
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-    except KeyError:
-        raise ValidationError(
-            f"{section}.{key}: expected a boolean, got {raw!r}"
-        ) from None
-
-
-# The whole file format: section -> key -> (parser kind, required, field).
+# The whole file format: section -> key -> (value kind, required, field).
 # ``field`` names the attribute the value fills: on the section's object, and
 # for [run] on SimScenario or, when RunSettings has it, on RunSettings.  An
 # optional key left out of the file takes that field's dataclass default.
@@ -144,7 +136,6 @@ _CTORS = {
 }
 _RUN_SETTINGS = tuple(f.name for f in fields(RunSettings))
 _OPTIONAL_SECTIONS = {"nonidealities"}
-_PARSERS = {"float": _parse_float, "int": _parse_int, "bool": _parse_bool}
 
 
 def _read_sections(text: str, origin: str) -> dict[str, dict[str, object]]:
@@ -166,7 +157,7 @@ def _read_sections(text: str, origin: str) -> dict[str, dict[str, object]]:
         for key, raw in cp.items(section):
             if key not in spec:
                 raise ValidationError(f"{section}: unknown key {key!r}")
-            values[key] = _PARSERS[spec[key][0]](section, key, raw)
+            values[key] = _parse(spec[key][0], section, key, raw)
         out[section] = values
     for section, spec in _SCHEMA.items():
         if section not in out:

@@ -11,34 +11,22 @@ only through the held torques, so over a substep each is its own 2-state
 system: the operator pulse acts on the master only, the wall on the slave
 only.
 
-The simulator has two halves.  ``run_scenario``, the channel's event loop,
-walks a schedule of the rows on which a sample or a hold starts a run of
-substeps and hands each run to ``_propagator``'s ``advance``, which returns
-the state on the run's last row.  After the loop one pass over blocks of
-rows derives the rest: the held torques from the holds, the jumped runs'
-inner rows by the propagator's ``fill``, and the terminations' forces from
-the state columns, each with the per-row formulas' bits.
-
-Between events each robot is linear with a constant input, and one RK4
-substep of it is exactly the map y <- M y + N u of its transition matrices
-(``_rk4_map``), so k substeps are the k-step map y <- P_k y + Q_k u
-(``_rk4_runs``).  When a bound read off the slave's maps shows that no RK4
-stage of a run takes the slave past the wall (``_slave_run_reach``), the
-propagator jumps the whole run in one step and fills its inner rows after
-the loop.  A run the bound rejects (in or near wall contact), and a run
-within a substep of a pulse edge, take the slow path a substep at a time:
-the slave by RK4's stages (``_stage_rk4``), bisecting wall branch changes,
-and the master by its map at the width of each piece the slave's substep
-is cut into.  The forms differ only in rounding: traces agree with the
-coupled all-stage loop (kept as the test oracle) to 1e-9 of each column's
-scale.
+This module holds the models, the sensor path (``_sensor``), the channel's
+event loop ``run_scenario``, ``verdict`` and ``sweep_period``; the RK4
+propagator is ``_rk4``'s, and the CSV writers, re-exported here, are
+``_g17``'s.  ``run_scenario`` walks a schedule of the rows on which a
+sample or a hold starts a run of substeps and hands each run to the
+propagator's ``advance``, which returns the state on the run's last row.
+After the loop one pass over blocks of rows derives the rest: the held
+torques from the holds, the jumped runs' inner rows by the propagator's
+``fill``, and the terminations' forces from the state columns, each with
+the per-row formulas' bits.
 
 Identical scenario + seed reproduces bit-identical traces.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from array import array
@@ -48,9 +36,10 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from ._g17 import _g17_csv
+from ._g17 import write_events_csv, write_trace_csv
+from ._rk4 import _FILL_ROWS, _TABLE_BYTES_PER_SUBSTEP, _propagator
 from .control import ControllerGains, _control_law
-from .plants import FREE, ImpedanceModel, RobotParams, WallModel, _robot_blocks, wall_force
+from .plants import ImpedanceModel, RobotParams, WallModel, wall_force
 from .stability import ChannelConfig, StabilityReport, TeleopSystem, small_gain_at_period
 
 __all__ = [
@@ -70,37 +59,10 @@ __all__ = [
     "write_events_csv",
 ]
 
-# fields formatted per write.  A trace write peaks at about 215 bytes a
-# field of distinct values (570 KiB under tracemalloc), and a block's
-# largest arrays, its gathered 48-byte slots and their bytes, stay under
-# glibc's default 128 KiB mmap threshold; a block of 4 608 fields mapped
-# and faulted in fresh pages, 42 000 minor faults a write of the shipped
-# trace in a fresh process
-_CSV_CHUNK_FIELDS = 2700
-# rows each range of the trace CSV must hold before write_trace_csv forks a
-# process to format it.  In a 74 MiB process on 2 vCPUs, fork plus reap took
-# 1.4 to 1.9 ms, against 1.0 to 1.2 us to format a shipped-trace row: a
-# range of 4096 rows takes 4 to 5 ms to format, two to three times its
-# fork.  Short splits did not always pay: at 8 192 rows two ranges took
-# 15 ms and one 9.9 ms, as each process formats slower while the other
-# runs and takes copy-on-write faults on the heap they share.
-_TRACE_SPLIT_ROWS = 4096
-# most processes, the caller included, that format one trace.  Two were
-# measured (on 2 vCPUs); each formats about 35 % slower than one alone, so
-# whether a third pays for its fork is unknown until a larger host runs the
-# paired benchmark
-_TRACE_SPLIT_MAX = 2
-
 # Most run_scenario will allocate: nine float64 columns of a row a substep,
-# and _propagator's tables, which tracemalloc puts at up to 684 bytes a
-# substep of a period (charged as 720).  A larger run is refused up front.
+# and _propagator's tables, charged at _TABLE_BYTES_PER_SUBSTEP a substep of
+# a period.  A larger run is refused up front.
 TRACE_BUDGET_BYTES = 2 * 1024**3
-_TABLE_BYTES_PER_SUBSTEP = 720
-# rows per block of run_scenario's pass over the columns derived after the
-# loop, and inner rows per numpy pass of _fill_jumps: a pass holds seven
-# arrays of as many 8-byte entries, 112 KiB.  At 4096 a run's peak beyond
-# the trace passes 150 B a sample at a period of 4 substeps
-_FILL_ROWS = 2048
 # samples per window of run_scenario's event schedule, and rows that bound
 # a window when substeps are many: its temporaries stay a few tens of KiB
 _WINDOW_SAMPLES = 256
@@ -234,9 +196,8 @@ class SimTrace:
 
 
 # the nine signal columns, in SimTrace's field order, which is also the
-# trace CSV's; the file names the forces with a capital F
+# trace CSV's and the propagator's
 _TRACE_COLUMNS = tuple(f.name for f in fields(SimTrace))[:9]
-_CSV_HEADER = ",".join(_TRACE_COLUMNS).replace("f_", "F_").encode("ascii") + b"\n"
 
 
 @dataclass(frozen=True)
@@ -260,47 +221,43 @@ class SweepRow:
     error: str | None = None
 
 
-class _SensorPipeline:
-    """Per-robot measurement path: additive noise, encoder floor, velocity lag.
+def _sensor(cfg: NonidealityConfig, T: float, rng: np.random.Generator):
+    """One robot's measurement path: additive noise, encoder floor, velocity
+    lag.  Returns ``sample(x, v)``, the measured (position, velocity) of one
+    sample, a closure over the constants and the filter's state.
 
     The first-order filter is discretized exactly at the nominal rate
-    (pole e^(-2*pi*fc*T)) and starts from zero state.  ``sample(x, v)``
-    returns the measured (position, velocity) of one sample: a closure over
-    the constants, bound once per pipeline.  The noise on x and on v is the
-    next pair of the stream's standard normals times noise_std, drawn 256
-    at a time; numpy's generators give the same stream in blocks as one
-    value per call.  A noisy sample took 0.30 us, against 0.38 us as a
-    method drawing two Python floats, one at a time, from a generator over
+    (pole e^(-2*pi*fc*T)) and starts from zero state.  The noise on x and on
+    v is the next pair of the stream's standard normals times noise_std,
+    drawn 256 at a time; numpy's generators give the same stream in blocks
+    as one value per call.  A noisy sample took 0.30 us, against 0.38 us as
+    a method drawing two Python floats, one at a time, from a generator over
     blocks of 256 draws (timeit, Python 3.11, 2 vCPUs).
     """
+    step = cfg.encoder_step
+    sigma = cfg.noise_std
+    pole = math.exp(-2.0 * math.pi * cfg.velocity_filter_cutoff * T)
+    gain = 1.0 - pole
+    floor = math.floor
+    lag = 0.0
+    noise = iter(())  # (n_x, n_v) pairs of the current block
 
-    __slots__ = ("sample",)
+    def sample(x: float, v: float) -> tuple[float, float]:
+        nonlocal lag, noise
+        if sigma > 0.0:
+            try:
+                n_x, n_v = next(noise)
+            except StopIteration:
+                # sigma*n is the same IEEE product in numpy as in Python
+                draws = iter((sigma * rng.standard_normal(256)).tolist())
+                noise = zip(draws, draws)
+                n_x, n_v = next(noise)
+            x = x + n_x
+            v = v + n_v
+        lag = pole * lag + gain * v
+        return floor(x / step) * step, lag
 
-    def __init__(self, cfg: NonidealityConfig, T: float, rng: np.random.Generator):
-        step = cfg.encoder_step
-        sigma = cfg.noise_std
-        pole = math.exp(-2.0 * math.pi * cfg.velocity_filter_cutoff * T)
-        gain = 1.0 - pole
-        floor = math.floor
-        lag = 0.0
-        noise = iter(())  # (n_x, n_v) pairs of the current block
-
-        def sample(x: float, v: float) -> tuple[float, float]:
-            nonlocal lag, noise
-            if sigma > 0.0:
-                try:
-                    n_x, n_v = next(noise)
-                except StopIteration:
-                    # sigma*n is the same IEEE product in numpy as in Python
-                    draws = iter((sigma * rng.standard_normal(256)).tolist())
-                    noise = zip(draws, draws)
-                    n_x, n_v = next(noise)
-                x = x + n_x
-                v = v + n_v
-            lag = pole * lag + gain * v
-            return floor(x / step) * step, lag
-
-        self.sample = sample
+    return sample
 
 
 def clamp_force(f: float, cfg: NonidealityConfig) -> float:
@@ -333,363 +290,12 @@ def apply_nonidealities(
     vel = np.asarray(velocities, dtype=float)
     if pos.shape != vel.shape:
         raise ValueError("positions and velocities must have matching shapes")
-    pipe = _SensorPipeline(cfg, T, np.random.default_rng(rng_seed))
+    sample = _sensor(cfg, T, np.random.default_rng(rng_seed))
     out_p = np.empty_like(pos)
     out_v = np.empty_like(vel)
     for i in range(pos.size):
-        out_p[i], out_v[i] = pipe.sample(float(pos[i]), float(vel[i]))
+        out_p[i], out_v[i] = sample(float(pos[i]), float(vel[i]))
     return out_p, out_v
-
-
-def _rk4_map(a: np.ndarray, b: np.ndarray, h: float):
-    """(M, N) as nested floats: one classical RK4 step of width h of
-    y' = a y + b u with u constant is exactly y <- M y + N u, where Z = h a,
-    M = I + Z + Z^2/2 + Z^3/6 + Z^4/24 and N = h (I + Z/2 + Z^2/6 + Z^3/24) b.
-    """
-    z = h * a
-    eye = np.eye(len(b))
-    with np.errstate(all="ignore"):  # a stiff enough block overflows to inf/NaN
-        s = eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0  # I + Z/2 + Z^2/6 + Z^3/24
-        return (eye + z @ s).tolist(), (h * (s @ b)).tolist()
-
-
-def _rk4_gain(a: np.ndarray, h: float) -> float:
-    """Largest |R(h*lambda)| over the eigenvalues lambda of the 2x2 ``a``
-    with Re lambda < 0, where R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is RK4's
-    growth factor; 0.0 when no mode decays, and inf when R overflows to a
-    NaN, which counts the mode as amplified.
-
-    The eigenvalues are the roots tr/2 +- sqrt((tr/2)^2 - det): a first
-    ``np.linalg.eigvals`` call maps about 0.9 MiB of LAPACK into the process.
-    """
-    (a00, a01), (a10, a11) = a.tolist()
-    half_tr = 0.5 * (a00 + a11)
-    root = cmath.sqrt(half_tr * half_tr - (a00 * a11 - a01 * a10))
-    zs = [h * lam for lam in (half_tr + root, half_tr - root) if lam.real < 0.0]
-    rs = [1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))) for z in zs]
-    # hypot, unlike abs, gives inf where |R| overflows; a NaN R is amplified
-    return max((math.inf if r != r else math.hypot(r.real, r.imag) for r in rs), default=0.0)
-
-
-def _rk4_runs(m, n, runs: int):
-    """k steps of the map y <- M y + N u as one, y <- P_k y + Q_k u with
-    P_k = M^k and Q_k = sum_{i<k} M^i N, yielded for k = 0 .. runs: entry k
-    is (P_k[0][0], P_k[0][1], P_k[1][0], P_k[1][1], Q_k[0], Q_k[1]).
-
-    P_1 = M and Q_1 = N exactly; then P_k = M P_{k-1} and Q_k = M Q_{k-1}
-    + N, in Python floats, so a map that overflows gives inf or NaN entries
-    and no warning.
-    """
-    (m00, m01), (m10, m11) = m
-    n0, n1 = n
-    yield 1.0, 0.0, 0.0, 1.0, 0.0, 0.0
-    p00, p01, p10, p11, q0, q1 = m00, m01, m10, m11, n0, n1
-    for _ in range(runs):
-        yield p00, p01, p10, p11, q0, q1
-        p00, p01, p10, p11 = (
-            m00 * p00 + m01 * p10, m00 * p01 + m01 * p11,
-            m10 * p00 + m11 * p10, m10 * p01 + m11 * p11,
-        )
-        q0, q1 = m00 * q0 + m01 * q1 + n0, m10 * q0 + m11 * q1 + n1
-
-
-def _slave_run_reach(a: np.ndarray, b: np.ndarray, h: float, rows):
-    """(c_v, c_f, c_x): lists over k = 0 .. n for n ``rows`` such that no
-    RK4 stage position of a run of k substeps of width h of the free slave
-    (blocks a, b), nor any substep's end position, exceeds x_s + c_x[k]*|x_s|
-    + c_v[k]*|v_s| + c_f[k]*|F_s| for a start state (x_s, v_s) and torque
-    F_s.  Row i is the slave's i-step map (p01, p11, q0, q1) of _rk4_runs.
-
-    One substep from (x, v): with c = -a[1][1] (damping over mass) and beta
-    = b[1], short of the wall every stage velocity is v + w*(beta*F_s -
-    c*v_prev) for a w in [0, h]; so when h*c < 1 each is within (|v| +
-    h*beta*|F_s|)/(1 - h*c) of zero, and every stage position lies within h
-    times that of x.  Twice this, c1*|v| + c1*h*beta*|F_s| with c1 = 2h/(1 -
-    h*c), covers the rounding of a substep's stages and of the test.  Substep
-    i starts at x = x_s + p01*v_s + q0*F_s, v = p11*v_s + q1*F_s, so by the
-    triangle inequality its stages stay within (|p01| + c1*|p11|)*|v_s| +
-    (|q0| + c1*|q1| + c1*h*beta)*|F_s| of x_s; c_v[k] and c_f[k] take the
-    largest of these over i < k, and entry 0, NaN, bounds nothing.  max keeps
-    a bound over a NaN, which comes only after an inf: the free slave's maps
-    have no negative entry.  Stepped a substep at a time, a run's positions
-    drift off its maps by up to k roundings of 2^-53 of |x_s| plus the
-    reach: k ulps of x_s where each substep moves the slave by under an
-    ulp.  c1's slack of one substep's reach covers the reach's share, as
-    k*2^-53 << 1/k; c_x[k] = k*2^-52 covers that of |x_s| twice, a stage
-    position's own rounding included.
-
-    When h*c >= 1, c1 is inf and so is every c_v and c_f entry from k = 1
-    on, a Python inf: the reach test then compares against -inf or a NaN,
-    never holds, and raises no numpy warning.
-    """
-    hc = -h * float(a[1][1])  # Python floats: numpy's make the reach test slow
-    c1 = 2.0 * h / (1.0 - hc) if hc < 1.0 else math.inf
-    c1_f = c1 * h * float(b[1])
-    c_v, c_f = [math.nan], [math.nan]
-    v = f = 0.0
-    for p01, p11, q0, q1 in rows:
-        v = max(v, abs(p01) + c1 * abs(p11))
-        f = max(f, abs(q0) + c1 * abs(q1))
-        c_v.append(v)
-        c_f.append(f + c1_f)
-    return c_v, c_f, [k * 2.0**-52 for k in range(len(c_v))]
-
-
-def _stage_rk4(sc: SimScenario):
-    """Classical RK4 over width dt of the slave against the wall of ``sc``,
-    stage by stage: ``rk4(xs, vs, dt, fs)`` returns the new (xs, vs)."""
-    # hoisted dynamics constants
-    inv_ms = 1.0 / sc.slave.mass
-    b_s = sc.slave.damping
-    wall = sc.wall
-    x_wall = wall.position
-
-    def rk4(xs, vs, dt, fs):
-        # Classical RK4 of the slave/wall field; each stage evaluates
-        #   a_s = (-wall_force(xs, vs) - b_s*vs + fs) / m_s
-        # with the torque fs already carrying the feedback sign.  Short of
-        # the wall the reaction is the 0.0 wall_force itself returns there.
-        # The operation order is that of the slave's half of the all-stage
-        # loop kept in tests/oracles.py, whose traces are pinned bit for bit.
-        h2 = 0.5 * dt
-        w = wall_force(xs, vs, wall) if xs > x_wall else 0.0
-        k1u = (-w - b_s * vs + fs) * inv_ms
-        x2s = xs + h2 * vs
-        v2s = vs + h2 * k1u
-        w = wall_force(x2s, v2s, wall) if x2s > x_wall else 0.0
-        k2u = (-w - b_s * v2s + fs) * inv_ms
-        x3s = xs + h2 * v2s
-        v3s = vs + h2 * k2u
-        w = wall_force(x3s, v3s, wall) if x3s > x_wall else 0.0
-        k3u = (-w - b_s * v3s + fs) * inv_ms
-        x4s = xs + dt * v3s
-        v4s = vs + dt * k3u
-        w = wall_force(x4s, v4s, wall) if x4s > x_wall else 0.0
-        k4u = (-w - b_s * v4s + fs) * inv_ms
-        s6 = dt / 6.0
-        return (
-            xs + s6 * (vs + 2.0 * (v2s + v3s) + v4s),
-            vs + s6 * (k1u + 2.0 * (k2u + k3u) + k4u),
-        )
-
-    return rk4
-
-
-def _pulse_rows(h: float, n: int, f_start: float, f_stop: float) -> tuple[int, ...]:
-    """(on, off, start_before, start_after, stop_before, stop_after): the
-    pulse's time tests of a run of substeps j .. stop - 1 (0 <= j < stop <=
-    n) at substep h, as row bounds.
-
-    A substep from row j, t0 = j*h and t1 = t0 + h, has its midpoint
-    0.5*(t0 + t1) in [f_start, f_stop) when on <= j < off.  An edge e lies
-    within a substep of the run, t0 - h < e < (stop + 1)*h, when j <
-    e_before and stop >= e_after, for e = f_start and f_stop.  Each time
-    is a monotone function of its row, as rounding is monotone, so each
-    test, once true, stays true as the row grows: the least row where it
-    holds is found by bisection with the test's own float expression, and
-    the answers are the float tests' own, bit for bit.
-    """
-    rows = range(n + 1)
-
-    def midpoint_reaches(e: float) -> int:
-        return bisect_left(rows, True, key=lambda j: 0.5 * (j * h + (j * h + h)) >= e)
-
-    def start_reaches(e: float) -> int:  # the run's t0 - h
-        return bisect_left(rows, True, key=lambda j: j * h - h >= e)
-
-    def end_passes(e: float) -> int:  # the run's (stop + 1)*h
-        return bisect_left(rows, True, key=lambda stop: (stop + 1) * h > e)
-
-    return (
-        midpoint_reaches(f_start), midpoint_reaches(f_stop),
-        start_reaches(f_start), end_passes(f_start),
-        start_reaches(f_stop), end_passes(f_stop),
-    )
-
-
-def _propagator(sc: SimScenario, h: float, columns):
-    """``(advance, fill)``: RK4 between events at substep h, writing the
-    state into the trace ``columns`` (in _TRACE_COLUMNS order).
-
-    ``advance(j, stop, x_m, v_m, x_s, v_s, f_m, f_s)`` takes substeps j ..
-    stop - 1 at the held torques f_m and f_s, writes the state on the rows
-    it reaches and returns the state on row stop, which is non-finite when
-    the run diverged.  ``fill(a, b)`` writes the inner rows of the runs it
-    jumped that start on rows a .. b - 1, reading F_s and the marks that
-    advance leaves in F_h and F_e on those rows: F_s must be filled in on
-    them first, and F_h and F_e written there only after.
-
-    A run of k substeps with no operator-force edge within a substep of it
-    is one jump by RK4's k-step maps when the slave's reach over k
-    substeps, read off the same maps (``_slave_run_reach``), keeps it short
-    of the wall; advance writes its end row, and fill its inner rows
-    (``_fill_jumps``).  A jump that ends non-finite, a run near an
-    edge and any run the bound rejects take the slow path a substep at a
-    time: a substep is cut at any edge strictly inside it, each piece taking
-    its midpoint's pulse value, the slave evaluates RK4's four stages over
-    each piece, with the wall-branch check and bisection, and the master
-    takes RK4's transition map at each of the slave's piece widths.  The
-    trace is bit-identical for a scenario and seed, and agrees with the
-    all-stage loop to 1e-9 of each column's largest finite magnitude.  A
-    decaying mode that RK4 amplifies at this substep (master with the
-    operator, slave against the wall) is logged as a WARNING on the
-    "teleopstab" logger.
-    """
-    rk4 = _stage_rk4(sc)
-    nsub = sc.integrator_substeps
-    wall = sc.wall
-    x_wall = wall.position
-    f_start, f_stop, f_mag = astuple(sc.operator_force)
-    isfinite = math.isfinite
-
-    on, off, start_before, start_after, stop_before, stop_after = _pulse_rows(
-        h, len(columns[0]), f_start, f_stop
-    )
-
-    # RK4's k-step maps for k = 0 .. nsub, no run of substeps between events
-    # being longer than a period, as one row: the master's with the operator
-    # (input fstar + F_m), then the free slave's (input F_s) less its first
-    # column, which is (1, 0) exactly, as it has no spring; the slave's
-    # reach over a run is read off its rows
-    master = _robot_blocks(sc.master, sc.human)
-    slave = _robot_blocks(sc.slave, FREE)
-    tables = [
-        (p00, p10, p01, p11, q0, q1, r01, r11, r0, r1)
-        for (p00, p01, p10, p11, q0, q1), (_, r01, _, r11, r0, r1) in zip(
-            _rk4_runs(*_rk4_map(*master, h), nsub), _rk4_runs(*_rk4_map(*slave, h), nsub)
-        )
-    ]
-    m00, m10, m01, m11, n_m0, n_m1 = tables[1][:6]
-    run_v, run_f, run_x = _slave_run_reach(*slave, h, (row[6:] for row in tables))
-    # a decaying mode that RK4 amplifies makes the run diverge on its own
-    pressed = ImpedanceModel(damping=wall.damping, stiffness=wall.stiffness)
-    modes = (
-        ("master with the operator", master[0]),
-        ("slave against the wall", _robot_blocks(sc.slave, pressed)[0]),
-    )
-    for mode, a in modes:
-        gain = _rk4_gain(a, h)
-        if gain > 1.0:
-            # imported only here: logging costs every process about 5 ms and
-            # 0.4 MiB to load, and a run seldom warns
-            import logging
-
-            logging.getLogger("teleopstab").warning(
-                "RK4 at substep h = %.6g s amplifies the decaying %s mode "
-                "(|R(h*lambda)| = %.6g > 1); the run may diverge where the loop "
-                "does not: raise [run] substeps",
-                h, mode, gain,
-            )
-
-    # a run of k > 1 substeps taken in one jump writes k to its first row
-    # of F_e and the master's input to that of F_h, two columns that are
-    # free until the loop is done
-    xm_w, vm_w, xs_w, vs_w, _, _, u_w, jump_w = map(memoryview, columns[1:])
-    columns[8][:] = 0.0
-
-    def wall_branch(xs, vs):
-        # 0 free flight, 1 pushing contact, 2 clamped (spring+damper pulls)
-        if xs <= x_wall:
-            return 0
-        return 1 if wall_force(xs, vs, wall) > 0.0 else 2
-
-    def advance_slave(t0, t1, xs, vs, fs):
-        # the slave over [t0, t1] at a held torque, bisecting wall branch
-        # changes; returns its end state and the widths of the smooth pieces
-        widths = []
-        for _ in range(64):
-            dt = t1 - t0
-            if dt <= 0.0:
-                return xs, vs, widths
-            b0 = wall_branch(xs, vs)
-            x1, v1 = rk4(xs, vs, dt, fs)
-            if wall_branch(x1, v1) == b0 or not (isfinite(x1) and isfinite(v1)):
-                widths.append(dt)
-                return x1, v1, widths
-            lo, hi = 0.0, dt
-            y_hi = x1, v1
-            for _ in range(64):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                ym = rk4(xs, vs, mid, fs)
-                if wall_branch(*ym) == b0:
-                    lo = mid
-                else:
-                    hi = mid
-                    y_hi = ym
-            xs, vs = y_hi
-            widths.append(hi)
-            t0 = t0 + hi
-        widths.append(t1 - t0)
-        return *rk4(xs, vs, t1 - t0, fs), widths
-
-    def advance(j, stop, x_m, v_m, x_s, v_s, f_m, f_s):
-        # substeps j .. stop - 1, each reaching the state of the next row; a
-        # substep's width stays t1 - t0, which need not round to h
-        u_m = (f_mag if on <= j < off else 0.0) + f_m
-        k = stop - j
-        # a pulse edge inside the run, or within a substep of it, where a
-        # midpoint may round across it, refuses the jump
-        edged = j < start_before and stop >= start_after or j < stop_before and stop >= stop_after
-        # every RK4 stage of a run the test admits keeps the slave short of
-        # the wall (_slave_run_reach): the run is one k-step jump
-        reach = x_s + run_x[k] * abs(x_s) + run_v[k] * abs(v_s)
-        if not edged and reach <= x_wall - run_f[k] * abs(f_s):
-            p00, p10, p01, p11, q0, q1, r01, r11, r0, r1 = tables[k]
-            x_m1 = p00 * x_m + p01 * v_m + q0 * u_m
-            v_m1 = p10 * x_m + p11 * v_m + q1 * u_m
-            x_s1 = x_s + r01 * v_s + r0 * f_s
-            v_s1 = r11 * v_s + r1 * f_s
-            # a sum of finite values may overflow, and a run that ends non-finite
-            # is stepped again below to find its first non-finite row; both are rare
-            if isfinite(x_m1 + v_m1 + x_s1 + v_s1):
-                if k > 1:
-                    jump_w[j] = k
-                    u_w[j] = u_m
-                xm_w[stop] = x_m1
-                vm_w[stop] = v_m1
-                xs_w[stop] = x_s1
-                vs_w[stop] = v_s1
-                return x_m1, v_m1, x_s1, v_s1
-
-        # one substep at a time, by the slow path: near an edge a substep is
-        # cut at the edges inside it, each piece taking its midpoint's pulse
-        # value; the slave evaluates RK4's stages over each piece, bisecting
-        # wall branch changes, and the master takes the slave's pieces
-        for i in range(j, stop):
-            t0 = i * h
-            t1 = t0 + h
-            pieces = ((t0, t1, u_m),)
-            if edged:
-                cuts = [t0, *(e for e in (f_start, f_stop) if t0 < e < t1), t1]
-                pieces = [
-                    (a, b, (f_mag if f_start <= 0.5 * (a + b) < f_stop else 0.0) + f_m)
-                    for a, b in zip(cuts, cuts[1:])
-                ]
-            for a, b, u in pieces:
-                x_s, v_s, widths = advance_slave(a, b, x_s, v_s, f_s)
-                if len(widths) == 1 and len(pieces) == 1:  # the whole substep
-                    x_m, v_m = m00 * x_m + m01 * v_m + n_m0 * u, m10 * x_m + m11 * v_m + n_m1 * u
-                else:
-                    for w in widths:
-                        ((m0, m1), (m2, m3)), (n0, n1) = _rk4_map(*master, w)
-                        x_m, v_m = m0 * x_m + m1 * v_m + n0 * u, m2 * x_m + m3 * v_m + n1 * u
-            i += 1
-            xm_w[i] = x_m
-            vm_w[i] = v_m
-            xs_w[i] = x_s
-            vs_w[i] = v_s
-        return x_m, v_m, x_s, v_s
-
-    maps = np.array(tables).T.copy()  # contiguous rows, which take needs
-
-    def fill(a, b):
-        # an inner row may overflow though its jump's end row is finite
-        with np.errstate(all="ignore"):
-            _fill_jumps(columns, maps, a, b)
-
-    return advance, fill
 
 
 def run_scenario(
@@ -713,7 +319,7 @@ def run_scenario(
     the runs jumped from it (``fill(a, b)``), then F_h and F_e: bit for bit
     the values a row-at-a-time loop writes, within the same nine columns.
 
-    A sample is one call of each robot's ``_SensorPipeline.sample``, a hold
+    A sample is one call of each robot's ``_sensor`` closure, a hold
     one call of the law built once a run with its clamp (``_control_law``),
     and a run one ``advance``; the loop tests the state's sum for
     finiteness.  A hardware-sweep request (noise, clamp, jittered sampling,
@@ -748,10 +354,10 @@ def run_scenario(
     # the actuator's largest |F|, taken once a run; unbounded without hardware
     lim = math.inf if cfg is None else clamp_force(math.inf, cfg)
 
-    pipe_m = pipe_s = None
+    sample_m = sample_s = None
     if sampled and cfg is not None:
-        pipe_m = _SensorPipeline(cfg, T, np.random.default_rng([seed, 0]))
-        pipe_s = _SensorPipeline(cfg, T, np.random.default_rng([seed, 1]))
+        sample_m = _sensor(cfg, T, np.random.default_rng([seed, 0]))
+        sample_s = _sensor(cfg, T, np.random.default_rng([seed, 1]))
 
     # no packet delayed past the run arrives: a clamped delay fits int64 rows
     d1_sub, d2_sub = (min(d, n_periods + 1) * nsub for d in (ch.d1, ch.d2))
@@ -825,9 +431,6 @@ def run_scenario(
     last = n_total  # row the run ends on; moves up when the state diverges
     divergence_time: float | None = None
     # the loop's names as locals
-    sample_m = sample_s = None
-    if pipe_m is not None:
-        sample_m, sample_s = pipe_m.sample, pipe_s.sample
     SAMPLE, HOLD_S, HOLD_M = _SAMPLE, _HOLD_S, _HOLD_M
     send_s, send_m, take_s, take_m = to_s.append, to_m.append, to_s.popleft, to_m.popleft
     for j, stop, marks in itertools.chain.from_iterable(schedule()):
@@ -942,77 +545,6 @@ def _fill_held(col: np.ndarray, samples, delay: int, a: int, b: int, first: floa
     col[a:b] = np.repeat(held, np.diff(edges))
 
 
-def _fill_jumps(columns, tables: np.ndarray, a: int, b: int) -> None:
-    """Write the inner rows of the runs of substeps that ``_propagator``
-    took in one jump and that start on rows a .. b - 1, _FILL_ROWS inner
-    rows a numpy pass.
-
-    A jump leaves k on row j of F_e, the last of ``columns``, for a run of
-    k substeps from row j, and the master's input u_m = fstar + F_m on row
-    j of F_h.  Row j + i, 0 < i < k, is then the i-step jump from row j,
-    formed as a jump forms its end row: x_m = p00*x_m + p01*v_m + q0*u_m,
-    and so on.  Row k of ``tables`` is the propagator's row k: the
-    master's (p00, p10, p01, p11, q0, q1) and the slave's (p01, p11, q0,
-    q1); the slave's first column is (1, 0).
-
-    A pass gathers each coefficient by the rows' steps i and each start
-    value by their runs' starts j, and forms one output column at a time.
-    It holds seven arrays of one 8-byte entry an inner row: i, j, the three
-    start values of one robot and two buffers for the column being formed.
-    The bits do not depend on the pass size.  A hardware-sweep request
-    (three runs, 185 000 substeps) spends about 10 ms here (2 vCPUs),
-    against 19 to 30 ms at 512 rows a pass with a (10, rows) gather of the
-    tables.
-    """
-    _, x_m, v_m, x_s, v_s, _, f_s, u_m, marks = columns
-    seg = marks[a:b]
-    starts = seg.nonzero()[0]
-    if not len(starts):
-        return
-    inner = seg.take(starts).astype(np.intp)
-    inner -= 1
-    starts += a
-    first = np.cumsum(inner)  # each run's first inner row, counted over the runs
-    total = int(first[-1])
-    first -= inner
-    del inner
-    p00, p10, p01, p11, q0, q1, r01, r11, r0, r1 = tables
-    for c in range(0, total, _FILL_ROWS):
-        # the step i of each inner row of this pass, and its run's start j
-        i = np.arange(c, min(c + _FILL_ROWS, total))
-        run = first.searchsorted(i, "right")
-        run -= 1
-        i -= first.take(run)
-        i += 1
-        j = starts.take(run)
-        del run
-        out = np.empty(len(i))
-        tmp = np.empty(len(i))
-        x, v, u = x_m.take(j), v_m.take(j), u_m.take(j)
-        j += i  # the inner rows, until the slave's start values are taken
-        for col, px, pv, q in ((x_m, p00, p01, q0), (v_m, p10, p11, q1)):
-            # p_x*x + p_v*v + q*u, left to right; take's "clip" mode writes
-            # to out= unbuffered, and every index is in range
-            np.multiply(px.take(i, mode="clip", out=out), x, out=out)
-            out += np.multiply(pv.take(i, mode="clip", out=tmp), v, out=tmp)
-            out += np.multiply(q.take(i, mode="clip", out=tmp), u, out=tmp)
-            col[j] = out
-        j -= i
-        x_s.take(j, mode="clip", out=x)
-        v_s.take(j, mode="clip", out=v)
-        f_s.take(j, mode="clip", out=u)
-        j += i
-        # x_s = x + r01*v + r0*f and v_s = r11*v + r1*f
-        np.multiply(r01.take(i, mode="clip", out=out), v, out=out)
-        out += x
-        out += np.multiply(r0.take(i, mode="clip", out=tmp), u, out=tmp)
-        x_s[j] = out
-        np.multiply(r11.take(i, mode="clip", out=out), v, out=out)
-        out += np.multiply(r1.take(i, mode="clip", out=tmp), u, out=tmp)
-        v_s[j] = out
-        del i, j, x, v, u, out, tmp  # freed before the next pass allocates
-
-
 def verdict(trace: SimTrace, run: RunSettings = RunSettings()) -> SimVerdict:
     """Judge boundedness and settling of a trace against ``run``'s thresholds.
 
@@ -1080,120 +612,3 @@ def sweep_period(
         except (ArithmeticError, ValueError) as exc:  # per-row isolation
             rows.append(SweepRow(period=T, verdict=None, stability=None, error=str(exc)))
     return rows
-
-
-def _write_rows(fh, columns, a: int, b: int) -> None:
-    """Rows a to b of the trace's columns as CSV bytes, a block at a time,
-    each block stacked by column so that ``_g17_csv`` reads a column's run
-    of repeated values without a strided pass."""
-    step = _CSV_CHUNK_FIELDS // len(columns)
-    for i in range(a, b, step):
-        fh.write(_g17_csv(np.stack([c[i : min(i + step, b)] for c in columns]).T))
-
-
-def write_trace_csv(trace: SimTrace, path) -> None:
-    """Write the signal record, one row per substep, full double precision.
-
-    Every field is ``"%.17g" % x`` byte for byte.  ``_g17_csv`` formats a
-    block of rows at a time in numpy, each run of repeated values in a
-    column once, so no whole-trace copy or per-value call is made.  The
-    rows are cut into contiguous ranges, one per CPU the process may run
-    on (at most ``_TRACE_SPLIT_MAX``), when each range holds
-    at least ``_TRACE_SPLIT_ROWS`` rows.  The caller formats the first range
-    straight into ``path``; a forked child formats each other range into an
-    unlinked part file next to it, and the caller copies the parts in order
-    through a 64 KiB buffer.  A range whose fork fails (no process or memory
-    left) is formatted by the caller.  Where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing (Windows, macOS), the caller runs
-    more than one Python thread, one CPU is allowed or the trace is short,
-    one range is formatted in the calling process.  The thread check sees
-    Python threads only, not OS threads a library starts (OpenBLAS's pool):
-    the child calls no BLAS routine, only numpy's elementwise formatting
-    and file writes, and leaves by ``os._exit``.  Python 3.12 and later
-    warn (``DeprecationWarning``) when such a process forks; the default
-    filters do not show it.  The bytes do not depend on the number of
-    ranges.  On the shipped 80 s scenario (133 k rows, 2 vCPUs, alternating
-    runs in one process) two ranges took 0.10 to 0.16 s and one 0.14 to
-    0.16 s: what the second range gains depends on how busy the host keeps
-    the other CPU.  A child that fails makes the write raise ``OSError``.
-    """
-    import contextlib
-    import os
-    import shutil
-    import tempfile
-    import threading
-
-    columns = [getattr(trace, name) for name in _TRACE_COLUMNS]
-    rows = len(trace.t)
-    parts = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        cpus = len(os.sched_getaffinity(0))
-        parts = max(1, min(cpus, _TRACE_SPLIT_MAX, rows // _TRACE_SPLIT_ROWS))
-    cuts = [rows * k // parts for k in range(parts + 1)]
-    folder = os.path.dirname(os.path.abspath(path))
-    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
-        ranges = [
-            (stack.enter_context(tempfile.TemporaryFile(dir=folder)), a, b)
-            for a, b in zip(cuts[1:], cuts[2:])
-        ]
-        pids = []
-        try:
-            for part, a, b in ranges:
-                try:
-                    pid = os.fork()
-                except OSError:  # no process or memory for it: formatted below
-                    break
-                if pid == 0:  # the child formats its range and never returns
-                    code = 1
-                    try:
-                        _write_rows(part, columns, a, b)
-                        part.flush()
-                        code = 0
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
-            fh.write(_CSV_HEADER)
-            _write_rows(fh, columns, 0, cuts[1])
-            for part, a, b in ranges[len(pids) :]:
-                _write_rows(part, columns, a, b)
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        if any(codes):
-            raise OSError(f"trace CSV writer processes exited with {codes}")
-        for part, _, _ in ranges:
-            part.seek(0)
-            shutil.copyfileobj(part, fh, 1 << 16)
-
-
-def write_events_csv(trace: SimTrace, path) -> None:
-    """Write sampler/hold events as kind,t rows ordered by time.
-
-    Equal times keep the order sample, hold_m, hold_s.  The t field is
-    ``"%.17g" % t``, formatted by ``_g17_csv`` as in the trace.  Only the
-    times, the kinds (a byte each) and the sort order span the whole run;
-    a block of rows at a time is gathered, formatted and joined as bytes.
-    Equal times sit next to each other after the sort, so a block formats
-    each distinct time once: at a delay of 0 every time is a sample and
-    both holds.  About 0.4 us a row on the shipped scenario (40 k rows);
-    formatting every row took 0.5 to 0.65 us, and one ``%`` per row 1 us.
-    """
-    names = np.array([b"sample,", b"hold_m,", b"hold_s,"], dtype=object)
-    arrays = (trace.sample_events, trace.hold_events_m, trace.hold_events_s)
-    t = np.concatenate(arrays)
-    kind = np.repeat(np.arange(len(names), dtype=np.uint8), [len(a) for a in arrays])
-    order = np.lexsort((kind, t))
-    step = _CSV_CHUNK_FIELDS
-    with open(path, "wb") as fh:
-        fh.write(b"kind,t\n")
-        for a in range(0, len(order), step):
-            rows = order[a : a + step]
-            block = t[rows]
-            # a new time is a new bit pattern (-0.0 and 0.0 apart); the first
-            # row is formatted even where it ties with the last block's
-            bits = block.view(np.int64)
-            fresh = np.empty(len(block), dtype=bool)
-            fresh[0] = True
-            np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
-            times = _g17_csv(block[fresh, None]).splitlines(True)
-            lines = np.array(times, dtype=object)[np.cumsum(fresh) - 1]
-            fh.write(b"".join((names[kind[rows]] + lines).tolist()))

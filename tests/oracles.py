@@ -31,7 +31,7 @@ from scipy import signal
 
 from teleopstab.control import control_continuous
 from teleopstab.plants import wall_force
-from teleopstab.sim import TRACE_BUDGET_BYTES, SimTrace, _saturate, _SensorPipeline, clamp_force
+from teleopstab.sim import TRACE_BUDGET_BYTES, SimTrace, _saturate, _sensor, clamp_force
 
 
 def poly_brute(coeffs, s):
@@ -465,8 +465,8 @@ def stagewise_run_scenario(sc, seed=0, controller_mode="sampled"):
 
     pipe_m = pipe_s = None
     if sampled and cfg is not None:
-        pipe_m = _SensorPipeline(cfg, T, np.random.default_rng([seed, 0]))
-        pipe_s = _SensorPipeline(cfg, T, np.random.default_rng([seed, 1]))
+        pipe_m = _sensor(cfg, T, np.random.default_rng([seed, 0]))
+        pipe_s = _sensor(cfg, T, np.random.default_rng([seed, 1]))
 
     # (substep, time) of each sample; jittered intervals are drawn as needed
     if sampled and sc.jitter_sampling:
@@ -535,8 +535,8 @@ def stagewise_run_scenario(sc, seed=0, controller_mode="sampled"):
             if sampled:
                 if j == next_sample:
                     if pipe_m is not None:
-                        own_m = pipe_m.sample(x_m, v_m)
-                        own_s = pipe_s.sample(x_s, v_s)
+                        own_m = pipe_m(x_m, v_m)
+                        own_s = pipe_s(x_s, v_s)
                     else:
                         own_m = (x_m, v_m)
                         own_s = (x_s, v_s)

@@ -280,15 +280,15 @@ def test_simulate_over_trace_budget_exit_code(tmp_path, capsys):
 
 _FAILING_CHILD = """\
 import os, sys
-from teleopstab import cli, sim
+from teleopstab import _g17, cli
 parent = os.getpid()
-g17_csv = sim._g17_csv
+g17_csv = _g17._g17_csv
 def g17_csv_in_parent(block):
     if os.getpid() != parent:
         raise RuntimeError("formatting failed in a child")
     return g17_csv(block)
-sim._g17_csv = g17_csv_in_parent
-sim._TRACE_SPLIT_ROWS = 1
+_g17._g17_csv = g17_csv_in_parent
+_g17._TRACE_SPLIT_ROWS = 1
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 print("before the run")
 sys.exit(cli.cli_dispatch(sys.argv[1:]))

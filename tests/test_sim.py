@@ -1,11 +1,13 @@
 """Hybrid time-domain simulator: traces, verdicts, nonidealities, sweeps."""
 
+import ast
 import dataclasses
 import errno
 import hashlib
 import logging
 import math
 import os
+import re
 import threading
 import tracemalloc
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from teleopstab import _g17, control, plants, sim
+from teleopstab import _g17, _rk4, control, plants, sim
 from teleopstab import (
     FREE,
     ChannelConfig,
@@ -404,7 +406,7 @@ def test_pulse_rows_are_the_float_tests(h, edges):
     # rows, each answer is the float test's own
     f_start, f_stop = sorted(_nudged((m + frac) * h, ulps) for m, frac, ulps in edges)
     n = 80
-    on, off, *edge_rows = sim._pulse_rows(h, n, f_start, f_stop)
+    on, off, *edge_rows = _rk4._pulse_rows(h, n, f_start, f_stop)
     start_before, start_after, stop_before, stop_after = edge_rows
     for j in range(n):
         t0 = j * h
@@ -750,7 +752,7 @@ def test_trace_budget_checked_before_allocation(reference_scenario, monkeypatch)
     sc = _short(
         reference_scenario, duration=0.06, operator_force=OperatorForce(0.0, 0.0)
     )
-    need = 9 * 8 * 101 + sim._TABLE_BYTES_PER_SUBSTEP * 10
+    need = 9 * 8 * 101 + _rk4._TABLE_BYTES_PER_SUBSTEP * 10
     monkeypatch.setattr(sim, "TRACE_BUDGET_BYTES", need)
     assert len(run_scenario(sc).t) == 101
     monkeypatch.setattr(sim, "TRACE_BUDGET_BYTES", need - 1)
@@ -1167,7 +1169,7 @@ def test_table_memory_is_within_the_budget(reference_scenario):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - 9 * 8 * len(tr.t)) / nsub <= sim._TABLE_BYTES_PER_SUBSTEP, periods
+        assert (peak - 9 * 8 * len(tr.t)) / nsub <= _rk4._TABLE_BYTES_PER_SUBSTEP, periods
     # the fill writes a long run's inner rows _FILL_ROWS at a time, so its
     # temporaries stay a few tens of KiB however long the run; all its rows
     # at once took about 190 B a row
@@ -1178,7 +1180,7 @@ def test_table_memory_is_within_the_budget(reference_scenario):
     tables = np.ones((10, k + 1))
     tracemalloc.start()
     try:
-        sim._fill_jumps(columns, tables, 0, sim._FILL_ROWS)
+        _rk4._fill_jumps(columns, tables, 0, _rk4._FILL_ROWS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1205,7 +1207,7 @@ def test_held_torque_fill_memory_is_within_the_budget(reference_scenario):
     finally:
         tracemalloc.stop()
     assert len(tr.t) == 835_001
-    assert peak - 9 * 8 * len(tr.t) <= sim._TABLE_BYTES_PER_SUBSTEP * nsub
+    assert peak - 9 * 8 * len(tr.t) <= _rk4._TABLE_BYTES_PER_SUBSTEP * nsub
 
 
 @pytest.mark.parametrize("size", [1, 7, sim._FILL_ROWS])
@@ -1258,7 +1260,7 @@ def test_fill_bits_do_not_depend_on_the_pass_size(monkeypatch, reference_scenari
     # row formula of its run's start, bit for bit, at every size
     rng = np.random.default_rng(3)
     ks = [2, 1, 9, 3, 1, 1, 20, 5, 2, 7, 8, 1, 13] * 30
-    assert sum(ks) > sim._FILL_ROWS
+    assert sum(ks) > _rk4._FILL_ROWS
     tables = rng.uniform(-2.0, 2.0, (10, max(ks) + 1))
     base, starts = _jumped_columns(ks, rng)
     want = [c.copy() for c in base]
@@ -1271,20 +1273,21 @@ def test_fill_bits_do_not_depend_on_the_pass_size(monkeypatch, reference_scenari
             x_s[j + i] = x_s[j] + r01[i] * v_s[j] + r0[i] * f_s[j]
             v_s[j + i] = r11[i] * v_s[j] + r1[i] * f_s[j]
     last = len(base[0]) - 1
-    for size in (1, 7, sim._FILL_ROWS):
-        monkeypatch.setattr(sim, "_FILL_ROWS", size)
+    for size in (1, 7, _rk4._FILL_ROWS):
+        monkeypatch.setattr(_rk4, "_FILL_ROWS", size)
         got = [c.copy() for c in base]
         for a in range(0, last, size):
-            sim._fill_jumps(got, tables, a, min(a + size, last))
+            _rk4._fill_jumps(got, tables, a, min(a + size, last))
         for c in (1, 2, 3, 4):
             assert got[c].tobytes() == want[c].tobytes(), (size, c)
     # and whole runs, where every block of the pass after the loop, which
-    # fills the held torques, the jumped rows and the forces, is of the
-    # patched size
+    # fills the held torques, the jumped rows and the forces, and every
+    # pass of _fill_jumps are of the patched size
     sc, seed, _ = _pinned_cases(reference_scenario)["pulse_edge_inside_jittered_run"]
     traces = []
-    for size in (1, 7, sim._FILL_ROWS):
+    for size in (1, 7, _rk4._FILL_ROWS):
         monkeypatch.setattr(sim, "_FILL_ROWS", size)
+        monkeypatch.setattr(_rk4, "_FILL_ROWS", size)
         traces.append(run_scenario(sc, seed=seed))
     for tr in traces[1:]:
         assert _trace_digest(tr) == _trace_digest(traces[0])
@@ -1347,8 +1350,8 @@ def _abs_rk4_map(a, b, h):
 def _slave_reach(slave, h, runs):
     """_slave_run_reach of the free slave's blocks, read off its k-step maps
     for k = 0 .. runs as the propagator reads its tables."""
-    rows = sim._rk4_runs(*sim._rk4_map(*slave, h), runs)
-    return sim._slave_run_reach(*slave, h, ((p01, p11, q0, q1) for _, p01, _, p11, q0, q1 in rows))
+    rows = _rk4._rk4_runs(*_rk4._rk4_map(*slave, h), runs)
+    return _rk4._slave_run_reach(*slave, h, ((p01, p11, q0, q1) for _, p01, _, p11, q0, q1 in rows))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1372,14 +1375,14 @@ def test_one_map_step_is_one_rk4_step(reference_scenario, m, b, k, h, state, for
     fstar, fm, fs = forces
     staged = stage_rk4(sc)(xm, vm, xs, vs, h, fstar, fm, fs)
     # the simulator's slave stages are the oracle's slave half, bit for bit
-    assert sim._stage_rk4(sc)(xs, vs, h, fs) == staged[2:]
+    assert _rk4._stage_rk4(sc)(xs, vs, h, fs) == staged[2:]
     sides = (
         (plants._robot_blocks(sc.master, sc.human), (xm, vm), fstar + fm, abs(fstar) + abs(fm)),
         (plants._robot_blocks(sc.slave, FREE), (xs, vs), fs, abs(fs)),
     )
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     for side, ((a, bb), y, u, u_abs) in enumerate(sides):
-        mm, nn = sim._rk4_map(a, bb, h)
+        mm, nn = _rk4._rk4_map(a, bb, h)
         mapped = [row[0] * y[0] + row[1] * y[1] + n * u for row, n in zip(mm, nn)]
         m_abs, n_abs = _abs_rk4_map(a, bb, h)
         bound = 64 * (eps * (m_abs @ np.abs(y) + n_abs * u_abs) + tiny)
@@ -1415,8 +1418,8 @@ def test_wall_bound_keeps_every_rk4_stage_short_of_the_wall(
     assume(xs + reach_v * abs(vs) <= x_wall - reach_f * abs(fs))
     assert max(_free_stages(m, b, h, xs, vs, fs)) <= x_wall
     # the wall never engaged: rk4 gives the bits it gives with no wall
-    walled = sim._stage_rk4(_robots(reference_scenario, m, b, 0.0, wall=x_wall))
-    free = sim._stage_rk4(_robots(reference_scenario, m, b, 0.0))
+    walled = _rk4._stage_rk4(_robots(reference_scenario, m, b, 0.0, wall=x_wall))
+    free = _rk4._stage_rk4(_robots(reference_scenario, m, b, 0.0))
     end = walled(xs, vs, h, fs)
     assert end == free(xs, vs, h, fs)
     assert end[0] <= x_wall
@@ -1490,8 +1493,8 @@ def test_k_step_tables_are_k_map_steps(reference_scenario, m, b, k, h, state, u)
     sc = _robots(reference_scenario, m, b, k)
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     for a, bb in (plants._robot_blocks(sc.master, sc.human), plants._robot_blocks(sc.slave, FREE)):
-        mm, nn = sim._rk4_map(a, bb, h)
-        tables = list(sim._rk4_runs(mm, nn, 16))
+        mm, nn = _rk4._rk4_map(a, bb, h)
+        tables = list(_rk4._rk4_runs(mm, nn, 16))
         assert tables[0] == (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
         (m00, m01), (m10, m11) = mm
         n0, n1 = nn
@@ -1517,13 +1520,66 @@ def test_rk4_constants_are_the_blocks(reference_scenario, m_s, b_s):
     sc = dataclasses.replace(reference_scenario, slave=RobotParams(mass=m_s, damping=b_s))
     # the constants the slave's rk4 evaluates its stages with, read from its
     # closure; the master has none, as it steps only by its blocks' maps
-    rk4 = sim._stage_rk4(sc)
+    rk4 = _rk4._stage_rk4(sc)
     hoisted = dict(zip(rk4.__code__.co_freevars, (c.cell_contents for c in rk4.__closure__)))
     a_s, b_sv = plants._robot_blocks(sc.slave, FREE)
     assert b_sv[1] == hoisted["inv_ms"]
     assert a_s[1, 0] == 0.0
     assert a_s[1, 1] == -(hoisted["b_s"] * hoisted["inv_ms"])
     assert a_s[0].tolist() == [0.0, 1.0] and b_sv[0] == 0.0
+
+
+def _package_trees():
+    """The parsed source of each module of the package, by module name."""
+    folder = os.path.dirname(sim.__file__)
+    trees = {}
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                trees[name[:-3]] = ast.parse(fh.read())
+    return trees
+
+
+def _names(tree):
+    """Every name a module defines, binds, reads or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            yield node.asname
+
+
+def _imports(tree):
+    """(module, name) for each import of a module, the package's modules
+    named without the package; name is None where a module is imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("teleopstab").lstrip(".")
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, None)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.removeprefix("teleopstab."), None
+
+
+def test_rk4_helpers_live_in_one_module_and_the_writers_stand_alone():
+    # replacing RK4 is a change to _rk4 alone: no other module defines or
+    # names its helpers, and sim reaches it only through the propagator and
+    # the two constants it charges and blocks by.  _g17, the writers'
+    # module, imports nothing from the simulator
+    trees = _package_trees()
+    helper = re.compile(r"_rk4_\w+|_stage_rk4|_slave_run_reach|_pulse_rows|_fill_jumps")
+    named = {mod: {n for n in _names(t) if n and helper.fullmatch(n)} for mod, t in trees.items()}
+    assert {"_rk4_map", "_rk4_gain", "_rk4_runs", "_stage_rk4", "_fill_jumps"} <= named.pop("_rk4")
+    assert not any(named.values()), named
+    from_rk4 = {name for mod, name in _imports(trees["sim"]) if mod == "_rk4"}
+    assert from_rk4 == {"_propagator", "_FILL_ROWS", "_TABLE_BYTES_PER_SUBSTEP"}
+    assert not {mod for mod, _ in _imports(trees["_g17"])} & {"sim", "_rk4"}
 
 
 def _propagated(sc, start, state, forces, stops):
@@ -1533,7 +1589,7 @@ def _propagated(sc, start, state, forces, stops):
     (F_m, F_s), then fills the jumped runs' inner rows."""
     columns = [np.zeros(stops[-1] + 1) for _ in _COLUMNS]
     columns[6][:] = forces[1]  # the fill reads F_s
-    advance, fill = sim._propagator(sc, sc.channel.T / sc.integrator_substeps, columns)
+    advance, fill = _rk4._propagator(sc, sc.channel.T / sc.integrator_substeps, columns)
     for col, y in zip(columns[1:5], state):
         col[start] = y
     j = start
@@ -1761,7 +1817,7 @@ def _synthetic_trace(n_rows, rng, events=(0, 0, 0)):
     return SimTrace(*cols, *ev, period=0.006, substep=0.0006)
 
 
-_TRACE_CHUNK_ROWS = sim._CSV_CHUNK_FIELDS // len(_COLUMNS)
+_TRACE_CHUNK_ROWS = _g17._CSV_CHUNK_FIELDS // len(_COLUMNS)
 
 
 # where os.fork or os.sched_getaffinity is missing (Windows, macOS) the
@@ -1771,15 +1827,14 @@ _needs_split = pytest.mark.skipif(not _SPLITS, reason="no os.fork or os.sched_ge
 
 
 def _split_trace_csv(monkeypatch, cpus, least_rows=1):
-    """Let write_trace_csv see ``cpus`` allowed CPUs and cut up to ``cpus``
-    ranges of ``least_rows`` rows or more; returns the list of the children
+    """Let write_trace_csv see ``cpus`` allowed CPUs and cut the rows in two
+    halves of ``least_rows`` rows or more; returns the list of the children
     it forks.  Where it cannot split, nothing is patched."""
     children = []
     if not _SPLITS:
         return children
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(sim, "_TRACE_SPLIT_ROWS", least_rows)
-    monkeypatch.setattr(sim, "_TRACE_SPLIT_MAX", cpus)
+    monkeypatch.setattr(_g17, "_TRACE_SPLIT_ROWS", least_rows)
     fork = os.fork
 
     def counted_fork():
@@ -1806,15 +1861,15 @@ def _assert_nothing_left(folder):
 )
 def test_trace_csv_bytes_match_savetxt(tmp_path, monkeypatch, extra):
     # 0 rows, 1 row, one chunk, one chunk + 1 and two chunks + 5, each with
-    # every edge value, cut into 1, 2 and 3 ranges where the platform
-    # splits; 301 and 605 rows divide by neither the range count nor the
-    # chunk. The fixed offsets -256, -255 and 261 give row counts off the
-    # chunk edges (44, 45 and 561 rows at 300 rows a chunk).
+    # every edge value, cut into 1 and 2 ranges where the platform splits;
+    # 301 and 605 rows divide by neither the range count nor the chunk. The
+    # fixed offsets -256, -255 and 261 give row counts off the chunk edges
+    # (44, 45 and 561 rows at 300 rows a chunk).
     n_rows = _TRACE_CHUNK_ROWS + extra
     tr = _synthetic_trace(n_rows, np.random.default_rng(n_rows))
     savetxt_trace(tr, tmp_path / "ref.csv")
     want = (tmp_path / "ref.csv").read_bytes()
-    for parts in (1, 2, 3) if _SPLITS else (1,):
+    for parts in (1, 2) if _SPLITS else (1,):
         children = _split_trace_csv(monkeypatch, parts)
         out = tmp_path / f"parts{parts}"
         out.mkdir()
@@ -1825,29 +1880,24 @@ def test_trace_csv_bytes_match_savetxt(tmp_path, monkeypatch, extra):
 
 
 @_needs_split
-@pytest.mark.parametrize("forks", [0, 1])
-def test_trace_csv_split_survives_a_failed_fork(tmp_path, monkeypatch, forks):
+def test_trace_csv_split_survives_a_failed_fork(tmp_path, monkeypatch):
     # with no process or memory left for a child (EAGAIN), the caller
-    # formats the ranges that got none, to the same bytes: the first of two
-    # forks fails, or the second does
+    # formats the half that got none, to the same bytes
     tr = _synthetic_trace(2 * _TRACE_CHUNK_ROWS + 5, np.random.default_rng(9))
     savetxt_trace(tr, tmp_path / "ref.csv")
-    children = _split_trace_csv(monkeypatch, 3)
-    counted_fork = os.fork
+    children = _split_trace_csv(monkeypatch, 2)
     calls = []
 
-    def fork_until_refused():
+    def refused_fork():
         calls.append(None)
-        if len(calls) > forks:
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-        return counted_fork()
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(os, "fork", fork_until_refused)
+    monkeypatch.setattr(os, "fork", refused_fork)
     out = tmp_path / "out"
     out.mkdir()
     write_trace_csv(tr, out / "trace.csv")
-    assert len(calls) == forks + 1
-    assert len(children) == forks
+    assert len(calls) == 1
+    assert children == []
     _assert_nothing_left(out)
     assert (out / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -1857,20 +1907,20 @@ def test_trace_csv_child_failure_raises_and_leaves_nothing(tmp_path, monkeypatch
     # a range that fails in a child fails the write; every child is reaped
     # and no part file is left
     parent = os.getpid()
-    g17_csv = sim._g17_csv
+    g17_csv = _g17._g17_csv
 
     def g17_csv_in_parent(block):
         if os.getpid() != parent:
             raise RuntimeError("formatting failed in a child")
         return g17_csv(block)
 
-    monkeypatch.setattr(sim, "_g17_csv", g17_csv_in_parent)
-    children = _split_trace_csv(monkeypatch, 3)
+    monkeypatch.setattr(_g17, "_g17_csv", g17_csv_in_parent)
+    children = _split_trace_csv(monkeypatch, 2)
     out = tmp_path / "out"
     out.mkdir()
     with pytest.raises(OSError, match="exited with"):
         write_trace_csv(_synthetic_trace(600, np.random.default_rng(2)), out / "trace.csv")
-    assert len(children) == 2
+    assert len(children) == 1
     _assert_nothing_left(out)
 
 
@@ -1897,7 +1947,7 @@ def _tied_events_trace():
     equal times across the first block boundary; -0.0 and 0.0 tie but are
     formatted apart."""
     times = np.concatenate([[-0.0, 0.0], np.arange(1, 699) * 0.001, np.full(400, 0.7)])
-    assert 3 * 700 < sim._CSV_CHUNK_FIELDS < 3 * len(times)
+    assert 3 * 700 < _g17._CSV_CHUNK_FIELDS < 3 * len(times)
     tr = _synthetic_trace(1, np.random.default_rng(0))
     return dataclasses.replace(
         tr, sample_events=times, hold_events_m=times.copy(), hold_events_s=times.copy()
@@ -1919,7 +1969,7 @@ def test_events_csv_bytes_match_tuple_sort(tmp_path, events):
 
 def _g17_lines(values):
     """``_g17._g17_csv`` on a 1-D array, one field a line, a chunk at a time."""
-    step = sim._CSV_CHUNK_FIELDS
+    step = _g17._CSV_CHUNK_FIELDS
     text = b"".join(_g17._g17_csv(values[a : a + step, None]) for a in range(0, len(values), step))
     return text.split(b"\n")[:-1]
 
@@ -2046,7 +2096,7 @@ def test_trace_csv_of_the_shipped_run_matches_savetxt(golden_trace, tmp_path, mo
     savetxt_trace(golden_trace, tmp_path / "ref.csv")
     want = (tmp_path / "ref.csv").read_bytes()
     for parts in (1, 2) if _SPLITS else (1,):
-        children = _split_trace_csv(monkeypatch, parts, sim._TRACE_SPLIT_ROWS)
+        children = _split_trace_csv(monkeypatch, parts, _g17._TRACE_SPLIT_ROWS)
         out = tmp_path / f"parts{parts}"
         out.mkdir()
         write_trace_csv(golden_trace, out / "trace.csv")
@@ -2060,7 +2110,7 @@ def test_trace_csv_memory_is_bounded(tmp_path, monkeypatch):
     # Python object kept.  Where the platform splits, the trace is cut into
     # two ranges at the shipped row floor, and the parent copies the child's
     # part back through a 64 KiB buffer
-    children = _split_trace_csv(monkeypatch, 2, sim._TRACE_SPLIT_ROWS)
+    children = _split_trace_csv(monkeypatch, 2, _g17._TRACE_SPLIT_ROWS)
     rng = np.random.default_rng(5)
     n_rows = 100_000
     columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 8, n_rows) for _ in _COLUMNS]
@@ -2083,7 +2133,7 @@ def test_trace_block_arrays_stay_under_the_mmap_threshold():
     # pages; blocks of 4 608 fields each mapped and faulted in their own,
     # about 42 000 minor faults a write of the shipped trace in a fresh
     # process
-    assert sim._CSV_CHUNK_FIELDS * _g17._G17_SLOT + 64 < 128 * 1024
+    assert _g17._CSV_CHUNK_FIELDS * _g17._G17_SLOT + 64 < 128 * 1024
 
 
 def test_events_csv_memory_is_bounded(tmp_path):
