@@ -1,6 +1,8 @@
 """The simulator's RK4 propagator: everything behind ``_propagator(sc, h,
 columns) -> (advance, fill)``, to which ``sim.run_scenario`` hands each run
-of substeps between channel events.
+of substeps between channel events, and which owns every column of the
+trace but t: ``advance`` writes the state and the held torques on the rows
+it reaches, and ``fill`` derives every other row and column after the loop.
 
 Between events each robot is linear with a constant input, and one RK4
 substep of it is exactly the map y <- M y + N u of its transition matrices
@@ -26,8 +28,8 @@ from .plants import FREE, ImpedanceModel, _robot_blocks, wall_force
 # bytes a substep of a period of _propagator's tables, as tracemalloc puts
 # them (up to 684), charged against sim.TRACE_BUDGET_BYTES
 _TABLE_BYTES_PER_SUBSTEP = 720
-# rows per block of run_scenario's pass over the columns derived after the
-# loop, and inner rows per numpy pass of _fill_jumps: a pass holds seven
+# rows per block of fill's pass over the columns derived after the loop,
+# and inner rows per numpy pass of _fill_jumps: a pass holds seven
 # arrays of as many 8-byte entries, 112 KiB.  At 4096 a run's peak beyond
 # the trace passes 150 B a sample at a period of 4 substeps
 _FILL_ROWS = 2048
@@ -202,22 +204,24 @@ def _pulse_rows(h: float, n: int, f_start: float, f_stop: float) -> tuple[int, .
 
 def _propagator(sc, h: float, columns):
     """``(advance, fill)``: RK4 between events of the SimScenario ``sc`` at
-    substep h, writing the state into the trace ``columns`` (t, x_m, v_m,
-    x_s, v_s, F_m, F_s, F_h, F_e: SimTrace's field order).
+    substep h, writing the trace ``columns`` (t, x_m, v_m, x_s, v_s, F_m,
+    F_s, F_h, F_e: SimTrace's field order) but t, which the caller writes.
 
     ``advance(j, stop, x_m, v_m, x_s, v_s, f_m, f_s)`` takes substeps j ..
-    stop - 1 at the held torques f_m and f_s, writes the state on the rows
-    it reaches and returns the state on row stop, which is non-finite when
-    the run diverged.  ``fill(a, b)`` writes the inner rows of the runs it
-    jumped that start on rows a .. b - 1, reading F_s and the marks that
-    advance leaves in F_h and F_e on those rows: F_s must be filled in on
-    them first, and F_h and F_e written there only after.
+    stop - 1 at the held torques f_m and f_s, writes them to F_m and F_s
+    wherever it writes the state, and on row j, and returns the state on row
+    stop, which is non-finite when the run diverged.  ``fill(rows)``, called
+    once the runs are done, completes rows 0 .. rows - 1 a block of
+    _FILL_ROWS rows at a time: the inner rows of the runs advance jumped,
+    state and torques (``_fill_jumps``), then F_h and F_e from the state and
+    F_m, each with the per-row formulas' bits.  The marks that advance
+    leaves in F_h and F_e at a jump's first row are private to the two.
 
     A run of k substeps with no operator-force edge within a substep of it
     is one jump by RK4's k-step maps when the slave's reach over k
     substeps, read off the same maps (``_slave_run_reach``), keeps it short
-    of the wall; advance writes its end row, and fill its inner rows
-    (``_fill_jumps``).  A jump that ends non-finite, a run near an
+    of the wall; advance writes its first and end rows, and fill its inner
+    rows.  A jump that ends non-finite, a run near an
     edge and any run the bound rejects take the slow path a substep at a
     time: a substep is cut at any edge strictly inside it, each piece taking
     its midpoint's pulse value, the slave evaluates RK4's four stages over
@@ -277,8 +281,8 @@ def _propagator(sc, h: float, columns):
 
     # a run of k > 1 substeps taken in one jump writes k to its first row
     # of F_e and the master's input to that of F_h, two columns that are
-    # free until the loop is done
-    xm_w, vm_w, xs_w, vs_w, _, _, u_w, jump_w = map(memoryview, columns[1:])
+    # free until fill derives them
+    xm_w, vm_w, xs_w, vs_w, fm_w, fs_w, u_w, jump_w = map(memoryview, columns[1:])
     columns[8][:] = 0.0
 
     def wall_branch(xs, vs):
@@ -320,7 +324,11 @@ def _propagator(sc, h: float, columns):
 
     def advance(j, stop, x_m, v_m, x_s, v_s, f_m, f_s):
         # substeps j .. stop - 1, each reaching the state of the next row; a
-        # substep's width stays t1 - t0, which need not round to h
+        # substep's width stays t1 - t0, which need not round to h.  The
+        # torques go wherever the state does, and on row j, whose state the
+        # run starts from
+        fm_w[j] = f_m
+        fs_w[j] = f_s
         u_m = (f_mag if on <= j < off else 0.0) + f_m
         k = stop - j
         # a pulse edge inside the run, or within a substep of it, where a
@@ -345,6 +353,8 @@ def _propagator(sc, h: float, columns):
                 vm_w[stop] = v_m1
                 xs_w[stop] = x_s1
                 vs_w[stop] = v_s1
+                fm_w[stop] = f_m
+                fs_w[stop] = f_s
                 return x_m1, v_m1, x_s1, v_s1
 
         # one substep at a time, by the slow path: near an edge a substep is
@@ -374,14 +384,56 @@ def _propagator(sc, h: float, columns):
             vm_w[i] = v_m
             xs_w[i] = x_s
             vs_w[i] = v_s
+            fm_w[i] = f_m
+            fs_w[i] = f_s
         return x_m, v_m, x_s, v_s
 
     maps = np.array(tables).T.copy()  # contiguous rows, which take needs
 
-    def fill(a, b):
-        # an inner row may overflow though its jump's end row is finite
+    def fill(rows):
+        # a block's jumped rows come first, as they read the jumps' marks in
+        # F_h and F_e, and its forces last.  F_h is the row formula in its
+        # operation order, with constants formed as _robot_blocks forms the
+        # master's block:
+        #   a_m = (fstar - k_h*x_m - b_m_tot*v_m + F_m) * inv_mm
+        #   F_h = fstar - m_h*a_m - b_h*v_m - k_h*x_m
+        # with fstar = f_mag on the rows whose t lies in [f_start, f_stop), and
+        # fe as scratch for the products.  F_e = -wall_force is -0.0 short of
+        # the wall, where wall_force is 0.0: the law runs on blocks that reach it
+        t, xm, vm, xs, _, fm, _, fh, fe = columns
+        inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
+        b_m_tot = sc.master.damping + sc.human.damping
+        k_h, m_h, b_h = sc.human.stiffness, sc.human.mass, sc.human.damping
+        t_on, t_off = np.searchsorted(t[:rows], (f_start, f_stop)).tolist()
+        pulse = ((0, t_on, 0.0), (t_on, t_off, f_mag), (t_off, rows, 0.0))
+        # an inner row may overflow though its jump's end row is finite, and
+        # a diverged run's last row overflows
         with np.errstate(all="ignore"):
-            _fill_jumps(columns, maps, a, b)
+            for a in range(0, rows, _FILL_ROWS):
+                b = min(a + _FILL_ROWS, rows)
+                _fill_jumps(columns, maps, a, b)
+                xm_b, vm_b, fh_b, fe_b = xm[a:b], vm[a:b], fh[a:b], fe[a:b]
+                stars = [(fh[max(lo, a) : min(hi, b)], f) for lo, hi, f in pulse]
+                np.multiply(xm_b, k_h, out=fh_b)
+                for s, f in stars:
+                    np.subtract(f, s, out=s)
+                fh_b -= np.multiply(vm_b, b_m_tot, out=fe_b)
+                fh_b += fm[a:b]
+                fh_b *= inv_mm
+                fh_b *= m_h
+                for s, f in stars:
+                    np.subtract(f, s, out=s)
+                fh_b -= np.multiply(vm_b, b_h, out=fe_b)
+                fh_b -= np.multiply(xm_b, k_h, out=fe_b)
+                if (xs[a:b] > x_wall).any():
+                    # row by row: a list of the block's values kept 0.07 MiB
+                    # more memory resident after 12 contact runs in a process
+                    wall_law = (
+                        -wall_force(x, v, wall) for x, v in zip(xs_w[a:b], vs_w[a:b])
+                    )
+                    fe_b[:] = np.fromiter(wall_law, float, b - a)
+                else:
+                    fe_b.fill(-0.0)
 
     return advance, fill
 
@@ -389,13 +441,14 @@ def _propagator(sc, h: float, columns):
 def _fill_jumps(columns, tables: np.ndarray, a: int, b: int) -> None:
     """Write the inner rows of the runs of substeps that ``_propagator``
     took in one jump and that start on rows a .. b - 1, _FILL_ROWS inner
-    rows a numpy pass.
+    rows a numpy pass: the state, and F_m and F_s, which are the start
+    row's.
 
     A jump leaves k on row j of F_e, the last of ``columns``, for a run of
     k substeps from row j, and the master's input u_m = fstar + F_m on row
     j of F_h.  Row j + i, 0 < i < k, is then the i-step jump from row j,
     formed as a jump forms its end row: x_m = p00*x_m + p01*v_m + q0*u_m,
-    and so on.  Row k of ``tables`` is the propagator's row k: the
+    and so on, from the start row's state and torques.  Row k of ``tables`` is the propagator's row k: the
     master's (p00, p10, p01, p11, q0, q1) and the slave's (p01, p11, q0,
     q1); the slave's first column is (1, 0).
 
@@ -408,7 +461,7 @@ def _fill_jumps(columns, tables: np.ndarray, a: int, b: int) -> None:
     against 19 to 30 ms at 512 rows a pass with a (10, rows) gather of the
     tables.
     """
-    _, x_m, v_m, x_s, v_s, _, f_s, u_m, marks = columns
+    _, x_m, v_m, x_s, v_s, f_m, f_s, u_m, marks = columns
     seg = marks[a:b]
     starts = seg.nonzero()[0]
     if not len(starts):
@@ -445,7 +498,10 @@ def _fill_jumps(columns, tables: np.ndarray, a: int, b: int) -> None:
         x_s.take(j, mode="clip", out=x)
         v_s.take(j, mode="clip", out=v)
         f_s.take(j, mode="clip", out=u)
+        f_m.take(j, mode="clip", out=tmp)
         j += i
+        f_m[j] = tmp  # the held torques are the start row's
+        f_s[j] = u
         # x_s = x + r01*v + r0*f and v_s = r11*v + r1*f
         np.multiply(r01.take(i, mode="clip", out=out), v, out=out)
         out += x

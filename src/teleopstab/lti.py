@@ -99,6 +99,8 @@ class FrequencyGrid:
     nyquist: float  # rad/s, = pi/T
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.nyquist < math.inf:
+            raise BadGrid("nyquist must be positive and finite")
         if len(self.points) < 2:
             raise BadGrid("grid needs at least two points")
         pts = np.array(self.points, dtype=float)

@@ -15,12 +15,12 @@ This module holds the models, the sensor path (``_sensor``), the channel's
 event loop ``run_scenario``, ``verdict`` and ``sweep_period``; the RK4
 propagator is ``_rk4``'s, and the CSV writers, re-exported here, are
 ``_g17``'s.  ``run_scenario`` walks a schedule of the rows on which a
-sample or a hold starts a run of substeps and hands each run to the
-propagator's ``advance``, which returns the state on the run's last row.
-After the loop one pass over blocks of rows derives the rest: the held
-torques from the holds, the jumped runs' inner rows by the propagator's
-``fill``, and the terminations' forces from the state columns, each with
-the per-row formulas' bits.
+sample or a hold starts a run of substeps, forms the held torques, and
+hands each run to the propagator's ``advance``, which writes the state and
+the torques and returns the state on the run's last row.  After the loop
+the propagator's ``fill`` derives every other row and column: the jumped
+runs' inner rows and the terminations' forces, each with the per-row
+formulas' bits.
 
 Identical scenario + seed reproduces bit-identical traces.
 """
@@ -32,14 +32,14 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import deque
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from ._g17 import write_events_csv, write_trace_csv
-from ._rk4 import _FILL_ROWS, _TABLE_BYTES_PER_SUBSTEP, _propagator
+from ._rk4 import _TABLE_BYTES_PER_SUBSTEP, _propagator
 from .control import ControllerGains, _control_law
-from .plants import ImpedanceModel, RobotParams, WallModel, wall_force
+from .plants import ImpedanceModel, RobotParams, WallModel
 from .stability import ChannelConfig, StabilityReport, TeleopSystem, small_gain_at_period
 
 __all__ = [
@@ -312,12 +312,12 @@ def run_scenario(
     The loop walks a schedule of the rows that start a run of substeps
     between channel events, built a window of samples at a time: each row
     gets an integer of event marks, and the marked rows are the runs'
-    starts.  It takes the events at a run's first row, then hands the run to
-    the propagator (``_propagator``), which writes x_m, v_m, x_s and v_s.
-    t is the grid j*h.  After the loop, each block of _FILL_ROWS rows in
-    turn gets F_m and F_s from its holds (``_fill_held``), the inner rows of
-    the runs jumped from it (``fill(a, b)``), then F_h and F_e: bit for bit
-    the values a row-at-a-time loop writes, within the same nine columns.
+    starts.  It takes the events at a run's first row, forming the held
+    torques, then hands the run and the torques to the propagator
+    (``_propagator``), which writes x_m, v_m, x_s, v_s, F_m and F_s.  t is
+    the grid j*h.  After the loop one ``fill(rows)`` writes the rest, the
+    jumped runs' inner rows, F_h and F_e: bit for bit the values a
+    row-at-a-time loop writes, within the same nine columns.
 
     A sample is one call of each robot's ``_sensor`` closure, a hold
     one call of the law built once a run with its clamp (``_control_law``),
@@ -410,8 +410,8 @@ def run_scenario(
     # sides, so the first held torques see zero coordination error
     x_m = v_m = x_s = v_s = 0.0
     law = _control_law(g, lim)
-    f_m_first = f_m_held = law((x_m, v_m), (x_m, v_m))
-    f_s_first = f_s_held = law((x_s, v_s), (x_s, v_s))
+    f_m_held = law((x_m, v_m), (x_m, v_m))
+    f_s_held = law((x_s, v_s), (x_s, v_s))
 
     # measurements in flight to each side, oldest first
     to_s: deque[tuple[float, float]] = deque()
@@ -422,9 +422,6 @@ def run_scenario(
     columns = [np.arange(n_rows, dtype=float), *(np.empty(n_rows) for _ in _TRACE_COLUMNS[1:])]
     columns[0] *= h  # j * h, as the loop takes it
     state_w = xm_w, vm_w, xs_w, vs_w = tuple(map(memoryview, columns[1:5]))
-    # a hold writes its torque to its row; the rows between holds are filled
-    # in after the loop
-    fm_w, fs_w = map(memoryview, columns[5:7])
     xm_w[0], vm_w[0], xs_w[0], vs_w[0] = x_m, v_m, x_s, v_s
     advance, fill = _propagator(sc, h, columns)
 
@@ -446,9 +443,9 @@ def run_scenario(
             send_s(own_m)
             send_m(own_s)
         if marks & HOLD_S:
-            f_s_held = fs_w[j] = law(own_s, take_s())
+            f_s_held = law(own_s, take_s())
         if marks & HOLD_M:
-            f_m_held = fm_w[j] = law(own_m, take_m())
+            f_m_held = law(own_m, take_m())
 
         x_m, v_m, x_s, v_s = advance(j, stop, x_m, v_m, x_s, v_s, f_m_held, f_s_held)
         # a finite sum has four finite terms; a sum that overflows is checked
@@ -463,58 +460,11 @@ def run_scenario(
                 last += 1
             divergence_time = last * h
             break
-    rows = last + 1
-    t, xm, vm, xs, vs, fm, fs, fh, fe = columns = [a[:rows] for a in columns]
+    fill(last + 1)
+    columns = [a[: last + 1] for a in columns]
     # the samples and each side's holds taken before the last row
     taken = np.frombuffer(sample_rows, np.int64)
     n_samples, n_s, n_m = taken.searchsorted((last, last - d1_sub, last - d2_sub)).tolist()
-    if not sampled:  # a hold on every row but the last
-        fm[last] = f_m_held
-        fs[last] = f_s_held
-
-    # a block's holds come first, as the fill reads F_s, and its forces
-    # last, as the fill reads the jumps' marks in F_h and F_e.  F_h is the
-    # row formula in its operation order, with constants formed as
-    # _robot_blocks forms the master's block:
-    #   a_m = (fstar - k_h*x_m - b_m_tot*v_m + F_m) * inv_mm
-    #   F_h = fstar - m_h*a_m - b_h*v_m - k_h*x_m
-    # with fstar = f_mag on the rows whose t lies in [f_start, f_stop), and
-    # fe as scratch for the products.  F_e = -wall_force is -0.0 short of
-    # the wall, where wall_force is 0.0: the law runs on blocks that reach it
-    inv_mm = 1.0 / (sc.master.mass + sc.human.mass)
-    b_m_tot = sc.master.damping + sc.human.damping
-    k_h, m_h, b_h = sc.human.stiffness, sc.human.mass, sc.human.damping
-    f_start, f_stop, f_mag = astuple(sc.operator_force)
-    on, off = np.searchsorted(t, (f_start, f_stop)).tolist()
-    pulse = ((0, on, 0.0), (on, off, f_mag), (off, rows, 0.0))
-    wall = sc.wall
-    with np.errstate(all="ignore"):  # a diverged run's last row overflows
-        for a in range(0, rows, _FILL_ROWS):
-            b = min(a + _FILL_ROWS, rows)
-            if sampled:
-                _fill_held(fm, taken[:n_m], d2_sub, a, b, f_m_first)
-                _fill_held(fs, taken[:n_s], d1_sub, a, b, f_s_first)
-            fill(a, b)
-            xm_b, vm_b, fh_b, fe_b = xm[a:b], vm[a:b], fh[a:b], fe[a:b]
-            stars = [(fh[max(lo, a) : min(hi, b)], f) for lo, hi, f in pulse]
-            np.multiply(xm_b, k_h, out=fh_b)
-            for s, f in stars:
-                np.subtract(f, s, out=s)
-            fh_b -= np.multiply(vm_b, b_m_tot, out=fe_b)
-            fh_b += fm[a:b]
-            fh_b *= inv_mm
-            fh_b *= m_h
-            for s, f in stars:
-                np.subtract(f, s, out=s)
-            fh_b -= np.multiply(vm_b, b_h, out=fe_b)
-            fh_b -= np.multiply(xm_b, k_h, out=fe_b)
-            if (xs[a:b] > wall.position).any():
-                # row by row: a list of the block's values kept 0.07 MiB
-                # more memory resident after 12 contact runs in a process
-                wall_law = (-wall_force(x, v, wall) for x, v in zip(xs_w[a:b], vs_w[a:b]))
-                fe_b[:] = np.fromiter(wall_law, float, b - a)
-            else:
-                fe_b.fill(-0.0)
     # sample times as k*T on the period grid and j*h when jittered
     sample_events = taken[:n_samples] * h if jittered else np.arange(n_samples) * T
     del taken, sample_rows  # freed before the hold times are formed
@@ -528,21 +478,6 @@ def run_scenario(
         substep=h,
         divergence_time=divergence_time,
     )
-
-
-def _fill_held(col: np.ndarray, samples, delay: int, a: int, b: int, first: float) -> None:
-    """Give rows a .. b - 1 of ``col`` the torque of the last hold at or
-    before each, and ``first`` before any.  A hold lands ``delay`` rows after
-    its sample, whose rows ``samples`` lists in ascending order; each hold's
-    own row already holds its torque, and row a - 1 is filled already.
-    """
-    lo, hi = samples.searchsorted((a - delay, b - delay)).tolist()
-    edges = np.empty(hi - lo + 2, np.int64)  # a, the holds' rows, b
-    edges[0], edges[-1] = a, b
-    np.add(samples[lo:hi], delay, out=edges[1:-1])
-    held = col.take(edges[:-1])  # its first entry, row a's, is replaced
-    held[0] = col[a - 1] if a else first
-    col[a:b] = np.repeat(held, np.diff(edges))
 
 
 def verdict(trace: SimTrace, run: RunSettings = RunSettings()) -> SimVerdict:

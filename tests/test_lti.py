@@ -156,6 +156,9 @@ def test_frequency_grid_invariants():
         FrequencyGrid((2.0, 1.0), nyquist=3.0)  # not increasing
     with pytest.raises(BadGrid):
         FrequencyGrid((1.0, 4.0), nyquist=3.0)  # beyond nyquist
+    for nyquist in (math.nan, math.inf):  # a NaN would pass the Nyquist test
+        with pytest.raises(BadGrid, match="nyquist must be positive and finite"):
+            FrequencyGrid((1.0, 2.0), nyquist=nyquist)
 
 
 @pytest.mark.parametrize(

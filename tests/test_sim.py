@@ -1189,10 +1189,11 @@ def test_table_memory_is_within_the_budget(reference_scenario):
 
 
 def test_held_torque_fill_memory_is_within_the_budget(reference_scenario):
-    # at 5 000 substeps a period, 128 holds span 640 000 rows: the holds are
-    # filled a block of _FILL_ROWS rows at a time, so a 1 s run at rest
-    # stays within the tables' charge beyond its trace (filling 128 holds a
-    # pass peaked at 7.47 MB against the 3.60 MB charged)
+    # at 5 000 substeps a period, 128 holds span 640 000 rows: the
+    # propagator writes the held torques as it goes, and its fill works a
+    # block of _FILL_ROWS rows at a time, so a 1 s run at rest stays within
+    # the tables' charge beyond its trace (filling 128 holds a pass once
+    # peaked at 7.47 MB against the 3.60 MB charged)
     nsub = 5_000
     sc = _short(
         reference_scenario,
@@ -1210,44 +1211,15 @@ def test_held_torque_fill_memory_is_within_the_budget(reference_scenario):
     assert peak - 9 * 8 * len(tr.t) <= _rk4._TABLE_BYTES_PER_SUBSTEP * nsub
 
 
-@pytest.mark.parametrize("size", [1, 7, sim._FILL_ROWS])
-def test_fill_held_matches_a_row_at_a_time_fill(size):
-    # a side's holds land its delay after its samples; filled a block of
-    # `size` rows at a time, as run_scenario fills them, the column is the
-    # row-at-a-time fill bit for bit.  The holds lie 1 to 19 rows apart, then
-    # none until row 2*_FILL_ROWS, a block's first row at every size, so a
-    # default-size block has no hold; a delay past the run and a side with
-    # no sample leave the side no hold at all
-    rng = np.random.default_rng(size)
-    n = 3 * sim._FILL_ROWS + 5
-    dense = np.cumsum(rng.integers(1, 20, 100)) + 8
-    holds = np.concatenate([dense, dense + 2 * sim._FILL_ROWS - dense[0]])
-    assert (holds % size == 0).any()
-    assert len(set((holds // size).tolist())) < -(-n // size)
-    for samples, delay in ((holds, 0), (holds - 5, 5), (holds, n), (holds[:0], 0)):
-        landed = samples[samples + delay < n] + delay
-        col = np.full(n, np.nan)
-        col[landed] = rng.standard_normal(len(landed))
-        want = col.copy()
-        held = 0.5
-        hold_rows = set(landed.tolist())
-        for r in range(n):
-            held = want[r] if r in hold_rows else held
-            want[r] = held
-        for a in range(0, n, size):
-            sim._fill_held(col, samples[: len(landed)], delay, a, min(a + size, n), 0.5)
-        assert col.tobytes() == want.tobytes(), delay
-
-
 def _jumped_columns(ks, rng):
     # trace columns whose runs of ks substeps were each jumped: a start row
-    # holds its state, the master's input, F_s and, for k > 1, its k in the
-    # last column (the propagator marks no k = 1 jump; a mark of 1 has no
-    # inner row); the inner rows are unwritten NaN
+    # holds its state, F_m, F_s, the master's input and, for k > 1, its k in
+    # the last column (the propagator marks no k = 1 jump; a mark of 1 has
+    # no inner row); the inner rows are unwritten NaN
     starts = np.concatenate([[0], np.cumsum(ks)[:-1]])
     n = int(sum(ks)) + 1
     columns = [np.full(n, np.nan) for _ in sim._TRACE_COLUMNS]
-    for c in (1, 2, 3, 4, 6, 7):
+    for c in (1, 2, 3, 4, 5, 6, 7):
         columns[c][starts] = rng.uniform(-1.0, 1.0, len(starts))
     columns[8][:] = 0.0
     columns[8][starts] = ks
@@ -1257,7 +1229,8 @@ def _jumped_columns(ks, rng):
 def test_fill_bits_do_not_depend_on_the_pass_size(monkeypatch, reference_scenario):
     # runs of mixed length, k = 1 included, cross the block and pass
     # boundaries of 1, 7 and the default size; each inner row is the
-    # row formula of its run's start, bit for bit, at every size
+    # row formula of its run's start, and holds its start's torques, bit for
+    # bit, at every size
     rng = np.random.default_rng(3)
     ks = [2, 1, 9, 3, 1, 1, 20, 5, 2, 7, 8, 1, 13] * 30
     assert sum(ks) > _rk4._FILL_ROWS
@@ -1265,28 +1238,29 @@ def test_fill_bits_do_not_depend_on_the_pass_size(monkeypatch, reference_scenari
     base, starts = _jumped_columns(ks, rng)
     want = [c.copy() for c in base]
     p00, p10, p01, p11, q0, q1, r01, r11, r0, r1 = tables.tolist()
-    x_m, v_m, x_s, v_s, f_s, u_m = (want[c] for c in (1, 2, 3, 4, 6, 7))
+    x_m, v_m, x_s, v_s, f_m, f_s, u_m = (want[c] for c in (1, 2, 3, 4, 5, 6, 7))
     for j, k in zip(starts.tolist(), ks):
         for i in range(1, k):
             x_m[j + i] = p00[i] * x_m[j] + p01[i] * v_m[j] + q0[i] * u_m[j]
             v_m[j + i] = p10[i] * x_m[j] + p11[i] * v_m[j] + q1[i] * u_m[j]
             x_s[j + i] = x_s[j] + r01[i] * v_s[j] + r0[i] * f_s[j]
             v_s[j + i] = r11[i] * v_s[j] + r1[i] * f_s[j]
+            f_m[j + i] = f_m[j]
+            f_s[j + i] = f_s[j]
     last = len(base[0]) - 1
     for size in (1, 7, _rk4._FILL_ROWS):
         monkeypatch.setattr(_rk4, "_FILL_ROWS", size)
         got = [c.copy() for c in base]
         for a in range(0, last, size):
             _rk4._fill_jumps(got, tables, a, min(a + size, last))
-        for c in (1, 2, 3, 4):
+        for c in (1, 2, 3, 4, 5, 6):
             assert got[c].tobytes() == want[c].tobytes(), (size, c)
-    # and whole runs, where every block of the pass after the loop, which
-    # fills the held torques, the jumped rows and the forces, and every
-    # pass of _fill_jumps are of the patched size
+    # and whole runs, where every block of the fill, which writes the jumped
+    # rows and the forces, and so every pass of _fill_jumps, is of the
+    # patched size
     sc, seed, _ = _pinned_cases(reference_scenario)["pulse_edge_inside_jittered_run"]
     traces = []
     for size in (1, 7, _rk4._FILL_ROWS):
-        monkeypatch.setattr(sim, "_FILL_ROWS", size)
         monkeypatch.setattr(_rk4, "_FILL_ROWS", size)
         traces.append(run_scenario(sc, seed=seed))
     for tr in traces[1:]:
@@ -1570,25 +1544,27 @@ def _imports(tree):
 def test_rk4_helpers_live_in_one_module_and_the_writers_stand_alone():
     # replacing RK4 is a change to _rk4 alone: no other module defines or
     # names its helpers, and sim reaches it only through the propagator and
-    # the two constants it charges and blocks by.  _g17, the writers'
-    # module, imports nothing from the simulator
+    # the constant it charges the tables by.  sim leaves the forces to the
+    # propagator's fill, so it never names the wall law.  _g17, the
+    # writers' module, imports nothing from the simulator
     trees = _package_trees()
     helper = re.compile(r"_rk4_\w+|_stage_rk4|_slave_run_reach|_pulse_rows|_fill_jumps")
     named = {mod: {n for n in _names(t) if n and helper.fullmatch(n)} for mod, t in trees.items()}
     assert {"_rk4_map", "_rk4_gain", "_rk4_runs", "_stage_rk4", "_fill_jumps"} <= named.pop("_rk4")
     assert not any(named.values()), named
     from_rk4 = {name for mod, name in _imports(trees["sim"]) if mod == "_rk4"}
-    assert from_rk4 == {"_propagator", "_FILL_ROWS", "_TABLE_BYTES_PER_SUBSTEP"}
+    assert from_rk4 == {"_propagator", "_TABLE_BYTES_PER_SUBSTEP"}
+    assert "wall_force" not in set(_names(trees["sim"]))
     assert not {mod for mod, _ in _imports(trees["_g17"])} & {"sim", "_rk4"}
 
 
 def _propagated(sc, start, state, forces, stops):
-    """(end state, state rows from ``start`` on, whether the first run
-    jumped): ``sc``'s propagator advances ``state`` from row ``start``
-    through the runs that end on ``stops`` at the held torques ``forces``
-    (F_m, F_s), then fills the jumped runs' inner rows."""
+    """(end state, state rows from ``start`` on, torque rows (F_m, F_s) from
+    ``start`` on, whether the first run jumped): ``sc``'s propagator
+    advances ``state`` from row ``start`` through the runs that end on
+    ``stops`` at the held torques ``forces`` (F_m, F_s), then fills every
+    row up to the last stop."""
     columns = [np.zeros(stops[-1] + 1) for _ in _COLUMNS]
-    columns[6][:] = forces[1]  # the fill reads F_s
     advance, fill = _rk4._propagator(sc, sc.channel.T / sc.integrator_substeps, columns)
     for col, y in zip(columns[1:5], state):
         col[start] = y
@@ -1596,8 +1572,10 @@ def _propagated(sc, start, state, forces, stops):
     for stop in stops:
         state = advance(j, stop, *state, *forces)
         j = stop
-    fill(start, stops[-1])
-    return np.array(state), np.array([c[start:] for c in columns[1:5]]), columns[8][start] != 0.0
+    jumped = columns[8][start] != 0.0  # the mark, which fill overwrites with F_e
+    fill(stops[-1] + 1)
+    rows = np.array([c[start:] for c in columns[1:5]])
+    return np.array(state), rows, np.array([c[start:] for c in columns[5:7]]), jumped
 
 
 @settings(max_examples=100, deadline=None)
@@ -1618,7 +1596,8 @@ def test_splitting_a_run_moves_the_propagated_state_by_rounding(
     # the propagator's contract, which an exact propagator must keep too:
     # substeps start .. start + k - 1 taken in one call, or in two split at
     # an inner row, reach the same end state and fill the same rows to
-    # within 1e-9 of the state's scale.  In free flight the whole run is one
+    # within 1e-9 of the state's scale, and leave the held torques on every
+    # row from start to stop.  In free flight the whole run is one
     # jump; with the slave past the wall (at 0) and pushing in, it takes the
     # slow path; with a pulse edge inside it the jump is refused, and a
     # split run may jump one part and step the other
@@ -1633,12 +1612,16 @@ def test_splitting_a_run_moves_the_propagated_state_by_rounding(
         wall=WallModel(position=0.0 if case == "contact" else 1e3),
         operator_force=OperatorForce((start + edge * k) * h if case == "edge" else 0.0, 0.1, 20.0),
     )
-    end, rows, jumped = _propagated(sc, start, state, forces, [stop])
-    split_end, split_rows, _ = _propagated(sc, start, state, forces, [mid, stop])
+    end, rows, torques, jumped = _propagated(sc, start, state, forces, [stop])
+    split_end, split_rows, split_torques, _ = _propagated(sc, start, state, forces, [mid, stop])
     assert jumped == (case == "free")
     scale = np.abs(rows).max()
     assert np.abs(split_end - end).max() <= 1e-9 * scale
     assert np.abs(split_rows - rows).max() <= 1e-9 * scale
+    # every row of the run, jumped, stepped or filled, carries the held
+    # torques bit for bit
+    held = np.repeat(np.array(forces, float)[:, None], k + 1, axis=1)
+    assert torques.tobytes() == split_torques.tobytes() == held.tobytes()
 
 
 def test_sweep_reference_trend(reference_scenario):
