@@ -28,10 +28,10 @@ from .plants import FREE, ImpedanceModel, _robot_blocks, wall_force
 # bytes a substep of a period of _propagator's tables, as tracemalloc puts
 # them (up to 684), charged against sim.TRACE_BUDGET_BYTES
 _TABLE_BYTES_PER_SUBSTEP = 720
-# rows per block of fill's pass over the columns derived after the loop,
-# and inner rows per numpy pass of _fill_jumps: a pass holds seven
-# arrays of as many 8-byte entries, 112 KiB.  At 4096 a run's peak beyond
-# the trace passes 150 B a sample at a period of 4 substeps
+# rows per block of fill's pass over the columns derived after the loop: a
+# block's unreached rows are one numpy pass of _fill_jumps, which holds
+# seven arrays of as many 8-byte entries, 112 KiB.  At 4096 a run's peak
+# beyond the trace passes 150 B a sample at a period of 4 substeps
 _FILL_ROWS = 2048
 
 
@@ -212,10 +212,10 @@ def _propagator(sc, h: float, columns):
     wherever it writes the state, and on row j, and returns the state on row
     stop, which is non-finite when the run diverged.  ``fill(rows)``, called
     once the runs are done, completes rows 0 .. rows - 1 a block of
-    _FILL_ROWS rows at a time: the inner rows of the runs advance jumped,
-    state and torques (``_fill_jumps``), then F_h and F_e from the state and
-    F_m, each with the per-row formulas' bits.  The marks that advance
-    leaves in F_h and F_e at a jump's first row are private to the two.
+    _FILL_ROWS rows at a time: the rows advance did not reach, whose x_m
+    keeps the NaN set here on all rows but the caller's start row 0, state
+    and torques (``_fill_jumps``), then F_h and F_e, unwritten till then,
+    from the state and F_m, each with the per-row formulas' bits.
 
     A run of k substeps with no operator-force edge within a substep of it
     is one jump by RK4's k-step maps when the slave's reach over k
@@ -279,11 +279,10 @@ def _propagator(sc, h: float, columns):
                 h, mode, gain,
             )
 
-    # a run of k > 1 substeps taken in one jump writes k to its first row
-    # of F_e and the master's input to that of F_h, two columns that are
-    # free until fill derives them
-    xm_w, vm_w, xs_w, vs_w, fm_w, fs_w, u_w, jump_w = map(memoryview, columns[1:])
-    columns[8][:] = 0.0
+    # a row whose x_m is still NaN when fill runs is one advance did not
+    # reach: an inner row of a jumped run
+    xm_w, vm_w, xs_w, vs_w, fm_w, fs_w = map(memoryview, columns[1:7])
+    columns[1][1:] = math.nan
 
     def wall_branch(xs, vs):
         # 0 free flight, 1 pushing contact, 2 clamped (spring+damper pulls)
@@ -346,9 +345,6 @@ def _propagator(sc, h: float, columns):
             # a sum of finite values may overflow, and a run that ends non-finite
             # is stepped again below to find its first non-finite row; both are rare
             if isfinite(x_m1 + v_m1 + x_s1 + v_s1):
-                if k > 1:
-                    jump_w[j] = k
-                    u_w[j] = u_m
                 xm_w[stop] = x_m1
                 vm_w[stop] = v_m1
                 xs_w[stop] = x_s1
@@ -391,10 +387,10 @@ def _propagator(sc, h: float, columns):
     maps = np.array(tables).T.copy()  # contiguous rows, which take needs
 
     def fill(rows):
-        # a block's jumped rows come first, as they read the jumps' marks in
-        # F_h and F_e, and its forces last.  F_h is the row formula in its
-        # operation order, with constants formed as _robot_blocks forms the
-        # master's block:
+        # a block's unreached rows come first, as its forces read their
+        # state, and each block hands the next the last row advance reached.
+        # F_h is the row formula in its operation order, with constants
+        # formed as _robot_blocks forms the master's block:
         #   a_m = (fstar - k_h*x_m - b_m_tot*v_m + F_m) * inv_mm
         #   F_h = fstar - m_h*a_m - b_h*v_m - k_h*x_m
         # with fstar = f_mag on the rows whose t lies in [f_start, f_stop), and
@@ -408,10 +404,12 @@ def _propagator(sc, h: float, columns):
         pulse = ((0, t_on, 0.0), (t_on, t_off, f_mag), (t_off, rows, 0.0))
         # an inner row may overflow though its jump's end row is finite, and
         # a diverged run's last row overflows
+        start = 0
         with np.errstate(all="ignore"):
             for a in range(0, rows, _FILL_ROWS):
                 b = min(a + _FILL_ROWS, rows)
-                _fill_jumps(columns, maps, a, b)
+                # the last row is advance's, a diverged run's NaN one included
+                start = _fill_jumps(columns, maps, (on, off, f_mag), a, min(b, rows - 1), start)
                 xm_b, vm_b, fh_b, fe_b = xm[a:b], vm[a:b], fh[a:b], fe[a:b]
                 stars = [(fh[max(lo, a) : min(hi, b)], f) for lo, hi, f in pulse]
                 np.multiply(xm_b, k_h, out=fh_b)
@@ -438,76 +436,71 @@ def _propagator(sc, h: float, columns):
     return advance, fill
 
 
-def _fill_jumps(columns, tables: np.ndarray, a: int, b: int) -> None:
-    """Write the inner rows of the runs of substeps that ``_propagator``
-    took in one jump and that start on rows a .. b - 1, _FILL_ROWS inner
-    rows a numpy pass: the state, and F_m and F_s, which are the start
-    row's.
+def _fill_jumps(columns, tables: np.ndarray, pulse, a: int, b: int, start: int) -> int:
+    """Write the rows a .. b - 1 that ``_propagator``'s advance did not
+    reach, whose x_m is NaN, and return the last row before b it reached,
+    given ``start``, that row before a.  An unreached row is an inner row of
+    a jumped run, whose first row j is the last reached row before it.  The
+    caller passes b < rows: the last row is advance's, a diverged NaN too.
 
-    A jump leaves k on row j of F_e, the last of ``columns``, for a run of
-    k substeps from row j, and the master's input u_m = fstar + F_m on row
-    j of F_h.  Row j + i, 0 < i < k, is then the i-step jump from row j,
-    formed as a jump forms its end row: x_m = p00*x_m + p01*v_m + q0*u_m,
-    and so on, from the start row's state and torques.  Row k of ``tables`` is the propagator's row k: the
-    master's (p00, p10, p01, p11, q0, q1) and the slave's (p01, p11, q0,
-    q1); the slave's first column is (1, 0).
+    Row j + i is the i-step jump from row j, formed as a jump forms its end
+    row: x_m = p00*x_m + p01*v_m + q0*u_m, and so on, from row j's state and
+    torques, with advance's input u_m = fstar + F_m, fstar being f_mag where
+    on <= j < off for ``pulse`` = (on, off, f_mag): bisected on the sorted j,
+    as an int comparison maps in 128 KiB more of numpy's code.  Row k of
+    ``tables`` is the propagator's row k: the master's (p00, p10, p01, p11,
+    q0, q1) and the slave's (p01, p11, q0, q1), whose first column is (1, 0).
 
-    A pass gathers each coefficient by the rows' steps i and each start
-    value by their runs' starts j, and forms one output column at a time.
-    It holds seven arrays of one 8-byte entry an inner row: i, j, the three
-    start values of one robot and two buffers for the column being formed.
-    The bits do not depend on the pass size.  A hardware-sweep request
-    (three runs, 185 000 substeps) spends about 10 ms here (2 vCPUs),
-    against 19 to 30 ms at 512 rows a pass with a (10, rows) gather of the
-    tables.
+    One numpy pass gathers each coefficient by the rows' steps i and each
+    start value by their runs' first rows j, and forms one output column at
+    a time.  It holds seven arrays of one 8-byte entry an unreached row: i,
+    j, the three start values of one robot and two buffers for the column
+    being formed; a block with none allocates only its NaN test.  The bits
+    do not depend on the block size.  A hardware-sweep request (three runs,
+    185 000 substeps) spends 10 to 16 ms here (2 vCPUs).  A (10, rows) gather
+    of the tables, 512 rows a pass, took two to three times as long as this.
     """
-    _, x_m, v_m, x_s, v_s, f_m, f_s, u_m, marks = columns
-    seg = marks[a:b]
-    starts = seg.nonzero()[0]
-    if not len(starts):
-        return
-    inner = seg.take(starts).astype(np.intp)
-    inner -= 1
-    starts += a
-    first = np.cumsum(inner)  # each run's first inner row, counted over the runs
-    total = int(first[-1])
-    first -= inner
-    del inner
+    _, x_m, v_m, x_s, v_s, f_m, f_s = columns[:7]
+    unreached = np.isnan(x_m[a:b])
+    i = unreached.nonzero()[0]
+    if not len(i):
+        return b - 1 if a < b else start
+    # the last reached row up to each row, a running maximum from start
+    j = np.maximum.accumulate(np.where(unreached, start, np.arange(a, b)))
+    start = int(j[-1])
+    j = j.take(i)
+    i += a
+    i -= j  # the steps
     p00, p10, p01, p11, q0, q1, r01, r11, r0, r1 = tables
-    for c in range(0, total, _FILL_ROWS):
-        # the step i of each inner row of this pass, and its run's start j
-        i = np.arange(c, min(c + _FILL_ROWS, total))
-        run = first.searchsorted(i, "right")
-        run -= 1
-        i -= first.take(run)
-        i += 1
-        j = starts.take(run)
-        del run
-        out = np.empty(len(i))
-        tmp = np.empty(len(i))
-        x, v, u = x_m.take(j), v_m.take(j), u_m.take(j)
-        j += i  # the inner rows, until the slave's start values are taken
-        for col, px, pv, q in ((x_m, p00, p01, q0), (v_m, p10, p11, q1)):
-            # p_x*x + p_v*v + q*u, left to right; take's "clip" mode writes
-            # to out= unbuffered, and every index is in range
-            np.multiply(px.take(i, mode="clip", out=out), x, out=out)
-            out += np.multiply(pv.take(i, mode="clip", out=tmp), v, out=tmp)
-            out += np.multiply(q.take(i, mode="clip", out=tmp), u, out=tmp)
-            col[j] = out
-        j -= i
-        x_s.take(j, mode="clip", out=x)
-        v_s.take(j, mode="clip", out=v)
-        f_s.take(j, mode="clip", out=u)
-        f_m.take(j, mode="clip", out=tmp)
-        j += i
-        f_m[j] = tmp  # the held torques are the start row's
-        f_s[j] = u
-        # x_s = x + r01*v + r0*f and v_s = r11*v + r1*f
-        np.multiply(r01.take(i, mode="clip", out=out), v, out=out)
-        out += x
-        out += np.multiply(r0.take(i, mode="clip", out=tmp), u, out=tmp)
-        x_s[j] = out
-        np.multiply(r11.take(i, mode="clip", out=out), v, out=out)
-        out += np.multiply(r1.take(i, mode="clip", out=tmp), u, out=tmp)
-        v_s[j] = out
-        del i, j, x, v, u, out, tmp  # freed before the next pass allocates
+    on, off, f_mag = pulse
+    out = np.empty(len(i))
+    tmp = np.empty(len(i))
+    u = np.zeros(len(i))
+    u[slice(*j.searchsorted((on, off)))] = f_mag  # fstar
+    u += f_m.take(j, mode="clip", out=tmp)  # advance's sum
+    x, v = x_m.take(j), v_m.take(j)
+    j += i  # the unreached rows, until the slave's start values are taken
+    for col, px, pv, q in ((x_m, p00, p01, q0), (v_m, p10, p11, q1)):
+        # p_x*x + p_v*v + q*u, left to right; take's "clip" mode writes
+        # to out= unbuffered, and every index is in range
+        np.multiply(px.take(i, mode="clip", out=out), x, out=out)
+        out += np.multiply(pv.take(i, mode="clip", out=tmp), v, out=tmp)
+        out += np.multiply(q.take(i, mode="clip", out=tmp), u, out=tmp)
+        col[j] = out
+    j -= i
+    x_s.take(j, mode="clip", out=x)
+    v_s.take(j, mode="clip", out=v)
+    f_s.take(j, mode="clip", out=u)
+    f_m.take(j, mode="clip", out=tmp)
+    j += i
+    f_m[j] = tmp  # the held torques are the start row's
+    f_s[j] = u
+    # x_s = x + r01*v + r0*f and v_s = r11*v + r1*f
+    np.multiply(r01.take(i, mode="clip", out=out), v, out=out)
+    out += x
+    out += np.multiply(r0.take(i, mode="clip", out=tmp), u, out=tmp)
+    x_s[j] = out
+    np.multiply(r11.take(i, mode="clip", out=out), v, out=out)
+    out += np.multiply(r1.take(i, mode="clip", out=tmp), u, out=tmp)
+    v_s[j] = out
+    return start

@@ -23,6 +23,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .scenario import (
     ParseError,
     ValidationError,
@@ -226,10 +228,11 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
             if getattr(args, name, None) is not None
         }
         run = dataclasses.replace(run, **overrides)
-        return args.func(args, sc, run)
+        with np.errstate(over="raise"):  # say, a gain of 1e308 in the certificate
+            return args.func(args, sc, run)
     except (ParseError, ValidationError, OSError, ValueError, ArithmeticError) as exc:
         # ArithmeticError: a loadable scenario the stability tests cannot judge
-        # (SingularDenominator, PoleHit, KernelSingular)
+        # (SingularDenominator, PoleHit, KernelSingular, FloatingPointError)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -502,12 +502,15 @@ def induced_delay_gamma(ch: ChannelConfig, observed_intervals) -> float:
     """Worst-case induced delay sup mu(t) from observed sampling intervals.
 
     gamma = max interval + forward network delay d1*T.  Every interval must
-    respect the minimum-interval assumption (>= eps_min).
+    respect the minimum-interval assumption (>= eps_min).  A NaN interval,
+    which max keeps or drops by its place, raises ValueError.
     """
     intervals = [float(v) for v in observed_intervals]
     if not intervals:
         raise ValueError("need at least one observed interval")
     for iv in intervals:
+        if iv != iv:
+            raise ValueError(f"interval {iv} is not a number")
         if iv < ch.eps_min:
             raise AssumptionViolated(
                 f"interval {iv} below the minimum admissible {ch.eps_min}"

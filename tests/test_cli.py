@@ -672,14 +672,38 @@ def test_cli_runs_without_scipy(tmp_path):
         assert blocked == (tmp_path / "normal" / "sweep" / name).read_bytes()
 
 
-def test_analyze_overflowing_period_exit_code(tmp_path, capsys):
-    # A*T overflows: one error line that names the period, and no numpy
-    # warning (pytest turns warnings into errors)
-    cfg = _cfg(tmp_path, period=1e308)
-    code = cli_dispatch(["analyze", "--config", cfg])
+_OVERFLOW_COMMANDS = {
+    "analyze": ["analyze"],
+    "max-period": ["max-period", "--criterion", "small_gain", "--range", "1e-3:0.1"],
+    "simulate": ["simulate", "--out", "sim"],
+}
+
+
+@pytest.mark.parametrize(
+    "change, command, named",
+    [
+        pytest.param({"period": 1e308}, "analyze", "1e+308", id="period-analyze"),
+        *(
+            pytest.param(change, command, "overflow", id=f"{next(iter(change))}-{command}")
+            for change in ({"kp": 1e308}, {"kv": 1e308}, {"kd": 1e308}, {"mass": 5e-324})
+            for command in _OVERFLOW_COMMANDS
+        ),
+    ],
+)
+def test_analyze_overflowing_period_exit_code(tmp_path, capsys, monkeypatch, change, command, named):
+    # A*T overflows, a gain of 1e308 overflows the certificate's products,
+    # and a master mass of 5e-324 the division into the plant's companion
+    # form: one error line, and no numpy warning (pytest turns warnings
+    # into errors)
+    monkeypatch.chdir(tmp_path)
+    gains = {k: v for k, v in change.items() if k != "mass"}
+    cfg = pathlib.Path(_cfg(tmp_path, **gains))
+    if "mass" in change:  # the master's, the first mass of the file
+        cfg.write_text(cfg.read_text().replace("mass = 0.5", f"mass = {change['mass']}", 1))
+    code = cli_dispatch([*_OVERFLOW_COMMANDS[command], "--config", str(cfg)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error:") and "1e+308" in lines[0]
+    assert lines[0].startswith("error:") and named in lines[0]

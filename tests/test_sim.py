@@ -1170,22 +1170,26 @@ def test_table_memory_is_within_the_budget(reference_scenario):
         finally:
             tracemalloc.stop()
         assert (peak - 9 * 8 * len(tr.t)) / nsub <= _rk4._TABLE_BYTES_PER_SUBSTEP, periods
-    # the fill writes a long run's inner rows _FILL_ROWS at a time, so its
-    # temporaries stay a few tens of KiB however long the run; all its rows
-    # at once took about 190 B a row
+    # the fill writes a long run's inner rows a block of _FILL_ROWS rows at
+    # a time, so its temporaries stay a few tens of KiB however long the
+    # run; all its rows at once took about 190 B a row
     k = 100_000
     columns = [np.zeros(k + 1) for _ in sim._TRACE_COLUMNS]
     columns[1][0] = 1.0  # x_m on the run's first row
-    columns[8][0] = k
+    columns[1][1:k] = np.nan  # the inner rows, which advance did not reach
     tables = np.ones((10, k + 1))
     tracemalloc.start()
     try:
-        _rk4._fill_jumps(columns, tables, 0, _rk4._FILL_ROWS)
+        start = 0
+        for a in range(0, k, _rk4._FILL_ROWS):
+            b = min(a + _rk4._FILL_ROWS, k)
+            start = _rk4._fill_jumps(columns, tables, (0, 0, 0.0), a, b, start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**18
-    assert columns[1][1:k].all()  # every inner row written
+    assert start == 0
+    assert (columns[1][1:k] == 1.0).all()  # every inner row written
 
 
 def test_held_torque_fill_memory_is_within_the_budget(reference_scenario):
@@ -1212,37 +1216,38 @@ def test_held_torque_fill_memory_is_within_the_budget(reference_scenario):
 
 
 def _jumped_columns(ks, rng):
-    # trace columns whose runs of ks substeps were each jumped: a start row
-    # holds its state, F_m, F_s, the master's input and, for k > 1, its k in
-    # the last column (the propagator marks no k = 1 jump; a mark of 1 has
-    # no inner row); the inner rows are unwritten NaN
-    starts = np.concatenate([[0], np.cumsum(ks)[:-1]])
+    # trace columns whose runs of ks substeps were each jumped: the rows
+    # advance reached, each run's first row and the last run's end row,
+    # hold their state, F_m and F_s; the inner rows, and F_h and F_e, are
+    # unwritten NaN, and a NaN x_m is what tells an unreached row
+    starts = np.concatenate([[0], np.cumsum(ks)])
     n = int(sum(ks)) + 1
     columns = [np.full(n, np.nan) for _ in sim._TRACE_COLUMNS]
-    for c in (1, 2, 3, 4, 5, 6, 7):
+    for c in (1, 2, 3, 4, 5, 6):
         columns[c][starts] = rng.uniform(-1.0, 1.0, len(starts))
-    columns[8][:] = 0.0
-    columns[8][starts] = ks
-    return columns, starts
+    return columns, starts[:-1]
 
 
 def test_fill_bits_do_not_depend_on_the_pass_size(monkeypatch, reference_scenario):
-    # runs of mixed length, k = 1 included, cross the block and pass
-    # boundaries of 1, 7 and the default size; each inner row is the
-    # row formula of its run's start, and holds its start's torques, bit for
-    # bit, at every size
+    # runs of mixed length, k = 1 included, cross the block boundaries of
+    # 1, 7 and the default size, and so does the pulse; each inner row is
+    # the row formula of its run's start, with the master's input that
+    # advance forms there, and holds its start's torques, bit for bit, at
+    # every size; F_h and F_e are left to the forces
     rng = np.random.default_rng(3)
     ks = [2, 1, 9, 3, 1, 1, 20, 5, 2, 7, 8, 1, 13] * 30
     assert sum(ks) > _rk4._FILL_ROWS
+    pulse = on, off, f_mag = 500, 2100, 5.0
     tables = rng.uniform(-2.0, 2.0, (10, max(ks) + 1))
     base, starts = _jumped_columns(ks, rng)
     want = [c.copy() for c in base]
     p00, p10, p01, p11, q0, q1, r01, r11, r0, r1 = tables.tolist()
-    x_m, v_m, x_s, v_s, f_m, f_s, u_m = (want[c] for c in (1, 2, 3, 4, 5, 6, 7))
+    x_m, v_m, x_s, v_s, f_m, f_s = (want[c] for c in (1, 2, 3, 4, 5, 6))
     for j, k in zip(starts.tolist(), ks):
+        u_m = (f_mag if on <= j < off else 0.0) + f_m[j]
         for i in range(1, k):
-            x_m[j + i] = p00[i] * x_m[j] + p01[i] * v_m[j] + q0[i] * u_m[j]
-            v_m[j + i] = p10[i] * x_m[j] + p11[i] * v_m[j] + q1[i] * u_m[j]
+            x_m[j + i] = p00[i] * x_m[j] + p01[i] * v_m[j] + q0[i] * u_m
+            v_m[j + i] = p10[i] * x_m[j] + p11[i] * v_m[j] + q1[i] * u_m
             x_s[j + i] = x_s[j] + r01[i] * v_s[j] + r0[i] * f_s[j]
             v_s[j + i] = r11[i] * v_s[j] + r1[i] * f_s[j]
             f_m[j + i] = f_m[j]
@@ -1251,9 +1256,11 @@ def test_fill_bits_do_not_depend_on_the_pass_size(monkeypatch, reference_scenari
     for size in (1, 7, _rk4._FILL_ROWS):
         monkeypatch.setattr(_rk4, "_FILL_ROWS", size)
         got = [c.copy() for c in base]
+        start = 0
         for a in range(0, last, size):
-            _rk4._fill_jumps(got, tables, a, min(a + size, last))
-        for c in (1, 2, 3, 4, 5, 6):
+            start = _rk4._fill_jumps(got, tables, pulse, a, min(a + size, last), start)
+        assert start == starts[-1]  # the last run's first row
+        for c in range(9):
             assert got[c].tobytes() == want[c].tobytes(), (size, c)
     # and whole runs, where every block of the fill, which writes the jumped
     # rows and the forces, and so every pass of _fill_jumps, is of the
@@ -1568,11 +1575,12 @@ def _propagated(sc, start, state, forces, stops):
     advance, fill = _rk4._propagator(sc, sc.channel.T / sc.integrator_substeps, columns)
     for col, y in zip(columns[1:5], state):
         col[start] = y
+    columns[1][:start] = 0.0  # rows that earlier runs reached
     j = start
     for stop in stops:
         state = advance(j, stop, *state, *forces)
         j = stop
-    jumped = columns[8][start] != 0.0  # the mark, which fill overwrites with F_e
+    jumped = np.isnan(columns[1][start + 1])  # a row advance did not reach
     fill(stops[-1] + 1)
     rows = np.array([c[start:] for c in columns[1:5]])
     return np.array(state), rows, np.array([c[start:] for c in columns[5:7]]), jumped
@@ -1622,6 +1630,21 @@ def test_splitting_a_run_moves_the_propagated_state_by_rounding(
     # torques bit for bit
     held = np.repeat(np.array(forces, float)[:, None], k + 1, axis=1)
     assert torques.tobytes() == split_torques.tobytes() == held.tobytes()
+
+
+def test_fill_leaves_the_last_row_as_advance_wrote_it(reference_scenario):
+    # a diverged run's last row may hold the NaN x_m that advance wrote,
+    # after a finite row: fill must leave it as written, and not derive it
+    # from the row before as the one-step jump of an unreached row
+    sc = _short(reference_scenario, duration=1.0, operator_force=OperatorForce(0.0, 0.0))
+    columns = [np.zeros(5) for _ in _COLUMNS]
+    advance, fill = _rk4._propagator(sc, sc.channel.T / sc.integrator_substeps, columns)
+    x_m, v_m, x_s, v_s = advance(0, 3, 0.01, 0.0, 0.0, 0.0, 1.0, 2.0)
+    advance(3, 4, math.nan, v_m, x_s, v_s, 1.0, 2.0)
+    assert math.isfinite(columns[1][3]) and math.isnan(columns[1][4])
+    written = [c[3:].tobytes() for c in columns[1:7]]
+    fill(5)
+    assert [c[3:].tobytes() for c in columns[1:7]] == written
 
 
 def test_sweep_reference_trend(reference_scenario):

@@ -429,6 +429,11 @@ def test_induced_delay_gamma_rejects_short_intervals():
         induced_delay_gamma(ch, [0.006, 0.0])
     with pytest.raises(AssumptionViolated):
         induced_delay_gamma(ch, [0.006, 0.004])
+    # a NaN interval is refused wherever it sits: max kept it first and
+    # dropped it last
+    for intervals in ([math.nan, 0.01], [0.01, math.nan]):
+        with pytest.raises(ValueError, match="interval nan "):
+            induced_delay_gamma(ch, intervals)
 
 
 def test_channel_config_invariants():
